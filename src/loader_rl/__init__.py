@@ -18,6 +18,7 @@ from .env import (
     RewardBreakdown,
     build_observation,
     compute_reward,
+    env_digest,
     reset,
     step,
     target_from_heading,
@@ -69,7 +70,6 @@ from .emulator import (
     EmulationConfig,
     PidGains,
     PidState,
-    delayed_position,
     pid_throttle,
     run_emulated_episode,
     utm_relative_observation,

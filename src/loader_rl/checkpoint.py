@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flatcfg
-from .env import EnvConfig
+from .env import EnvConfig, env_digest
 from .nets import MLP
 from .policy import ExplorationMode, ObsNormalizer, PolicyParams
 from .ppo import TrainConfig
@@ -42,20 +42,6 @@ class PolicyCheckpoint:
     rng_state: dict = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
-    @property
-    def env_digest(self) -> str:
-        flat = {}
-        flat.update({f"env.{k}": v for k, v in flatcfg.flatten(self.env_config).items()})
-        flat.update({f"vehicle.{k}": v for k, v in flatcfg.flatten(self.vehicle_params).items()})
-        return flatcfg.digest(flat)
-
-
-def env_digest_of(env_config: EnvConfig, vehicle_params: VehicleParams) -> str:
-    flat = {}
-    flat.update({f"env.{k}": v for k, v in flatcfg.flatten(env_config).items()})
-    flat.update({f"vehicle.{k}": v for k, v in flatcfg.flatten(vehicle_params).items()})
-    return flatcfg.digest(flat)
-
 
 def _collect_arrays(params: PolicyParams) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
@@ -75,7 +61,7 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     manifest = [[name, list(a.shape)] for name, a in arrays.items()]
     header = {
         "format_version": ckpt.format_version,
-        "env_digest": ckpt.env_digest,
+        "env_digest": env_digest(ckpt.env_config, ckpt.vehicle_params),
         "timesteps": ckpt.timesteps,
         "rng_state": ckpt.rng_state,
         "train_config": flatcfg.flatten(ckpt.train_config),
@@ -169,12 +155,13 @@ def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> Poli
         rng_state=header.get("rng_state", {}),
         format_version=version,
     )
-    if header.get("env_digest") != ckpt.env_digest:
+    digest = env_digest(env_config, vehicle_params)
+    if header.get("env_digest") != digest:
         raise CheckpointFormatError("stored env digest does not match stored configs")
-    if expected_env_digest is not None and expected_env_digest != ckpt.env_digest:
+    if expected_env_digest is not None and expected_env_digest != digest:
         logger.warning(
             "checkpoint was trained against a different environment config "
-            "(digest %s, expected %s)", ckpt.env_digest, expected_env_digest,
+            "(digest %s, expected %s)", digest, expected_env_digest,
         )
     return ckpt
 

@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import CheckpointFormatError, PolicyCheckpoint, read_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
 from .emulator import EmulationConfig, run_emulated_episode
-from .env import ApproachEnv
+from .env import ApproachEnv, env_digest
 from .evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from .plot import MetricsFormatError, read_metrics_csv, render_reward_curve_svg
@@ -102,11 +102,14 @@ def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None
     overrides = {"seed": str(args.seed)} if args.seed is not None else {}
     if args.config is not None:
         run = load_run_config(args.config, overrides, require_seed=args.seed is None)
-        if ckpt is not None and ckpt.env_digest != run.env_digest:
-            raise ConfigError(
-                f"checkpoint env digest {ckpt.env_digest} does not match the "
-                f"config's {run.env_digest}; refusing to evaluate across environments"
-            )
+        if ckpt is not None:
+            ckpt_digest = env_digest(ckpt.env_config, ckpt.vehicle_params)
+            run_digest = env_digest(run.env, run.vehicle)
+            if ckpt_digest != run_digest:
+                raise ConfigError(
+                    f"checkpoint env digest {ckpt_digest} does not match the "
+                    f"config's {run_digest}; refusing to evaluate across environments"
+                )
     else:
         run = load_run_config(None, overrides, require_seed=False)
         if ckpt is not None:

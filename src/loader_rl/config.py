@@ -49,11 +49,6 @@ class RunConfig:
     def digest(self) -> str:
         return flatcfg.digest(self.flat())
 
-    @property
-    def env_digest(self) -> str:
-        flat = {k: v for k, v in self.flat().items() if k.startswith(("env.", "vehicle."))}
-        return flatcfg.digest(flat)
-
     def to_text(self) -> str:
         return flatcfg.canonical_lines(self.flat())
 

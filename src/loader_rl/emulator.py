@@ -17,8 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
-from .checkpoint import PolicyCheckpoint, env_digest_of
-from .env import ApproachEnv, EnvConfig, Observation, target_from_heading
+from .checkpoint import PolicyCheckpoint
+from .env import ApproachEnv, EnvConfig, Observation, env_digest, target_from_heading
 from .evaluate import greedy_policy_fn
 from .sim import BrakeModel, Controls, VehicleParams
 from .trace import EMULATION_COLUMNS, EpisodeTrace
@@ -99,10 +99,6 @@ class DelayBuffer:
         return len(self._times)
 
 
-def delayed_position(buffer: DelayBuffer, now: float) -> tuple[float, float]:
-    return buffer.read(now)
-
-
 def pid_throttle(
     state: PidState, target_v: float, measured_v: float, dt: float, gains: PidGains
 ) -> tuple[float, PidState]:
@@ -166,10 +162,11 @@ def run_emulated_episode(
     if isinstance(policy, PolicyCheckpoint):
         env_config = env_config or policy.env_config
         vehicle_params = vehicle_params or policy.vehicle_params
-        if policy.env_digest != env_digest_of(env_config, vehicle_params):
+        ckpt_digest = env_digest(policy.env_config, policy.vehicle_params)
+        if ckpt_digest != env_digest(env_config, vehicle_params):
             raise ValueError(
                 "checkpoint environment config does not match the requested "
-                f"environment (checkpoint digest {policy.env_digest})"
+                f"environment (checkpoint digest {ckpt_digest})"
             )
         decide = greedy_policy_fn(policy.params)
     else:
@@ -207,7 +204,7 @@ def run_emulated_episode(
     while not done:
         vehicle = env.state.vehicle
         if step_idx % emu.steps_per_decision == 0:
-            sensed = delayed_position(buffer, vehicle.elapsed)
+            sensed = buffer.read(vehicle.elapsed)
             obs = utm_relative_observation(
                 sensed, start_utm, ep_heading, env_config, vehicle.speed, vehicle.lift
             )
@@ -224,7 +221,7 @@ def run_emulated_episode(
         )
         v = env.state.vehicle
         buffer.append(v.elapsed, (origin[0] + v.x, origin[1] + v.y))
-        sensed_now = delayed_position(buffer, v.elapsed)
+        sensed_now = buffer.read(v.elapsed)
         step_idx += 1
         trace.add_step(
             step=step_idx, t=v.elapsed, x=v.x, y=v.y,

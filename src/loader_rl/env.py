@@ -16,12 +16,13 @@ short of the point from being past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from . import flatcfg
 from .sim import BrakeModel, Controls, VehicleParams, VehicleState, step_vehicle
 
 Action = Controls
@@ -131,6 +132,14 @@ def target_from_heading(start: tuple[float, float], heading: float, distance: fl
     return (start[0] + distance * math.sin(heading), start[1] + distance * math.cos(heading))
 
 
+def env_digest(config: EnvConfig, params: VehicleParams) -> str:
+    """Digest of the environment a policy acts in: the ``env.`` and
+    ``vehicle.`` entries of the flat run configuration."""
+    flat = {f"env.{k}": v for k, v in flatcfg.flatten(config).items()}
+    flat.update({f"vehicle.{k}": v for k, v in flatcfg.flatten(params).items()})
+    return flatcfg.digest(flat)
+
+
 def build_observation(env: EnvState) -> Observation:
     v = env.vehicle
     return Observation(
@@ -159,10 +168,13 @@ def compute_reward(
     otherwise shaped reward = distance progress + capped lift progress -
     time penalty. Terminal totals are exactly +-1 with shaping zeroed.
     """
-    for name, v in (("prev_distance", prev_distance), ("curr_distance", curr_distance),
-                    ("prev_lift", prev_lift), ("curr_lift", curr_lift), ("speed", speed)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+    isfinite = math.isfinite
+    if not (isfinite(prev_distance) and isfinite(curr_distance) and isfinite(prev_lift)
+            and isfinite(curr_lift) and isfinite(speed)):
+        for name, v in (("prev_distance", prev_distance), ("curr_distance", curr_distance),
+                        ("prev_lift", prev_lift), ("curr_lift", curr_lift), ("speed", speed)):
+            if not isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
     if step_count < 1:
         raise ValueError(f"step_count must be >= 1, got {step_count}")
 
@@ -268,15 +280,15 @@ def step(
         config,
     )
 
-    new_env = replace(
-        env,
-        vehicle=vehicle,
-        step_count=step_count,
-        prev_distance=curr_distance,
-        prev_lift=vehicle.lift,
-        done=breakdown.done,
+    done = breakdown.done
+    new_env = EnvState(
+        vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
+        step_count, curr_distance, vehicle.lift, done, env.rng,
     )
-    return new_env, build_observation(new_env), breakdown, breakdown.done
+    obs = Observation(
+        abs(env.target_x - vehicle.x), abs(env.target_y - vehicle.y), vehicle.speed, vehicle.lift
+    )
+    return new_env, obs, breakdown, done
 
 
 class ApproachEnv:

@@ -15,7 +15,7 @@ with sin(heading), i.e. a compass-style angle measured from the y axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -104,9 +104,11 @@ class VehicleState:
     brake_pedal: float = 0.0
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (self.x, self.y, self.heading, self.speed, self.lift, self.elapsed, self.brake_pedal)
+        isfinite = math.isfinite
+        return (
+            isfinite(self.x) and isfinite(self.y) and isfinite(self.heading)
+            and isfinite(self.speed) and isfinite(self.lift) and isfinite(self.elapsed)
+            and isfinite(self.brake_pedal)
         )
 
 
@@ -174,12 +176,4 @@ def step_vehicle(
         lift = state.lift
     lift = min(params.lift_max, max(params.lift_min, lift))
 
-    return replace(
-        state,
-        x=x,
-        y=y,
-        speed=speed,
-        lift=lift,
-        elapsed=state.elapsed + dt,
-        brake_pedal=pedal,
-    )
+    return VehicleState(x, y, state.heading, speed, lift, state.elapsed + dt, pedal)

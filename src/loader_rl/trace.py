@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .env import Outcome, RewardBreakdown
 
@@ -83,12 +84,12 @@ class EpisodeTrace:
         return [r[name] for r in self.rows]
 
 
-def _format_cell(name: str, value) -> str:
+def _cell_type(name: str) -> type:
     if name == "outcome":
-        return str(value)
+        return str
     if name in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
+        return int
+    return float
 
 
 def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False) -> None:
@@ -102,8 +103,11 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
     out.write(f"# initial_distance={trace.initial_distance!r}\n")
     out.write(f"# initial_lift={trace.initial_lift!r}\n")
     out.write(",".join(trace.columns) + "\n")
-    for row in rows:
-        out.write(",".join(_format_cell(c, row[c]) for c in trace.columns) + "\n")
+    # one converter per column, applied column by column; str of a float
+    # is its shortest round-trip repr, so cells read back bit-exactly
+    columns = [map(str, map(_cell_type(c), map(itemgetter(c), rows))) for c in trace.columns]
+    for line in map(",".join, zip(*columns)):
+        out.write(line + "\n")
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file, "w") as f:
             f.write(out.getvalue())
@@ -152,19 +156,12 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         initial_lift=float(meta.get("initial_lift", "0.0")),
         config_digest=meta.get("config_digest", ""),
     )
+    types = [_cell_type(name) for name in header]
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        row = {}
-        for name, cell in zip(header, cells):
-            if name == "outcome":
-                row[name] = cell
-            elif name in _INT_COLUMNS:
-                row[name] = int(cell)
-            else:
-                row[name] = float(cell)
-        trace.rows.append(row)
+        trace.rows.append({name: typ(cell) for name, typ, cell in zip(header, types, cells)})
     return trace

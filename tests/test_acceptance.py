@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from loader_rl.checkpoint import env_digest_of
 from loader_rl.cli import main
 from loader_rl.emulator import (
     EmulationConfig,

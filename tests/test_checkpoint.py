@@ -11,7 +11,7 @@ from loader_rl.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from loader_rl.env import EnvConfig
+from loader_rl.env import EnvConfig, env_digest
 from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.ppo import TrainConfig
 from loader_rl.sim import VehicleParams
@@ -52,7 +52,9 @@ class TestRoundTrip:
         assert back.train_config == ckpt.train_config
         assert back.env_config == ckpt.env_config
         assert back.vehicle_params == ckpt.vehicle_params
-        assert back.env_digest == ckpt.env_digest
+        assert env_digest(back.env_config, back.vehicle_params) == env_digest(
+            ckpt.env_config, ckpt.vehicle_params
+        )
 
     def test_save_deterministic(self):
         ckpt = make_checkpoint()
@@ -101,5 +103,5 @@ class TestDigestCheck:
         ckpt = make_checkpoint()
         blob = save_checkpoint(ckpt)
         with caplog.at_level("WARNING"):
-            load_checkpoint(blob, expected_env_digest=ckpt.env_digest)
+            load_checkpoint(blob, expected_env_digest=env_digest(ckpt.env_config, ckpt.vehicle_params))
         assert not caplog.records

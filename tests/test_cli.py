@@ -155,6 +155,23 @@ class TestReplay:
                 assert max(trace.column(col)) <= 1.0
 
 
+class TestGoldenOutputs:
+    """sha256 of CLI outputs that run only Python ``math``, no BLAS, pinned
+    so that a rewrite of the plant step or the trace writer cannot move a
+    single output bit. Taken on CPython 3.11 with x86-64 glibc libm."""
+
+    def test_scripted_eval_report(self, tmp_path):
+        p = tmp_path / "report.txt"
+        assert main(["eval", "--scripted", "--episodes", "20", "--seed", "0",
+                     "--report", str(p)]) == 0
+        assert sha(p) == "a1678a9290dd6a763b250c4bcb6604fce5784ecfe5039f36683e44fe08152b1f"
+
+    def test_scripted_replay_trace(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        assert main(["replay", "--scripted", "--seed", "0", "--trace", str(p)]) == 0
+        assert sha(p) == "c9316d6dc58765abb623dfd76597e3cdf6df87a2ebdb86268b9bd4b1a44af1fa"
+
+
 class TestEmulate:
     def test_degenerate_emulation_matches_replay(self, tmp_path):
         replay_path = tmp_path / "replay.csv"

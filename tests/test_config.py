@@ -4,7 +4,7 @@ import pytest
 
 from loader_rl.config import ConfigError, RunConfig, build_run_config, load_run_config, parse_config_text
 from loader_rl.emulator import EmulationConfig
-from loader_rl.env import EnvConfig, LiftTermMode
+from loader_rl.env import EnvConfig, LiftTermMode, env_digest
 from loader_rl.policy import ExplorationMode
 from loader_rl.ppo import TrainConfig
 from loader_rl.sim import BrakeModel, VehicleParams
@@ -40,7 +40,7 @@ class TestFlatEncoding:
     def test_env_digest_ignores_train_settings(self):
         a = RunConfig(train=TrainConfig(learning_rate=1.0))
         b = RunConfig()
-        assert a.env_digest == b.env_digest
+        assert env_digest(a.env, a.vehicle) == env_digest(b.env, b.vehicle)
         assert a.digest != b.digest
 
 

@@ -12,7 +12,6 @@ from loader_rl.emulator import (
     PidGains,
     PidState,
     braking_onset_time,
-    delayed_position,
     final_overshoot,
     pid_throttle,
     run_emulated_episode,
@@ -40,16 +39,16 @@ class TestDelayBuffer:
 
     def test_reads_sample_from_delay_ago(self):
         buf = self.make(3.0)
-        assert delayed_position(buf, 5.0) == (4.0, 0.0)  # stamped t=2
+        assert buf.read(5.0) == (4.0, 0.0)  # stamped t=2
 
     def test_holds_initial_sample_during_startup(self):
         buf = self.make(3.0)
-        assert delayed_position(buf, 1.0) == (0.0, 0.0)
-        assert delayed_position(buf, 2.9) == (0.0, 0.0)
+        assert buf.read(1.0) == (0.0, 0.0)
+        assert buf.read(2.9) == (0.0, 0.0)
 
     def test_zero_delay_passes_newest(self):
         buf = self.make(0.0)
-        assert delayed_position(buf, 5.0) == (10.0, 0.0)
+        assert buf.read(5.0) == (10.0, 0.0)
 
     def test_timestamps_must_increase(self):
         buf = self.make(1.0)

@@ -5,6 +5,8 @@ formula: progress = prev_distance - curr_distance, lift term =
 scale * (min(curr, 0.95) - min(prev, 0.95)), time term = -tc * step.
 """
 
+import copy
+import dataclasses
 import io
 import math
 
@@ -23,7 +25,7 @@ from loader_rl.env import (
     step,
     target_from_heading,
 )
-from loader_rl.sim import Controls, VehicleParams
+from loader_rl.sim import BrakeModel, Controls, VehicleParams
 from loader_rl.trace import EpisodeTrace, read_trace_csv, write_trace_csv
 
 CFG = EnvConfig()
@@ -167,6 +169,15 @@ class TestComputeReward:
         with pytest.raises(ValueError):
             compute_reward(5.0, 4.0, 0.5, 0.5, 2.0, 0, False, False, CFG)
 
+    @pytest.mark.parametrize("index,name", enumerate(
+        ["prev_distance", "curr_distance", "prev_lift", "curr_lift", "speed"]))
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_error_names_the_field(self, index, name, bad):
+        args = [5.0, 4.0, 0.5, 0.5, 2.0]
+        args[index] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r}$"):
+            compute_reward(*args, 1, False, False, CFG)
+
 
 def run_fixed_policy(env: ApproachEnv, decide, seed=0, heading=None):
     obs = env.reset(seed, heading=heading)
@@ -199,6 +210,23 @@ class TestStepEpisodes:
         d = math.hypot(env.state.target_x - env.state.vehicle.x,
                        env.state.target_y - env.state.vehicle.y)
         assert d == pytest.approx(4.0, abs=0.1)
+
+    def test_functional_step_leaves_its_input_unchanged(self):
+        env, _ = reset(CFG, 4)
+        params = VehicleParams()
+        for action in [Controls(0, 1)] * 3 + [Controls(1, 1)] * 3:
+            before = copy.copy(env)
+            vehicle = env.vehicle
+            vehicle_fields = dataclasses.astuple(vehicle)
+            rng_state = env.rng.bit_generator.state
+            new_env, _, _, _ = step(env, action, CFG, params, brake_model=BrakeModel.TAPERED)
+            assert new_env is not env and new_env.vehicle is not vehicle
+            assert env == before
+            assert env.vehicle is vehicle
+            assert dataclasses.astuple(vehicle) == vehicle_fields
+            assert env.rng.bit_generator.state == rng_state
+            env = new_env
+        assert env.step_count == 6 and env.vehicle.brake_pedal > 0.0
 
     def test_step_after_done_raises(self):
         env = ApproachEnv()

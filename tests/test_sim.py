@@ -79,6 +79,12 @@ class TestStepVehicle:
         with pytest.raises(ValueError):
             step_vehicle(make_state(speed=float("inf")), Controls(0, 0), 0.1, PARAMS)
 
+    @pytest.mark.parametrize("name", ["x", "y", "heading", "speed", "lift", "elapsed", "brake_pedal"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_error_names_the_field(self, name, bad):
+        with pytest.raises(ValueError, match=rf"\b{name}={bad!r}"):
+            step_vehicle(make_state(**{name: bad}), Controls(0, 0), 0.1, PARAMS)
+
     def test_purity_bit_for_bit(self):
         s0 = make_state(heading=1.234, speed=1.7, lift=0.62)
         a = step_vehicle(s0, Controls(1, 1), 1 / 50, PARAMS, BrakeModel.TAPERED)
