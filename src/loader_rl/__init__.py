@@ -55,7 +55,6 @@ from .ppo import (
     clipped_policy_loss,
     compute_gae,
     ppo_ratio,
-    ppo_update,
 )
 from .checkpoint import (
     CheckpointFormatError,

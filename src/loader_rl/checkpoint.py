@@ -112,8 +112,17 @@ def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> Poli
         header = json.loads(data[offset : offset + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"corrupt header: {e}") from e
-    offset += header_len
+    try:
+        return _from_header(header, data, offset + header_len, version, expected_env_digest)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointFormatError(f"header does not follow the checkpoint schema: {e!r}") from e
 
+
+def _from_header(
+    header: dict, data: bytes, offset: int, version: int, expected_env_digest: str | None
+) -> PolicyCheckpoint:
+    """The checkpoint a parsed header describes; a header of the wrong
+    shape raises KeyError, TypeError or ValueError."""
     arrays: dict[str, np.ndarray] = {}
     for name, shape in header["manifest"]:
         count = int(np.prod(shape)) if shape else 1

@@ -56,7 +56,7 @@ class EmulationConfig:
     start_from_standstill: bool = True
 
     def __post_init__(self) -> None:
-        if self.position_delay < 0.0:
+        if not (self.position_delay >= 0.0):
             raise ValueError(f"position_delay must be >= 0, got {self.position_delay}")
         if not (0.0 < self.rate_scale <= 1.0):
             raise ValueError(f"rate_scale must be in (0, 1], got {self.rate_scale}")
@@ -157,7 +157,7 @@ def run_emulated_episode(
     config must match the one in use) or a plain observation -> action
     callable. The plant integrates at the environment timestep; the
     policy and the PID only act on decision ticks and their outputs are
-    held in between.
+    held in between by :meth:`ApproachEnv.hold`.
     """
     if isinstance(policy, PolicyCheckpoint):
         env_config = env_config or policy.env_config
@@ -195,43 +195,35 @@ def run_emulated_episode(
         config_digest=config_digest,
     )
 
-    pid_state = PidState()
-    held_action = Controls(0, 0)
-    held_command = 0.0
-    control_dt = emu.steps_per_decision * env_config.dt
-    step_idx = 0
-    done = False
-    while not done:
-        vehicle = env.state.vehicle
-        if step_idx % emu.steps_per_decision == 0:
-            sensed = buffer.read(vehicle.elapsed)
-            obs = utm_relative_observation(
-                sensed, start_utm, ep_heading, env_config, vehicle.speed, vehicle.lift
-            )
-            held_action = decide(obs)
-            held_command, pid_state = pid_throttle(
-                pid_state, vehicle_params.cruise_speed, vehicle.speed, control_dt, emu.pid
-            )
-        if held_command >= 0.0:
-            accel = held_command * emu.accel_limit
-        else:
-            accel = held_command * vehicle_params.ideal_decel
-        _, breakdown, done = env.step(
-            held_action, brake_model=emu.brake_model, throttle_accel=accel
-        )
+    def on_step(env: ApproachEnv, action: Controls) -> None:
+        # ``command`` is the PID output of the running hold
         v = env.state.vehicle
         buffer.append(v.elapsed, (origin[0] + v.x, origin[1] + v.y))
         sensed_now = buffer.read(v.elapsed)
-        step_idx += 1
-        trace.add_step(
-            step=step_idx, t=v.elapsed, x=v.x, y=v.y,
-            rel_x=abs(env.state.target_x - v.x), rel_y=abs(env.state.target_y - v.y),
-            speed=v.speed, lift=v.lift,
-            brake_action=held_action.brake, lift_action=held_action.lift_up,
-            breakdown=breakdown,
+        trace.add_env_step(
+            env, action,
             true_x=origin[0] + v.x, true_y=origin[1] + v.y,
             delayed_x=sensed_now[0], delayed_y=sensed_now[1],
-            pid_command=held_command, pedal_fraction=v.brake_pedal,
+            pid_command=command, pedal_fraction=v.brake_pedal,
+        )
+
+    # the policy and the PID act at the start of each hold
+    pid_state = PidState()
+    control_dt = emu.steps_per_decision * env_config.dt
+    while not env.state.done:
+        vehicle = env.state.vehicle
+        sensed = buffer.read(vehicle.elapsed)
+        obs = utm_relative_observation(
+            sensed, start_utm, ep_heading, env_config, vehicle.speed, vehicle.lift
+        )
+        action = decide(obs)
+        command, pid_state = pid_throttle(
+            pid_state, vehicle_params.cruise_speed, vehicle.speed, control_dt, emu.pid
+        )
+        accel = command * (emu.accel_limit if command >= 0.0 else vehicle_params.ideal_decel)
+        env.hold(
+            action, emu.steps_per_decision, on_step,
+            brake_model=emu.brake_model, throttle_accel=accel,
         )
     return trace
 

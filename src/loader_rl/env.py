@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -295,18 +295,24 @@ class ApproachEnv:
     """Stateful wrapper over the functional reset/step API.
 
     Holds config and vehicle parameters; each instance owns exactly one
-    episode at a time. Instances are independent, so many can run
-    concurrently with separate seeds.
+    episode at a time and keeps its latest observation, latest reward
+    breakdown and running return. Instances are independent, so many
+    can run concurrently with separate seeds.
     """
 
     def __init__(self, config: Optional[EnvConfig] = None, params: Optional[VehicleParams] = None):
         self.config = config or EnvConfig()
         self.params = params or VehicleParams()
         self.state: Optional[EnvState] = None
+        self.obs: Optional[Observation] = None
+        self.breakdown: Optional[RewardBreakdown] = None
+        self.episode_reward = 0.0
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
-        self.state, obs = reset(self.config, seed, self.params, heading=heading)
-        return obs
+        self.state, self.obs = reset(self.config, seed, self.params, heading=heading)
+        self.breakdown = None
+        self.episode_reward = 0.0
+        return self.obs
 
     def step(
         self,
@@ -317,12 +323,30 @@ class ApproachEnv:
     ) -> tuple[Observation, RewardBreakdown, bool]:
         if self.state is None:
             raise RuntimeError("call reset before step")
-        self.state, obs, breakdown, done = step(
-            self.state,
-            action,
-            self.config,
-            self.params,
-            brake_model=brake_model,
-            throttle_accel=throttle_accel,
+        self.state, self.obs, self.breakdown, done = step(
+            self.state, action, self.config, self.params,
+            brake_model=brake_model, throttle_accel=throttle_accel,
         )
-        return obs, breakdown, done
+        self.episode_reward += self.breakdown.total
+        return self.obs, self.breakdown, done
+
+    def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None,
+             **step_kwargs) -> float:
+        """Zero-order hold: apply ``action`` for up to ``steps`` plant steps.
+
+        The one place a decision is held, for training, greedy evaluation
+        and deployment emulation alike. Stops when the episode ends;
+        ``on_step(env, action)`` runs after every plant step. Returns the
+        reward summed over the steps taken.
+        """
+        if steps < 1:
+            raise ValueError(f"a hold needs at least one plant step, got {steps}")
+        total = 0.0
+        for _ in range(steps):
+            _, breakdown, done = self.step(action, **step_kwargs)
+            total += breakdown.total
+            if on_step is not None:
+                on_step(self, action)
+            if done:
+                break
+        return total

@@ -76,42 +76,29 @@ def run_episode(
 
     ``decision_interval`` replays the training-time control rate: the
     policy is consulted every that-many plant steps and its action held
-    in between.
+    in between. A policy with a ``reset`` method is reset first.
     """
-    obs = env.reset(seed, heading=heading)
+    if hasattr(decide, "reset"):
+        decide.reset()
+    env.reset(seed, heading=heading)
     state = env.state
-    trace = None
+    trace = on_step = None
     if collect_trace:
         trace = EpisodeTrace(
             initial_distance=state.prev_distance,
             initial_lift=state.prev_lift,
             config_digest=config_digest,
         )
-    total = 0.0
-    steps = 0
-    done = False
-    action = None
-    while not done:
-        if steps % decision_interval == 0:
-            action = decide(obs)
-        obs, breakdown, done = env.step(action)
-        total += breakdown.total
-        steps += 1
-        if trace is not None:
-            v = env.state.vehicle
-            trace.add_step(
-                step=steps, t=v.elapsed, x=v.x, y=v.y,
-                rel_x=obs.rel_x, rel_y=obs.rel_y, speed=v.speed, lift=v.lift,
-                brake_action=action.brake, lift_action=action.lift_up,
-                breakdown=breakdown,
-            )
+        on_step = trace.add_env_step
+    while not env.state.done:
+        env.hold(decide(env.obs), decision_interval, on_step)
     final_distance = math.hypot(
         env.state.target_x - env.state.vehicle.x, env.state.target_y - env.state.vehicle.y
     )
     result = EpisodeResult(
-        reward=total,
-        length=steps,
-        outcome=breakdown.outcome,
+        reward=env.episode_reward,
+        length=env.state.step_count,
+        outcome=env.breakdown.outcome,
         final_distance=final_distance,
         heading=state.vehicle.heading,
     )
@@ -181,8 +168,6 @@ def evaluate_policy(
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     results = []
     for i in range(n_episodes):
-        if hasattr(decide, "reset"):
-            decide.reset()
         ep_seed = substream_seed(seed, "eval", i)
         result, _ = run_episode(env, decide, ep_seed, decision_interval=decision_interval)
         results.append(result)

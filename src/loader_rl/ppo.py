@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -72,8 +71,12 @@ class TrainConfig:
             )
         if self.total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
-        if self.control_interval < 1:
-            raise ValueError(f"control_interval must be >= 1, got {self.control_interval}")
+        for name in ("n_epochs", "control_interval", "eval_every_updates",
+                     "checkpoint_every_updates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 class RolloutBuffer:
@@ -310,95 +313,72 @@ class PPOLearner:
         self.optimizer = Adam(shapes, lr=config.learning_rate)
 
     def update(self, buffer: RolloutBuffer, rng: np.random.Generator) -> UpdateStats:
-        return _run_update(self.params, buffer, self.config, self.optimizer, rng)
+        """One full update pass: n_epochs of shuffled minibatches.
 
+        On a non-finite loss the parameters and optimizer are rolled back
+        to their pre-update snapshot and ``stats.aborted`` is set.
+        """
+        params, config, optimizer = self.params, self.config, self.optimizer
+        if not buffer.full:
+            raise ValueError(f"rollout buffer not full ({buffer.pos}/{buffer.n_steps})")
+        advantages, returns = compute_gae(
+            buffer.rewards, buffer.values, buffer.dones, buffer.bootstrap_value,
+            config.gamma, config.gae_lambda,
+        )
 
-def ppo_update(
-    params: PolicyParams,
-    buffer: RolloutBuffer,
-    config: TrainConfig,
-    optimizer: Optional[Adam] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[PolicyParams, UpdateStats]:
-    """One full update pass: n_epochs of shuffled minibatches.
+        param_snapshot = params.snapshot()
+        opt_snapshot = ([m.copy() for m in optimizer.m], [v.copy() for v in optimizer.v],
+                        optimizer.t)
 
-    Returns the (mutated in place) params and aggregate statistics; on a
-    non-finite loss the parameters and optimizer are rolled back to
-    their pre-update snapshot and ``stats.aborted`` is set.
-    """
-    if optimizer is None:
-        optimizer = Adam([a.shape for a in params.trainable_arrays()], lr=config.learning_rate)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    stats = _run_update(params, buffer, config, optimizer, rng)
-    return params, stats
+        sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
+                "ratio_mean": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
+        n_mb = 0
+        n = buffer.n_steps
+        for _ in range(config.n_epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                obs = buffer.observations[idx]
+                acts = buffer.actions[idx]
+                lp_old = buffer.log_probs[idx]
+                adv = normalize_advantages(advantages[idx])
+                ret = returns[idx]
 
+                pieces = _minibatch_loss(params, obs, acts, lp_old, adv, ret, config)
+                if not math.isfinite(pieces.total):
+                    params.restore(param_snapshot)
+                    optimizer.m = opt_snapshot[0]
+                    optimizer.v = opt_snapshot[1]
+                    optimizer.t = opt_snapshot[2]
+                    return UpdateStats(
+                        aborted=True,
+                        abort_reason=(
+                            f"non-finite loss (policy={pieces.policy_loss!r}, "
+                            f"value={pieces.value_loss!r}); parameters kept"
+                        ),
+                        n_minibatches=n_mb,
+                    )
+                grads = _minibatch_grads(params, pieces, acts, lp_old, adv, ret, config)
+                grads, norm = clip_by_global_norm(grads, config.max_grad_norm)
+                optimizer.step(params.trainable_arrays(), grads)
+                if params.log_std is not None:
+                    np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
 
-def _run_update(
-    params: PolicyParams,
-    buffer: RolloutBuffer,
-    config: TrainConfig,
-    optimizer: Adam,
-    rng: np.random.Generator,
-) -> UpdateStats:
-    if not buffer.full:
-        raise ValueError(f"rollout buffer not full ({buffer.pos}/{buffer.n_steps})")
-    advantages, returns = compute_gae(
-        buffer.rewards, buffer.values, buffer.dones, buffer.bootstrap_value,
-        config.gamma, config.gae_lambda,
-    )
+                sums["policy_loss"] += pieces.policy_loss
+                sums["value_loss"] += pieces.value_loss
+                sums["entropy"] += pieces.entropy
+                sums["ratio_mean"] += float(np.mean(pieces.ratios))
+                clipped = np.abs(pieces.ratios - 1.0) > config.clip_range
+                sums["clip_fraction"] += float(np.mean(clipped))
+                sums["grad_norm"] += min(norm, config.max_grad_norm)
+                n_mb += 1
 
-    param_snapshot = params.snapshot()
-    opt_snapshot = ([m.copy() for m in optimizer.m], [v.copy() for v in optimizer.v], optimizer.t)
-
-    sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
-            "ratio_mean": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
-    n_mb = 0
-    n = buffer.n_steps
-    for _ in range(config.n_epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            obs = buffer.observations[idx]
-            acts = buffer.actions[idx]
-            lp_old = buffer.log_probs[idx]
-            adv = normalize_advantages(advantages[idx])
-            ret = returns[idx]
-
-            pieces = _minibatch_loss(params, obs, acts, lp_old, adv, ret, config)
-            if not math.isfinite(pieces.total):
-                params.restore(param_snapshot)
-                optimizer.m = opt_snapshot[0]
-                optimizer.v = opt_snapshot[1]
-                optimizer.t = opt_snapshot[2]
-                return UpdateStats(
-                    aborted=True,
-                    abort_reason=(
-                        f"non-finite loss (policy={pieces.policy_loss!r}, "
-                        f"value={pieces.value_loss!r}); parameters kept"
-                    ),
-                    n_minibatches=n_mb,
-                )
-            grads = _minibatch_grads(params, pieces, acts, lp_old, adv, ret, config)
-            grads, norm = clip_by_global_norm(grads, config.max_grad_norm)
-            optimizer.step(params.trainable_arrays(), grads)
-            if params.log_std is not None:
-                np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
-
-            sums["policy_loss"] += pieces.policy_loss
-            sums["value_loss"] += pieces.value_loss
-            sums["entropy"] += pieces.entropy
-            sums["ratio_mean"] += float(np.mean(pieces.ratios))
-            sums["clip_fraction"] += float(np.mean(np.abs(pieces.ratios - 1.0) > config.clip_range))
-            sums["grad_norm"] += min(norm, config.max_grad_norm)
-            n_mb += 1
-
-    return UpdateStats(
-        policy_loss=sums["policy_loss"] / n_mb,
-        value_loss=sums["value_loss"] / n_mb,
-        entropy=sums["entropy"] / n_mb,
-        ratio_mean=sums["ratio_mean"] / n_mb,
-        clip_fraction=sums["clip_fraction"] / n_mb,
-        grad_norm=sums["grad_norm"] / n_mb,
-        n_minibatches=n_mb,
-    )
+        return UpdateStats(
+            policy_loss=sums["policy_loss"] / n_mb,
+            value_loss=sums["value_loss"] / n_mb,
+            entropy=sums["entropy"] / n_mb,
+            ratio_mean=sums["ratio_mean"] / n_mb,
+            clip_fraction=sums["clip_fraction"] / n_mb,
+            grad_norm=sums["grad_norm"] / n_mb,
+            n_minibatches=n_mb,
+        )

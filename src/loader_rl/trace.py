@@ -71,6 +71,18 @@ class EpisodeTrace:
             raise ValueError(f"trace row missing columns: {sorted(missing)}")
         self.rows.append(row)
 
+    def add_env_step(self, env, action, **extra: float) -> None:
+        """Append the row of ``env``'s latest plant step under the held
+        ``action``; ``extra`` fills any columns beyond the base ones."""
+        v = env.state.vehicle
+        obs = env.obs
+        self.add_step(
+            step=env.state.step_count, t=v.elapsed, x=v.x, y=v.y,
+            rel_x=obs.rel_x, rel_y=obs.rel_y, speed=v.speed, lift=v.lift,
+            brake_action=action.brake, lift_action=action.lift_up,
+            breakdown=env.breakdown, **extra,
+        )
+
     @property
     def outcome(self) -> Outcome:
         if not self.rows:
@@ -84,17 +96,17 @@ class EpisodeTrace:
         return [r[name] for r in self.rows]
 
 
-def _cell_type(name: str) -> type:
+def _cell_type(name: str, normalized: bool = False) -> type:
     if name == "outcome":
         return str
-    if name in _INT_COLUMNS:
+    if name in _INT_COLUMNS and not normalized:
         return int
     return float
 
 
 def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False) -> None:
     """Write the trace; ``normalized`` min-max scales each numeric column
-    to [0, 1] (constant columns become 0)."""
+    to [0, 1] (constant columns become 0) and writes every one as float."""
     rows = trace.rows
     if normalized:
         rows = _normalize_rows(trace)
@@ -102,10 +114,13 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
     out.write(f"# config_digest={trace.config_digest}\n")
     out.write(f"# initial_distance={trace.initial_distance!r}\n")
     out.write(f"# initial_lift={trace.initial_lift!r}\n")
+    if normalized:
+        out.write("# normalized=1\n")
     out.write(",".join(trace.columns) + "\n")
     # one converter per column, applied column by column; str of a float
     # is its shortest round-trip repr, so cells read back bit-exactly
-    columns = [map(str, map(_cell_type(c), map(itemgetter(c), rows))) for c in trace.columns]
+    columns = [map(str, map(_cell_type(c, normalized), map(itemgetter(c), rows)))
+               for c in trace.columns]
     for line in map(",".join, zip(*columns)):
         out.write(line + "\n")
     if isinstance(path_or_file, (str, bytes)):
@@ -130,7 +145,8 @@ def _normalize_rows(trace: EpisodeTrace) -> list[dict]:
 
 
 def read_trace_csv(path_or_file) -> EpisodeTrace:
-    """Inverse of :func:`write_trace_csv` (un-normalized traces only)."""
+    """Inverse of :func:`write_trace_csv`; normalized traces read back
+    with every numeric column as float."""
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file) as f:
             text = f.read()
@@ -156,7 +172,7 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         initial_lift=float(meta.get("initial_lift", "0.0")),
         config_digest=meta.get("config_digest", ""),
     )
-    types = [_cell_type(name) for name in header]
+    types = [_cell_type(name, "normalized" in meta) for name in header]
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue

@@ -132,26 +132,29 @@ def train(
         metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
 
     episode_index = 0
-    obs = env.reset(substream_seed(master, "env", episode_index))
-    ep_reward, ep_len = 0.0, 0
-    timesteps = 0
+    env.reset(substream_seed(master, "env", episode_index))
+    finished_steps = 0  # plant steps of the finished training episodes
     updates = 0
     best: Optional[PolicyCheckpoint] = None
     best_key: Optional[tuple[float, float]] = None
     result = TrainResult(last=None, best=None, metrics=metrics)  # type: ignore[arg-type]
 
+    def timesteps() -> int:
+        # read off the env, so it stays right when the env raises mid-hold
+        return finished_steps + env.state.step_count
+
     def make_ckpt() -> PolicyCheckpoint:
         return _snapshot_checkpoint(
             params, config, env,
-            timesteps,
+            timesteps(),
             {"episode_index": episode_index, "updates": updates},
         )
 
     try:
-        while timesteps < config.total_timesteps:
+        while timesteps() < config.total_timesteps:
             buffer.reset()
             for _ in range(config.n_steps):
-                raw = obs.to_array(pad_to_5d=obs_dim == 5)
+                raw = env.obs.to_array(pad_to_5d=obs_dim == 5)
                 params.obs_normalizer.update(raw)
                 xn = params.obs_normalizer.normalize(raw)
                 logits = params.actor(xn)
@@ -162,28 +165,19 @@ def train(
                 else:
                     action, log_prob, u = sampler.sample(logits, params.log_std, sampling_rng)
                     stored = u
-                # one buffer entry per decision; the action is held for
-                # control_interval plant steps with rewards summed
-                reward_sum = 0.0
-                done = False
-                for _ in range(config.control_interval):
-                    obs_next, breakdown, done = env.step(action)
-                    reward_sum += breakdown.total
-                    ep_reward += breakdown.total
-                    ep_len += 1
-                    timesteps += 1
-                    if done:
-                        break
+                # one buffer entry per decision, its reward summed over the hold
+                reward_sum = env.hold(action, config.control_interval)
+                done = env.state.done
                 buffer.add(xn, stored, log_prob, value, reward_sum, done)
                 if done:
-                    window.push(ep_reward, ep_len, breakdown.outcome is Outcome.SUCCESS)
+                    length = env.state.step_count
+                    window.push(env.episode_reward, length,
+                                env.breakdown.outcome is Outcome.SUCCESS)
                     episode_index += 1
-                    obs = env.reset(substream_seed(master, "env", episode_index))
-                    ep_reward, ep_len = 0.0, 0
-                else:
-                    obs = obs_next
+                    env.reset(substream_seed(master, "env", episode_index))
+                    finished_steps += length
 
-            raw = obs.to_array(pad_to_5d=obs_dim == 5)
+            raw = env.obs.to_array(pad_to_5d=obs_dim == 5)
             xn = params.obs_normalizer.normalize(raw)
             buffer.bootstrap_value = float(params.critic(xn)[0])
 
@@ -191,7 +185,7 @@ def train(
             updates += 1
             if stats.aborted:
                 logger.warning("update %d aborted: %s", updates, stats.abort_reason)
-            _append_metrics(metrics, metrics_file, timesteps, updates, window, stats)
+            _append_metrics(metrics, metrics_file, timesteps(), updates, window, stats)
 
             if updates % config.eval_every_updates == 0:
                 report = evaluate_policy(
@@ -211,11 +205,11 @@ def train(
                         write_checkpoint(best, out_dir / "best.ckpt")
                 result = TrainResult(last=make_ckpt(), best=best, metrics=metrics, best_eval=best_key)
                 if stop_when is not None and stop_when(result):
-                    logger.info("early stop requested at %d timesteps", timesteps)
+                    logger.info("early stop requested at %d timesteps", timesteps())
                     break
 
             if out_dir is not None and updates % config.checkpoint_every_updates == 0:
-                write_checkpoint(make_ckpt(), out_dir / f"ckpt_{timesteps:010d}.ckpt")
+                write_checkpoint(make_ckpt(), out_dir / f"ckpt_{timesteps():010d}.ckpt")
     except Exception:
         if out_dir is not None:
             write_checkpoint(make_ckpt(), out_dir / "last.ckpt")

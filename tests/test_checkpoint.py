@@ -1,5 +1,8 @@
 """Checkpoint serialization round-trips and failure modes."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from loader_rl.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from loader_rl.cli import main
 from loader_rl.env import EnvConfig, env_digest
 from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.ppo import TrainConfig
@@ -89,6 +93,28 @@ class TestFormatErrors:
         blob[len(MAGIC) + 8] = 0xFF  # first header byte -> invalid JSON
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize("edit", ["list", "no_manifest"])
+    def test_header_schema(self, edit, tmp_path, capsys):
+        # valid JSON that is not a checkpoint header: a list, or a dict
+        # without the array manifest; the payload is kept as saved
+        blob = save_checkpoint(make_checkpoint())
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+        start = len(MAGIC) + 8
+        header = json.loads(blob[start:start + header_len])
+        if edit == "list":
+            header = list(header.items())
+        else:
+            del header["manifest"]
+        header_bytes = json.dumps(header).encode()
+        bad = (blob[:len(MAGIC) + 4] + struct.pack("<I", len(header_bytes))
+               + header_bytes + blob[start + header_len:])
+        with pytest.raises(CheckpointFormatError, match="schema"):
+            load_checkpoint(bad)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bad)
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDigestCheck:

@@ -89,6 +89,33 @@ class TestTrain:
         assert read_checkpoint(periodic[0]).timesteps == 512
 
 
+class TestInvalidValues:
+    """An invalid config value exits 1 with a one-line error, not a
+    traceback, a numerical-failure exit or a silent success."""
+
+    @pytest.mark.parametrize("setting", [
+        "train.n_epochs=0",
+        "train.eval_every_updates=0",
+        "train.checkpoint_every_updates=0",
+        "train.learning_rate=-1",
+        "train.learning_rate=0",
+        "train.learning_rate=nan",
+        "train.learning_rate=inf",
+        "--delay=nan",
+    ])
+    def test_exits_1(self, setting, tmp_path, capsys):
+        if setting.startswith("--"):
+            argv = ["emulate", "--scripted", "--trace", str(tmp_path / "t.csv"), setting]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=5\ntrain.total_timesteps=1024\nenv.max_episode_time=4.0\n"
+                           f"{setting}\n")
+            argv = ["train", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestEval:
     def test_scripted_policy_full_success_over_100_episodes(self, capsys):
         code = main(["eval", "--scripted", "--episodes", "100", "--seed", "3"])
@@ -155,6 +182,18 @@ class TestReplay:
                 assert max(trace.column(col)) <= 1.0
 
 
+    def test_normalized_step_column_rises_to_one(self, tmp_path):
+        # the integer columns are scaled like every other numeric column,
+        # so they are written and read back as floats, not truncated
+        p = tmp_path / "n.csv"
+        assert main(["replay", "--scripted", "--seed", "5", "--trace", str(p), "--normalized"]) == 0
+        steps = read_trace_csv(str(p)).column("step")
+        assert len(steps) == 146
+        assert steps[0] == 0.0 and steps[-1] == 1.0
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert all(isinstance(v, float) for v in steps)
+
+
 class TestGoldenOutputs:
     """sha256 of CLI outputs that run only Python ``math``, no BLAS, pinned
     so that a rewrite of the plant step or the trace writer cannot move a
@@ -170,6 +209,17 @@ class TestGoldenOutputs:
         p = tmp_path / "trace.csv"
         assert main(["replay", "--scripted", "--seed", "0", "--trace", str(p)]) == 0
         assert sha(p) == "c9316d6dc58765abb623dfd76597e3cdf6df87a2ebdb86268b9bd4b1a44af1fa"
+
+    @pytest.mark.parametrize("delay, digest", [
+        ("0", "f94668ff8c61cdd3ea2b9b046c45c63eda3c44d5796d64e80e2f4f67910b3946"),
+        ("3", "2cd1f751ad5b26ce61b362abe79ec246fec9efa799798bd9c97b4e407dae8f45"),
+    ])
+    def test_scripted_emulation_trace(self, tmp_path, delay, digest):
+        # default emulation: decimated control, PID throttle, tapered brake
+        p = tmp_path / "emu.csv"
+        assert main(["emulate", "--scripted", "--seed", "0", "--delay", delay,
+                     "--trace", str(p)]) == 0
+        assert sha(p) == digest
 
 
 class TestEmulate:

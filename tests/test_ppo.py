@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from loader_rl.checkpoint import read_checkpoint
 from loader_rl.env import ApproachEnv, EnvConfig
 from loader_rl.nets import clip_by_global_norm, global_norm
 from loader_rl.policy import (
@@ -24,7 +25,6 @@ from loader_rl.ppo import (
     normalize_advantages,
     ppo_ratio,
     ppo_total_loss,
-    ppo_update,
 )
 from loader_rl.train import train
 
@@ -324,7 +324,7 @@ class TestPpoUpdate:
         before = [p.copy() for p in params.actor.params]
         probe = rng.normal(size=(20, 4))
         logits_before = params.actor(probe)
-        _, stats = ppo_update(params, buffer, config, rng=np.random.default_rng(0))
+        stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
         assert not stats.aborted
         for a, b in zip(params.actor.params, before):
             assert np.array_equal(a, b)
@@ -341,7 +341,7 @@ class TestPpoUpdate:
         rewards[3] = float("nan")
         fill_buffer(buffer, params, rng, rewards)
         before = params.snapshot()
-        _, stats = ppo_update(params, buffer, config, rng=np.random.default_rng(0))
+        stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
         assert stats.aborted
         assert "non-finite" in stats.abort_reason
         for a, b in zip(params.trainable_arrays(), before):
@@ -354,7 +354,7 @@ class TestPpoUpdate:
         buffer = RolloutBuffer(16, 4)
         buffer.add(np.zeros(4), np.zeros(2), 0.0, 0.0, 0.0, False)
         with pytest.raises(ValueError):
-            ppo_update(params, buffer, config)
+            PPOLearner(params, config).update(buffer, np.random.default_rng(0))
 
     def test_update_moves_params_with_signal(self):
         rng = np.random.default_rng(8)
@@ -363,7 +363,7 @@ class TestPpoUpdate:
         buffer = RolloutBuffer(64, 4)
         fill_buffer(buffer, params, rng, rewards=rng.normal(size=64))
         before = params.snapshot()
-        _, stats = ppo_update(params, buffer, config, rng=np.random.default_rng(0))
+        stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
         assert not stats.aborted
         assert stats.n_minibatches == 2 * 2
         moved = any(not np.array_equal(a, b) for a, b in zip(params.trainable_arrays(), before))
@@ -443,6 +443,8 @@ class TestTrainLoop:
             train(lambda: FailingEnv(EnvConfig(max_episode_time=4.0)),
                   quick_config(total_timesteps=1024), out_dir=out)
         assert (out / "last.ckpt").exists()
+        # the 200 plant steps completed before the raise
+        assert read_checkpoint(out / "last.ckpt").timesteps == 200
 
     def test_control_interval_holds_actions(self):
         # a held policy gets one decision per interval: with interval 4 the
