@@ -118,6 +118,12 @@ def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> Poli
         raise CheckpointFormatError(f"header does not follow the checkpoint schema: {e!r}") from e
 
 
+def _stored_net(arrays: dict[str, np.ndarray], name: str, sizes: list[int]) -> MLP:
+    """The net stored as ``name.0``, ``name.1``, ...; the arrays are fresh
+    copies of the payload, so the net takes them as they are."""
+    return MLP.from_params(sizes, [arrays[f"{name}.{i}"] for i in range(2 * len(sizes) - 2)])
+
+
 def _from_header(
     header: dict, data: bytes, offset: int, version: int, expected_env_digest: str | None
 ) -> PolicyCheckpoint:
@@ -140,11 +146,8 @@ def _from_header(
     vehicle_params = flatcfg.unflatten(VehicleParams, header["vehicle_params"])
     mode = ExplorationMode(header["exploration_mode"])
 
-    rng_placeholder = np.random.default_rng(0)
-    actor = MLP(header["actor_sizes"], rng_placeholder)
-    critic = MLP(header["critic_sizes"], rng_placeholder)
-    actor.set_params([arrays[f"actor.{i}"] for i in range(len(actor.params))])
-    critic.set_params([arrays[f"critic.{i}"] for i in range(len(critic.params))])
+    actor = _stored_net(arrays, "actor", header["actor_sizes"])
+    critic = _stored_net(arrays, "critic", header["critic_sizes"])
     normalizer = ObsNormalizer.from_state_arrays(
         {"mean": arrays["norm.mean"], "m2": arrays["norm.m2"], "count": arrays["norm.count"]}
     )

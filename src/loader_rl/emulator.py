@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
+from . import flatcfg
 from .checkpoint import PolicyCheckpoint
 from .env import ApproachEnv, EnvConfig, Observation, env_digest, target_from_heading
 from .evaluate import greedy_policy_fn
@@ -32,11 +33,7 @@ class PidGains:
     integral_limit: float = 2.0  # m/s * s of clamped accumulated error
 
     def __post_init__(self) -> None:
-        for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.integral_limit <= 0.0:
-            raise ValueError(f"integral_limit must be > 0, got {self.integral_limit}")
+        flatcfg.check_fields(self, positive=("integral_limit",))
 
 
 @dataclass(frozen=True)
@@ -56,12 +53,9 @@ class EmulationConfig:
     start_from_standstill: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.position_delay >= 0.0):
-            raise ValueError(f"position_delay must be >= 0, got {self.position_delay}")
+        flatcfg.check_fields(self, positive=("accel_limit",), nonnegative=("position_delay",))
         if not (0.0 < self.rate_scale <= 1.0):
             raise ValueError(f"rate_scale must be in (0, 1], got {self.rate_scale}")
-        if self.accel_limit <= 0.0:
-            raise ValueError(f"accel_limit must be > 0, got {self.accel_limit}")
 
     @property
     def steps_per_decision(self) -> int:

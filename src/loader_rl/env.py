@@ -66,16 +66,14 @@ class EnvConfig:
     pad_obs_to_5d: bool = False
 
     def __post_init__(self) -> None:
+        flatcfg.check_fields(
+            self, positive=("speed_threshold", "dt", "max_episode_time"),
+            nonnegative=("lift_start_jitter",),
+        )
         if not (self.vicinity < self.target_distance < self.out_of_range_radius):
             raise ValueError("need vicinity < target_distance < out_of_range_radius")
-        if self.speed_threshold <= 0.0:
-            raise ValueError(f"speed_threshold must be > 0, got {self.speed_threshold}")
         if not (0.0 < self.lift_goal_frac < 1.0):
             raise ValueError(f"lift_goal_frac must be in (0, 1), got {self.lift_goal_frac}")
-        if self.dt <= 0.0 or self.max_episode_time <= 0.0:
-            raise ValueError("dt and max_episode_time must be > 0")
-        if self.lift_start_jitter < 0.0:
-            raise ValueError("lift_start_jitter must be >= 0")
 
     @property
     def obs_dim(self) -> int:
@@ -106,6 +104,36 @@ class RewardBreakdown:
     total: float
     done: bool
     outcome: Outcome
+
+
+def _observation(rel_x, rel_y, speed, lift) -> Observation:
+    """``Observation(...)`` for the plant step, built like
+    :func:`loader_rl.sim._vehicle_state` (fields written into the
+    instance ``__dict__``). Keep the fields in step with the class."""
+    o = object.__new__(Observation)
+    d = o.__dict__
+    d["rel_x"] = rel_x
+    d["rel_y"] = rel_y
+    d["speed"] = speed
+    d["lift"] = lift
+    return o
+
+
+def _reward_breakdown(progress_term, lift_term, time_term, terminal_term, total, done,
+                      outcome) -> RewardBreakdown:
+    """``RewardBreakdown(...)`` for the plant step, built like
+    :func:`loader_rl.sim._vehicle_state`. Keep the fields in step with
+    the class."""
+    r = object.__new__(RewardBreakdown)
+    d = r.__dict__
+    d["progress_term"] = progress_term
+    d["lift_term"] = lift_term
+    d["time_term"] = time_term
+    d["terminal_term"] = terminal_term
+    d["total"] = total
+    d["done"] = done
+    d["outcome"] = outcome
+    return r
 
 
 @dataclass
@@ -180,14 +208,14 @@ def compute_reward(
 
     if out_of_range or timed_out:
         outcome = Outcome.OUT_OF_RANGE if out_of_range else Outcome.TIMEOUT
-        return RewardBreakdown(0.0, 0.0, 0.0, -1.0, -1.0, True, outcome)
+        return _reward_breakdown(0.0, 0.0, 0.0, -1.0, -1.0, True, outcome)
 
     if (
         curr_distance < config.vicinity
         and speed < config.speed_threshold
         and curr_lift > config.lift_goal_frac
     ):
-        return RewardBreakdown(0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
+        return _reward_breakdown(0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
 
     progress = prev_distance - curr_distance
     goal = config.lift_goal_frac
@@ -197,7 +225,7 @@ def compute_reward(
         lift_term = prev_lift - goal * curr_lift
     time_term = -config.time_penalty_tc * step_count
     total = progress + lift_term + time_term
-    return RewardBreakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
+    return _reward_breakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
 
 
 def reset(
@@ -285,7 +313,7 @@ def step(
         vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
         step_count, curr_distance, vehicle.lift, done, env.rng,
     )
-    obs = Observation(
+    obs = _observation(
         abs(env.target_x - vehicle.x), abs(env.target_y - vehicle.y), vehicle.speed, vehicle.lift
     )
     return new_env, obs, breakdown, done

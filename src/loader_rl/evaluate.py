@@ -30,10 +30,11 @@ PolicyFn = Callable[[Observation], Controls]
 
 
 def greedy_policy_fn(params: PolicyParams) -> PolicyFn:
-    """Deterministic action choice from trained parameters."""
+    """Deterministic action choice from trained parameters; each decision
+    runs the actor only."""
 
     def decide(obs: Observation) -> Controls:
-        logits, _ = policy_forward(params, obs)
+        logits, _ = policy_forward(params, obs, value=False)
         if params.exploration_mode is ExplorationMode.CONTINUOUS_THRESHOLD:
             return threshold_greedy_action(logits)
         return greedy_action(logits)

@@ -1,4 +1,5 @@
-"""Generic dataclass <-> flat dotted-key mapping, plus digests.
+"""Generic dataclass <-> flat dotted-key mapping, digests, and the
+value rule shared by the config dataclasses.
 
 Every config dataclass in the package serializes to sorted
 ``section.key=value`` lines; the sha256 of those lines is the config
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from enum import Enum
 from typing import Any
 
@@ -57,6 +59,27 @@ def decode_value(text: str, target_type: Any) -> Any:
             raise ValueError(f"expected two comma-separated numbers, got {text!r}")
         return (float(parts[0]), float(parts[1]))
     raise TypeError(f"cannot decode into {target_type!r}")
+
+
+def check_fields(obj: Any, positive: tuple[str, ...] = (), nonnegative: tuple[str, ...] = ()) -> None:
+    """The value rule every config dataclass applies in ``__post_init__``.
+
+    Every float field, and every float inside a tuple field, must be
+    finite; a ``x <= 0`` guard alone lets NaN through. Then each field
+    named in ``positive`` must be > 0 and each in ``nonnegative`` >= 0.
+    Raises ValueError naming the first field that breaks the rule.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+    for name in positive:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(obj, name)!r}")
+    for name in nonnegative:
+        if not getattr(obj, name) >= 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(obj, name)!r}")
 
 
 def flatten(obj: Any, prefix: str = "") -> dict[str, str]:

@@ -40,6 +40,26 @@ class MLP:
             b = np.zeros(sizes[i + 1])
             self.params.extend([w, b])
 
+    @classmethod
+    def from_params(cls, sizes: list[int], params: list[np.ndarray]) -> "MLP":
+        """A net over existing arrays [W1, b1, W2, b2, ...], kept as given,
+        with no initial draw. Raises ValueError when their count or
+        shapes do not fit ``sizes``."""
+        net = cls.__new__(cls)
+        net.sizes = list(sizes)
+        if len(net.sizes) < 2:
+            raise ValueError(f"a net needs an input and an output size, got {net.sizes}")
+        shapes = []
+        for fan_in, fan_out in zip(net.sizes[:-1], net.sizes[1:]):
+            shapes.extend([(fan_in, fan_out), (fan_out,)])
+        if len(params) != len(shapes):
+            raise ValueError("parameter list length mismatch")
+        for shape, p in zip(shapes, params):
+            if p.shape != shape:
+                raise ValueError(f"parameter shape mismatch: {shape} vs {p.shape}")
+        net.params = list(params)
+        return net
+
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
@@ -79,14 +99,6 @@ class MLP:
 
     def copy_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        if len(params) != len(self.params):
-            raise ValueError("parameter list length mismatch")
-        for dst, src in zip(self.params, params):
-            if dst.shape != src.shape:
-                raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-            dst[...] = src
 
 
 class Adam:

@@ -138,25 +138,33 @@ def init_policy(
 def _as_obs_array(obs, dim: int) -> np.ndarray:
     if isinstance(obs, Observation):
         x = obs.to_array(pad_to_5d=dim == 5)
+        # four scalar tests cost a fraction of np.isfinite on the array
+        isfinite = math.isfinite
+        finite = (isfinite(obs.rel_x) and isfinite(obs.rel_y) and isfinite(obs.speed)
+                  and isfinite(obs.lift))
     else:
         x = np.asarray(obs, dtype=np.float64)
+        finite = np.all(np.isfinite(x))
     if x.shape != (dim,):
         raise ValueError(f"observation shape {x.shape} does not match policy input ({dim},)")
-    if not np.all(np.isfinite(x)):
+    if not finite:
         raise ValueError(f"observation has non-finite values: {x}")
     return x
 
 
-def policy_forward(params: PolicyParams, obs) -> tuple[np.ndarray, float]:
+def policy_forward(params: PolicyParams, obs, value: bool = True) -> tuple[np.ndarray, float | None]:
     """Normalized forward pass: (two action logits/means, value estimate).
 
-    Pure: the normalizer statistics are used but not updated.
+    With ``value=False`` only the actor runs and the value is None; a
+    greedy decision needs no value. Pure: the normalizer statistics are
+    used but not updated.
     """
     x = _as_obs_array(obs, params.obs_dim)
     xn = params.obs_normalizer.normalize(x)
     logits = params.actor(xn)
-    value = float(params.critic(xn)[0])
-    return logits, value
+    if not value:
+        return logits, None
+    return logits, float(params.critic(xn)[0])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -209,7 +217,9 @@ class ThresholdSampler:
     """
 
     def __init__(self, resample_every: int = 4):
-        self.resample_every = max(1, int(resample_every))
+        if resample_every < 1:
+            raise ValueError(f"resample_every must be >= 1, got {resample_every}")
+        self.resample_every = resample_every
         self._noise: np.ndarray | None = None
         self._age = 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import flatcfg
 from .nets import Adam, clip_by_global_norm
 from .policy import (
     LOG_STD_MIN,
@@ -54,29 +55,23 @@ class TrainConfig:
     checkpoint_every_updates: int = 50
 
     def __post_init__(self) -> None:
+        flatcfg.check_fields(
+            self,
+            positive=("learning_rate", "n_steps", "batch_size", "n_epochs", "clip_range",
+                      "max_grad_norm", "n_envs", "total_timesteps", "noise_resample_every",
+                      "control_interval", "eval_every_updates", "eval_episodes",
+                      "checkpoint_every_updates"),
+            nonnegative=("vf_coef",),
+        )
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if self.clip_range <= 0.0:
-            raise ValueError(f"clip_range must be > 0, got {self.clip_range}")
-        if self.n_envs < 1:
-            raise ValueError(f"n_envs must be >= 1, got {self.n_envs}")
-        if self.n_steps < 1 or self.batch_size < 1:
-            raise ValueError("n_steps and batch_size must be >= 1")
         if (self.n_steps * self.n_envs) % self.batch_size != 0:
             raise ValueError(
                 f"batch_size ({self.batch_size}) must divide n_steps*n_envs "
                 f"({self.n_steps * self.n_envs})"
             )
-        if self.total_timesteps < 1:
-            raise ValueError("total_timesteps must be >= 1")
-        for name in ("n_epochs", "control_interval", "eval_every_updates",
-                     "checkpoint_every_updates"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 class RolloutBuffer:
@@ -190,11 +185,14 @@ def normalize_advantages(advantages: np.ndarray, eps: float = 1e-8) -> np.ndarra
 
 @dataclass
 class UpdateStats:
-    policy_loss: float = 0.0
-    value_loss: float = 0.0
-    entropy: float = 0.0
-    ratio_mean: float = 1.0
-    clip_fraction: float = 0.0
+    """Means over one update's minibatches. An aborted update keeps the
+    NaN defaults, so its metrics row cannot pass for a real one."""
+
+    policy_loss: float = math.nan
+    value_loss: float = math.nan
+    entropy: float = math.nan
+    ratio_mean: float = math.nan
+    clip_fraction: float = math.nan
     grad_norm: float = 0.0
     n_minibatches: int = 0
     aborted: bool = False

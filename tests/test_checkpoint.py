@@ -94,18 +94,27 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bytes(blob))
 
-    @pytest.mark.parametrize("edit", ["list", "no_manifest"])
+    @pytest.mark.parametrize("edit", ["list", "no_manifest", "array_shape", "net_sizes",
+                                      "one_size"])
     def test_header_schema(self, edit, tmp_path, capsys):
-        # valid JSON that is not a checkpoint header: a list, or a dict
-        # without the array manifest; the payload is kept as saved
+        # valid JSON that is not a checkpoint header: a list, a dict without
+        # the array manifest, a transposed weight array, or net sizes that
+        # disagree with the stored arrays; the payload is kept as saved
         blob = save_checkpoint(make_checkpoint())
         (header_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
         start = len(MAGIC) + 8
         header = json.loads(blob[start:start + header_len])
         if edit == "list":
             header = list(header.items())
-        else:
+        elif edit == "no_manifest":
             del header["manifest"]
+        elif edit == "array_shape":
+            assert header["manifest"][0] == ["actor.0", [4, 64]]
+            header["manifest"][0][1] = [64, 4]
+        elif edit == "net_sizes":
+            header["critic_sizes"] = [4, 32, 32, 1]
+        else:
+            header["actor_sizes"] = [4]
         header_bytes = json.dumps(header).encode()
         bad = (blob[:len(MAGIC) + 4] + struct.pack("<I", len(header_bytes))
                + header_bytes + blob[start + header_len:])

@@ -6,10 +6,15 @@ plumbing (files, digests, determinism, exit codes), not learning.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from loader_rl.cli import main
-from loader_rl.checkpoint import read_checkpoint
+from loader_rl.checkpoint import PolicyCheckpoint, read_checkpoint, write_checkpoint
+from loader_rl.env import EnvConfig
+from loader_rl.policy import ExplorationMode, init_policy
+from loader_rl.ppo import TrainConfig
+from loader_rl.sim import VehicleParams
 from loader_rl.trace import read_trace_csv
 
 TINY_TRAIN = "\n".join([
@@ -102,6 +107,17 @@ class TestInvalidValues:
         "train.learning_rate=nan",
         "train.learning_rate=inf",
         "--delay=nan",
+        # NaN fails every comparison, so a bare ``x <= 0`` guard lets it through
+        "env.speed_threshold=nan",
+        "env.lift_start_jitter=nan",
+        "vehicle.lift_rate=nan",
+        "vehicle.taper.taper_time_constant=nan",
+        "emulation.accel_limit=nan",
+        "emulation.pid.integral_limit=nan",
+        "train.noise_resample_every=0",
+        "train.clip_range=nan",
+        "train.vf_coef=nan",
+        "train.max_grad_norm=nan",
     ])
     def test_exits_1(self, setting, tmp_path, capsys):
         if setting.startswith("--"):
@@ -220,6 +236,52 @@ class TestGoldenOutputs:
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", delay,
                      "--trace", str(p)]) == 0
         assert sha(p) == digest
+
+
+def golden_checkpoint(path):
+    """A deterministic untrained checkpoint: seeded continuous-threshold
+    init at control_interval=10, normalizer fed a fixed observation grid."""
+    params = init_policy(4, np.random.default_rng(3), ExplorationMode.CONTINUOUS_THRESHOLD)
+    for rel_x in (0.0, 1.5, 3.0, 4.5):
+        for speed in (0.0, 1.0, 2.0):
+            params.obs_normalizer.update(np.array([rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed]))
+    config = TrainConfig(exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD, control_interval=10)
+    write_checkpoint(PolicyCheckpoint(params=params, train_config=config, env_config=EnvConfig(),
+                                      vehicle_params=VehicleParams()), path)
+    return path
+
+
+class TestCheckpointGoldenOutputs:
+    """sha256 of the greedy checkpoint path: checkpoint read, actor
+    forward, zero-order hold at the stored control interval, plant step
+    and trace writer. The forward runs numpy matrix products through
+    BLAS, so the digests hold for the build they were taken on (CPython
+    3.11, numpy 2.4, x86-64 OpenBLAS)."""
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = golden_checkpoint(tmp_path / "golden.ckpt")
+        assert sha(path) == "99d7654c7de48700d801d68950bd69c111d3c6c145a035150bd034e526882b2d"
+        return str(path)
+
+    def test_eval_report(self, ckpt, tmp_path):
+        p = tmp_path / "report.txt"
+        assert main(["eval", "--checkpoint", ckpt, "--episodes", "20", "--seed", "0",
+                     "--report", str(p)]) == 0
+        assert sha(p) == "109878e18ba10ae2b59eadc5434db9962d72e93762e90f61fef8e8c8e2b9b4d6"
+
+    def test_replay_trace(self, ckpt, tmp_path):
+        p = tmp_path / "trace.csv"
+        assert main(["replay", "--checkpoint", ckpt, "--seed", "3", "--trace", str(p)]) == 0
+        assert sha(p) == "7ed16500d9a4ae0db6c103fcadffdea2fe7937b61f8618a50e3bb688d5382ede"
+        # the greedy decisions really switch the brake both ways
+        assert {row["brake_action"] for row in read_trace_csv(str(p)).rows} == {0, 1}
+
+    def test_emulation_trace(self, ckpt, tmp_path):
+        p = tmp_path / "emu.csv"
+        assert main(["emulate", "--checkpoint", ckpt, "--seed", "0", "--delay", "3",
+                     "--trace", str(p)]) == 0
+        assert sha(p) == "b582b760f2c1c295c6d2640d0bc04e6820d82f86391f6facb7f113302dbd881b"
 
 
 class TestEmulate:

@@ -55,6 +55,34 @@ class TestPolicyForward:
         with pytest.raises(ValueError):
             policy_forward(params, np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("index", range(4))
+    def test_rejects_non_finite_observation_record(self, index, bad):
+        params = init_policy(4, np.random.default_rng(1))
+        values = [1.0, 2.0, 1.5, 0.5]
+        values[index] = bad
+        for value in (True, False):
+            with pytest.raises(ValueError, match="non-finite values"):
+                policy_forward(params, Observation(*values), value=value)
+
+    def test_observation_record_checked_against_input_size(self):
+        params = init_policy(3, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="does not match policy input"):
+            policy_forward(params, Observation(1.0, 2.0, 1.5, 0.5), value=False)
+
+    @pytest.mark.parametrize("mode", list(ExplorationMode))
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_actor_only_logits_bit_identical(self, mode, dim):
+        rng = np.random.default_rng(11)
+        params = init_policy(dim, rng, mode)
+        for _ in range(30):
+            params.obs_normalizer.update(rng.normal(size=dim) * 3.0)
+        for obs in (Observation(3.0, 4.0, 2.0, 0.5), Observation(0.1, 0.2, 0.0, 0.96)):
+            logits, value = policy_forward(params, obs)
+            actor_logits, no_value = policy_forward(params, obs, value=False)
+            assert no_value is None and isinstance(value, float)
+            assert actor_logits.tobytes() == logits.tobytes()
+
 
 class TestSampling:
     def test_zero_logits_give_half_probability(self):

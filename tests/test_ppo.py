@@ -346,6 +346,9 @@ class TestPpoUpdate:
         assert "non-finite" in stats.abort_reason
         for a, b in zip(params.trainable_arrays(), before):
             assert np.array_equal(a, b)
+        # no loss was computed, so none is reported
+        for name in ("policy_loss", "value_loss", "entropy", "ratio_mean", "clip_fraction"):
+            assert math.isnan(getattr(stats, name)), name
 
     def test_partial_buffer_rejected(self):
         rng = np.random.default_rng(6)
@@ -445,6 +448,24 @@ class TestTrainLoop:
         assert (out / "last.ckpt").exists()
         # the 200 plant steps completed before the raise
         assert read_checkpoint(out / "last.ckpt").timesteps == 200
+
+    def test_aborted_update_writes_nan_losses(self, tmp_path):
+        class NanRewardEnv(ApproachEnv):
+            def hold(self, action, steps, on_step=None, **kw):
+                super().hold(action, steps, on_step, **kw)
+                return float("nan")
+
+        out = tmp_path / "run"
+        result = train(lambda: NanRewardEnv(EnvConfig(max_episode_time=4.0)),
+                       quick_config(), out_dir=out)
+        lines = (out / "metrics.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        assert len(result.metrics) == 2 and len(lines) == 4
+        for row, line in zip(result.metrics, lines[2:]):
+            cells = dict(zip(header, line.split(",")))
+            for name in ("policy_loss", "value_loss", "entropy", "clip_fraction", "ratio_mean"):
+                assert math.isnan(row[name]) and cells[name] == "nan", name
+            assert cells["timestep"] == str(row["timestep"])
 
     def test_control_interval_holds_actions(self):
         # a held policy gets one decision per interval: with interval 4 the
