@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -84,8 +85,16 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
 
 
 def write_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
-    with open(path, "wb") as f:
-        f.write(save_checkpoint(ckpt))
+    """Write a temp file beside ``path``, then rename it over ``path``: an
+    interrupted write leaves the previous file whole and no temp file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(save_checkpoint(ckpt))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> PolicyCheckpoint:

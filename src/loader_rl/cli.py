@@ -148,6 +148,8 @@ def cmd_train(args) -> int:
         out_dir=out_dir,
         config_digest=run.digest,
     )
+    if result.aborted_updates == len(result.metrics):  # last.ckpt is written by now
+        raise FloatingPointError(f"all {len(result.metrics)} updates aborted on a non-finite loss")
     print(f"trained {result.last.timesteps} timesteps, {len(result.metrics)} updates")
     if result.best_eval is not None:
         print(f"best eval success rate {result.best_eval[0]:.2f}")

@@ -67,73 +67,86 @@ class MLP:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """x has shape (batch, in) or (in,); returns (out, cache)."""
         squeeze = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        cache = [h]
-        for i in range(self.n_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            z = h @ w + b
-            h = np.tanh(z) if i < self.n_layers - 1 else z
-            cache.append(h)
+        cache = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        h = self._layers(cache[0], cache)
         return (h[0] if squeeze else h), cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        # one input (in,) runs a plain 1-D pass: no cache, the same output bits
+        return self._layers(x, None) if x.ndim == 1 else self.forward(x)[0]
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> list[np.ndarray]:
-        """Gradients of a scalar loss wrt params, given d(loss)/d(output).
+    def _layers(self, h: np.ndarray, cache: list[np.ndarray] | None) -> np.ndarray:
+        """tanh(h @ W + b) per hidden layer, then a linear one; cached unless cache is None."""
+        for i in range(0, len(self.params), 2):
+            h = h @ self.params[i]
+            h += self.params[i + 1]
+            if i + 2 < len(self.params):  # a hidden layer
+                np.tanh(h, out=h)
+            if cache is not None:
+                cache.append(h)
+        return h
 
-        Returns a list aligned with ``self.params``.
-        """
-        grads: list[np.ndarray] = [np.empty(0)] * len(self.params)
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out: list[np.ndarray]) -> None:
+        """Gradients of a scalar loss wrt params, given d(loss)/d(output),
+        written into ``out``, a list of arrays aligned with ``self.params``."""
         d = np.atleast_2d(grad_out)
         for i in reversed(range(self.n_layers)):
             h_in, h_out = cache[i], cache[i + 1]
             if i < self.n_layers - 1:
                 d = d * (1.0 - h_out * h_out)  # tanh'
-            w = self.params[2 * i]
-            grads[2 * i] = h_in.T @ d
-            grads[2 * i + 1] = d.sum(axis=0)
+            np.matmul(h_in.T, d, out=out[2 * i])
+            d.sum(axis=0, out=out[2 * i + 1])
             if i > 0:
-                d = d @ w.T
-        return grads
+                d = d @ self.params[2 * i].T
 
-    def copy_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params]
+
+def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views of the 1-D ``flat``, one per shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 class Adam:
-    """Adaptive-moment first-order optimizer with bias correction."""
+    """Adaptive-moment first-order optimizer with bias correction, over one
+    flat parameter vector; its temporaries live in preallocated scratch."""
 
-    def __init__(self, shapes: list[tuple[int, ...]], lr: float,
+    def __init__(self, size: int, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step, self._denom = np.empty(size), np.empty(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """In place, with the operations and order of m = b1*m + (1-b1)*g, v = b2*v +
+        (1-b2)*(g*g), param -= lr * (m / b1t) / (sqrt(v / b2t) + eps)."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=step)
+        v *= self.beta2
+        v += np.multiply(np.multiply(grad, grad, out=step), 1.0 - self.beta2, out=step)
+        np.multiply(np.divide(m, b1t, out=step), self.lr, out=step)
+        np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+        denom += self.eps
+        param -= np.divide(step, denom, out=step)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    # ndarray.sum is np.sum without its Python-level dispatch: the same reduction
+    return math.sqrt(sum(float((g * g).sum()) for g in grads))
 
 
-def clip_by_global_norm(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.ndarray], float]:
-    """Scale all gradients so their joint norm is at most ``max_norm``."""
-    norm = global_norm(grads)
+def clip_by_global_norm(grad: np.ndarray, parts: list[np.ndarray], max_norm: float) -> float:
+    """Scale the flat ``grad`` in place to a norm of at most ``max_norm``; return the
+    norm before, summed one array at a time over ``parts``, its per-array views."""
+    norm = global_norm(parts)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        grads = [g * scale for g in grads]
-    return grads, norm
+        grad *= max_norm / norm
+    return norm

@@ -52,12 +52,14 @@ class ObsNormalizer:
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
+        self._refresh_std()
 
     def update(self, x: np.ndarray) -> None:
         self.count += 1
         delta = x - self.mean
         self.mean = self.mean + delta / self.count
         self.m2 = self.m2 + delta * (x - self.mean)
+        self._refresh_std()
 
     @property
     def var(self) -> np.ndarray:
@@ -65,9 +67,13 @@ class ObsNormalizer:
             return np.ones(self.dim)
         return self.m2 / self.count
 
+    def _refresh_std(self) -> None:
+        # normalize's denominator, recomputed only where the statistics change
+        self._std = np.sqrt(self.var + self.eps)
+
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mean) / np.sqrt(self.var + self.eps)
-        return np.clip(z, -self.clip, self.clip)
+        z = (x - self.mean) / self._std
+        return np.minimum(np.maximum(z, -self.clip, out=z), self.clip, out=z)  # np.clip's bits
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -82,6 +88,7 @@ class ObsNormalizer:
         norm.mean = np.asarray(arrays["mean"], dtype=np.float64).copy()
         norm.m2 = np.asarray(arrays["m2"], dtype=np.float64).copy()
         norm.count = int(arrays["count"][0])
+        norm._refresh_std()
         return norm
 
 
@@ -107,13 +114,6 @@ class PolicyParams:
         if self.log_std is not None:
             arrays = arrays + [self.log_std]
         return arrays
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.trainable_arrays()]
-
-    def restore(self, snap: list[np.ndarray]) -> None:
-        for dst, src in zip(self.trainable_arrays(), snap):
-            dst[...] = src
 
 
 def init_policy(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import flatcfg
-from .nets import Adam, clip_by_global_norm
+from .nets import Adam, clip_by_global_norm, flat_views
 from .policy import (
     LOG_STD_MIN,
     ExplorationMode,
@@ -174,9 +174,14 @@ def clipped_policy_loss(ratios: np.ndarray, advantages: np.ndarray, clip_range: 
         raise ValueError(f"shape mismatch: {ratios.shape} vs {advantages.shape}")
     if clip_range <= 0.0:
         raise ValueError(f"clip_range must be > 0, got {clip_range}")
+    return _clipped_surrogate(ratios, advantages, clip_range)[0]
+
+
+def _clipped_surrogate(ratios, advantages, clip_range):
+    """(loss, r*A, clip(r, 1-eps, 1+eps)*A): the loss and its two branches."""
     unclipped = ratios * advantages
     clipped = np.clip(ratios, 1.0 - clip_range, 1.0 + clip_range) * advantages
-    return float(-np.mean(np.minimum(unclipped, clipped)))
+    return float(-np.mean(np.minimum(unclipped, clipped))), unclipped, clipped
 
 
 def normalize_advantages(advantages: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -206,6 +211,8 @@ class _LossPieces:
     value_loss: float
     entropy: float
     ratios: np.ndarray
+    unclipped: np.ndarray
+    clipped: np.ndarray
     logits: np.ndarray
     values: np.ndarray
     actor_cache: list
@@ -231,11 +238,11 @@ def _minibatch_loss(
         log_probs_new = gaussian_tanh_log_prob(actions, logits, params.log_std)
         entropy = float(np.sum(params.log_std + 0.5 * (1.0 + math.log(2.0 * math.pi))))
     ratios = ppo_ratio(log_probs_new, log_probs_old)
-    policy_loss = clipped_policy_loss(ratios, advantages, config.clip_range)
+    policy_loss, unclipped, clipped = _clipped_surrogate(ratios, advantages, config.clip_range)
     value_loss = float(np.mean((v - returns) ** 2))
     total = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
-    return _LossPieces(total, policy_loss, value_loss, entropy, ratios, logits, values,
-                       actor_cache, critic_cache)
+    return _LossPieces(total, policy_loss, value_loss, entropy, ratios, unclipped, clipped,
+                       logits, values, actor_cache, critic_cache)
 
 
 def ppo_total_loss(
@@ -259,20 +266,21 @@ def _minibatch_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     config: TrainConfig,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """Analytic gradient of the total loss wrt every trainable array."""
+    """Analytic gradient of the total loss wrt every trainable array, written into and
+    returned as ``out`` (fresh arrays when None), aligned with params.trainable_arrays()."""
+    if out is None:
+        out = [np.empty(a.shape) for a in params.trainable_arrays()]
     b = len(advantages)
     ratios = pieces.ratios
     logits = pieces.logits
-    eps = config.clip_range
 
-    unclipped = ratios * advantages
-    clipped = np.clip(ratios, 1.0 - eps, 1.0 + eps) * advantages
     # d(total)/d(log_prob_new): only where the unclipped branch attains the
     # min and the ratio exponent is inside the clamp window.
     log_diff = np.log(np.maximum(ratios, 1e-300))  # == clamped (new - old)
-    active = (unclipped <= clipped) & (np.abs(log_diff) < RATIO_EXP_CLAMP)
-    g_logprob = np.where(active, -ratios * advantages, 0.0) / b
+    active = (pieces.unclipped <= pieces.clipped) & (np.abs(log_diff) < RATIO_EXP_CLAMP)
+    g_logprob = np.where(active, -pieces.unclipped, 0.0) / b
 
     if params.exploration_mode is ExplorationMode.BERNOULLI:
         p = sigmoid(logits)
@@ -289,26 +297,41 @@ def _minibatch_grads(
         if config.ent_coef != 0.0:
             log_std_grad = log_std_grad - config.ent_coef * np.ones_like(log_std_grad)
 
-    actor_grads = params.actor.backward(pieces.actor_cache, d_logits)
+    n_actor = len(params.actor.params)
+    params.actor.backward(pieces.actor_cache, d_logits, out[:n_actor])
 
     v = pieces.values[:, 0]
     d_values = (config.vf_coef * 2.0 * (v - returns) / b)[:, None]
-    critic_grads = params.critic.backward(pieces.critic_cache, d_values)
+    params.critic.backward(pieces.critic_cache, d_values, out[n_actor:])  # log_std stays last
 
-    grads = actor_grads + critic_grads
     if params.log_std is not None:
-        grads = grads + [log_std_grad if log_std_grad is not None else np.zeros_like(params.log_std)]
-    return grads
+        out[-1][...] = 0.0 if log_std_grad is None else log_std_grad
+    return out
 
 
 class PPOLearner:
-    """Holds the optimizer state so moments persist across updates."""
+    """Holds the optimizer state so moments persist across updates.
+
+    Every trainable array of ``params`` becomes a view into one flat vector
+    ``theta``, kept here and not on PolicyParams, whose deepcopy (a checkpoint)
+    must get arrays of its own. ``grad`` and the Adam moments share its layout,
+    so the Adam step, the clip scale and the rollback are one vector op each."""
 
     def __init__(self, params: PolicyParams, config: TrainConfig):
         self.params = params
         self.config = config
-        shapes = [a.shape for a in params.trainable_arrays()]
-        self.optimizer = Adam(shapes, lr=config.learning_rate)
+        arrays = params.trainable_arrays()
+        shapes = [a.shape for a in arrays]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        views = flat_views(self.theta, shapes)
+        n_actor, n_critic = len(params.actor.params), len(params.critic.params)
+        params.actor.params = views[:n_actor]
+        params.critic.params = views[n_actor:n_actor + n_critic]
+        if params.log_std is not None:
+            params.log_std = views[-1]
+        self.grad = np.zeros_like(self.theta)
+        self.grad_parts = flat_views(self.grad, shapes)
+        self.optimizer = Adam(self.theta.size, lr=config.learning_rate)
 
     def update(self, buffer: RolloutBuffer, rng: np.random.Generator) -> UpdateStats:
         """One full update pass: n_epochs of shuffled minibatches.
@@ -324,9 +347,7 @@ class PPOLearner:
             config.gamma, config.gae_lambda,
         )
 
-        param_snapshot = params.snapshot()
-        opt_snapshot = ([m.copy() for m in optimizer.m], [v.copy() for v in optimizer.v],
-                        optimizer.t)
+        snapshot = (self.theta.copy(), optimizer.m.copy(), optimizer.v.copy(), optimizer.t)
 
         sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
                 "ratio_mean": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
@@ -344,10 +365,8 @@ class PPOLearner:
 
                 pieces = _minibatch_loss(params, obs, acts, lp_old, adv, ret, config)
                 if not math.isfinite(pieces.total):
-                    params.restore(param_snapshot)
-                    optimizer.m = opt_snapshot[0]
-                    optimizer.v = opt_snapshot[1]
-                    optimizer.t = opt_snapshot[2]
+                    self.theta[:] = snapshot[0]
+                    optimizer.m, optimizer.v, optimizer.t = snapshot[1:]
                     return UpdateStats(
                         aborted=True,
                         abort_reason=(
@@ -356,9 +375,9 @@ class PPOLearner:
                         ),
                         n_minibatches=n_mb,
                     )
-                grads = _minibatch_grads(params, pieces, acts, lp_old, adv, ret, config)
-                grads, norm = clip_by_global_norm(grads, config.max_grad_norm)
-                optimizer.step(params.trainable_arrays(), grads)
+                _minibatch_grads(params, pieces, acts, lp_old, adv, ret, config, self.grad_parts)
+                norm = clip_by_global_norm(self.grad, self.grad_parts, config.max_grad_norm)
+                optimizer.step(self.theta, self.grad)
                 if params.log_std is not None:
                     np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
 
@@ -371,12 +390,5 @@ class PPOLearner:
                 sums["grad_norm"] += min(norm, config.max_grad_norm)
                 n_mb += 1
 
-        return UpdateStats(
-            policy_loss=sums["policy_loss"] / n_mb,
-            value_loss=sums["value_loss"] / n_mb,
-            entropy=sums["entropy"] / n_mb,
-            ratio_mean=sums["ratio_mean"] / n_mb,
-            clip_fraction=sums["clip_fraction"] / n_mb,
-            grad_norm=sums["grad_norm"] / n_mb,
-            n_minibatches=n_mb,
-        )
+        return UpdateStats(**{name: total / n_mb for name, total in sums.items()},
+                           n_minibatches=n_mb)

@@ -49,6 +49,7 @@ class TrainResult:
     best: Optional[PolicyCheckpoint]
     metrics: list[dict]
     best_eval: Optional[tuple[float, float]] = None  # (success_rate, reward_mean)
+    aborted_updates: int = 0
 
 
 @dataclass
@@ -134,7 +135,7 @@ def train(
     episode_index = 0
     env.reset(substream_seed(master, "env", episode_index))
     finished_steps = 0  # plant steps of the finished training episodes
-    updates = 0
+    updates = aborted = 0
     best: Optional[PolicyCheckpoint] = None
     best_key: Optional[tuple[float, float]] = None
     result = TrainResult(last=None, best=None, metrics=metrics)  # type: ignore[arg-type]
@@ -184,6 +185,7 @@ def train(
             stats = learner.update(buffer, shuffle_rng)
             updates += 1
             if stats.aborted:
+                aborted += 1
                 logger.warning("update %d aborted: %s", updates, stats.abort_reason)
             _append_metrics(metrics, metrics_file, timesteps(), updates, window, stats)
 
@@ -203,7 +205,8 @@ def train(
                     best = make_ckpt()
                     if out_dir is not None:
                         write_checkpoint(best, out_dir / "best.ckpt")
-                result = TrainResult(last=make_ckpt(), best=best, metrics=metrics, best_eval=best_key)
+                result = TrainResult(last=make_ckpt(), best=best, metrics=metrics,
+                                     best_eval=best_key, aborted_updates=aborted)
                 if stop_when is not None and stop_when(result):
                     logger.info("early stop requested at %d timesteps", timesteps())
                     break
@@ -223,7 +226,8 @@ def train(
         write_checkpoint(last, out_dir / "last.ckpt")
         if best is not None:
             write_checkpoint(best, out_dir / "best.ckpt")
-    return TrainResult(last=last, best=best, metrics=metrics, best_eval=best_key)
+    return TrainResult(last=last, best=best, metrics=metrics, best_eval=best_key,
+                       aborted_updates=aborted)
 
 
 def _append_metrics(metrics, metrics_file, timesteps, updates, window, stats: UpdateStats) -> None:

@@ -13,6 +13,7 @@ from loader_rl.checkpoint import (
     PolicyCheckpoint,
     load_checkpoint,
     save_checkpoint,
+    write_checkpoint,
 )
 from loader_rl.cli import main
 from loader_rl.env import EnvConfig, env_digest
@@ -63,6 +64,45 @@ class TestRoundTrip:
     def test_save_deterministic(self):
         ckpt = make_checkpoint()
         assert save_checkpoint(ckpt) == save_checkpoint(ckpt)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import loader_rl.checkpoint as checkpoint_mod
+
+        path = tmp_path / "best.ckpt"
+        write_checkpoint(make_checkpoint(seed=0), path)
+        old = path.read_bytes()
+
+        class HalfWriter:
+            # writes half of the bytes, then fails like a full disk
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint_mod, "open",
+                            lambda p, mode: HalfWriter(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_checkpoint(make_checkpoint(seed=1), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+
+    def test_write_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "last.ckpt"
+        write_checkpoint(make_checkpoint(seed=0), path)
+        new = make_checkpoint(seed=1)
+        write_checkpoint(new, path)
+        assert path.read_bytes() == save_checkpoint(new)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
 
 
 class TestFormatErrors:

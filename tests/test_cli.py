@@ -84,6 +84,28 @@ class TestTrain:
         ckpt = read_checkpoint(out / "last.ckpt")
         assert ckpt.timesteps == 1024
 
+    def test_all_updates_aborted_exits_3(self, tmp_path, monkeypatch, capsys):
+        import loader_rl.cli as cli_mod
+        from loader_rl.env import ApproachEnv
+
+        class NanRewardEnv(ApproachEnv):
+            def hold(self, action, steps, on_step=None, **kw):
+                super().hold(action, steps, on_step, **kw)
+                return float("nan")
+
+        monkeypatch.setattr(cli_mod, "ApproachEnv", NanRewardEnv)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_TRAIN)
+        out = tmp_path / "out"
+        assert main(["train", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "all 2 updates aborted" in captured.err
+        assert "trained" not in captured.out
+        # the run's artifacts are complete before the exit
+        assert read_checkpoint(out / "last.ckpt").timesteps == 1024
+        assert len((out / "metrics.csv").read_text().splitlines()) == 4
+
     def test_periodic_checkpoints(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_TRAIN + "train.checkpoint_every_updates=1\n")

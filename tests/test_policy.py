@@ -151,6 +151,20 @@ class TestObsNormalizer:
         assert back.count == norm.count
 
 
+    def test_normalize_bits_match_the_formula(self):
+        # the denominator is cached where the statistics change; the bits are
+        # those of computing it on every call
+        rng = np.random.default_rng(7)
+        norm = ObsNormalizer(4)
+        xs = rng.normal(scale=3.0, size=(40, 4))
+        for i, x in enumerate(xs):
+            for n in (norm, ObsNormalizer.from_state_arrays(norm.state_arrays())):
+                want = np.clip((xs - n.mean) / np.sqrt(n.var + n.eps), -n.clip, n.clip)
+                for row, expect in zip(xs, want):
+                    assert np.array_equal(n.normalize(row), expect), i
+            norm.update(x)
+
+
 class TestThresholdSampler:
     def test_noise_held_for_four_decisions(self):
         sampler = ThresholdSampler(resample_every=4)
@@ -195,6 +209,20 @@ class TestArchitecture:
         params = init_policy(4, np.random.default_rng(0))
         assert params.actor.sizes == [4, 64, 64, 2]
         assert params.critic.sizes == [4, 64, 64, 1]
+
+    @pytest.mark.parametrize("sizes", [[4, 64, 64, 2], [5, 64, 64, 1], [3, 2]])
+    def test_single_input_pass_bit_identical_to_batch(self, sizes):
+        # a 1-D input runs its own cache-free pass; its bits equal the batch row's
+        rng = np.random.default_rng(8)
+        net = MLP(sizes, rng)
+        for p in net.params:
+            p += rng.normal(scale=0.1, size=p.shape)
+        xs = rng.normal(scale=2.0, size=(512, sizes[0]))
+        for x in xs:
+            out = net(x)
+            assert out.shape == (sizes[-1],)
+            assert np.array_equal(out, net.forward(x[None, :])[0][0])
+            assert np.array_equal(out, net.forward(x)[0])
 
     def test_hidden_layers_orthogonal(self):
         m = MLP([8, 8, 2], np.random.default_rng(0))

@@ -283,15 +283,16 @@ class TestGradientVsFiniteDifferences:
 
 class TestGradientClipping:
     def test_norm_ten_clipped_to_half(self):
-        g = [np.array([6.0, 8.0])]  # norm 10
-        clipped, norm = clip_by_global_norm(g, 0.5)
+        g = np.array([6.0, 8.0])  # norm 10
+        norm = clip_by_global_norm(g, [g], 0.5)
         assert norm == pytest.approx(10.0)
-        assert global_norm(clipped) == pytest.approx(0.5, rel=1e-12)
+        assert global_norm([g]) == pytest.approx(0.5, rel=1e-12)
 
     def test_small_gradients_untouched(self):
-        g = [np.array([0.1, 0.2])]
-        clipped, _ = clip_by_global_norm(g, 0.5)
-        assert np.array_equal(clipped[0], g[0])
+        g = np.array([0.1, 0.2])
+        before = g.copy()
+        clip_by_global_norm(g, [g], 0.5)
+        assert np.array_equal(g, before)
 
 
 def fill_buffer(buffer, params, rng, rewards=None, obs_scale=1.0):
@@ -340,7 +341,7 @@ class TestPpoUpdate:
         rewards = np.zeros(16)
         rewards[3] = float("nan")
         fill_buffer(buffer, params, rng, rewards)
-        before = params.snapshot()
+        before = [a.copy() for a in params.trainable_arrays()]
         stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
         assert stats.aborted
         assert "non-finite" in stats.abort_reason
@@ -365,12 +366,81 @@ class TestPpoUpdate:
         config = TrainConfig(n_steps=64, batch_size=32, n_epochs=2)
         buffer = RolloutBuffer(64, 4)
         fill_buffer(buffer, params, rng, rewards=rng.normal(size=64))
-        before = params.snapshot()
+        before = [a.copy() for a in params.trainable_arrays()]
         stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
         assert not stats.aborted
         assert stats.n_minibatches == 2 * 2
         moved = any(not np.array_equal(a, b) for a, b in zip(params.trainable_arrays(), before))
         assert moved
+
+
+class TestFlatLayout:
+    """The learner re-homes every trainable array as a view into its one
+    flat vector, and the views survive updates, rollbacks and checkpoints."""
+
+    @staticmethod
+    def learner(seed=6, mode=ExplorationMode.CONTINUOUS_THRESHOLD):
+        rng = np.random.default_rng(seed)
+        params = init_policy(4, rng, mode)
+        before = [a.copy() for a in params.trainable_arrays()]
+        learner = PPOLearner(params, TrainConfig(n_steps=16, batch_size=8, n_epochs=1))
+        return learner, before, rng
+
+    @staticmethod
+    def assert_views(learner):
+        arrays = learner.params.trainable_arrays()
+        assert sum(a.size for a in arrays) == learner.theta.size
+        for a in arrays:
+            assert np.shares_memory(a, learner.theta)
+
+    @pytest.mark.parametrize("mode", list(ExplorationMode))
+    def test_construction_rehomes_without_changing_a_bit(self, mode):
+        learner, before, _ = self.learner(mode=mode)
+        self.assert_views(learner)
+        for a, b in zip(learner.params.trainable_arrays(), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("corrupt", ["nan_reward", "nan_log_prob_second_minibatch"])
+    def test_views_survive_update_and_rollback(self, corrupt):
+        learner, _, rng = self.learner()
+        params = learner.params
+        fill_buffer(buf := RolloutBuffer(16, 4), params, rng, rewards=rng.normal(size=16))
+        assert not learner.update(buf, np.random.default_rng(0)).aborted
+        self.assert_views(learner)
+        after_first = [a.copy() for a in params.trainable_arrays()]
+        moments = (learner.optimizer.m.copy(), learner.optimizer.v.copy(), learner.optimizer.t)
+
+        rewards = rng.normal(size=16)
+        if corrupt == "nan_reward":
+            # GAE spreads the NaN to every sample: the first minibatch aborts
+            rewards[3] = float("nan")
+            fill_buffer(buf := RolloutBuffer(16, 4), params, rng, rewards)
+            seed, steps_before_abort = 1, 0
+        else:
+            # only sample 15 is NaN and the shuffle puts it in the second
+            # minibatch, so one Adam step runs before the abort
+            fill_buffer(buf := RolloutBuffer(16, 4), params, rng, rewards)
+            buf.log_probs[15] = float("nan")
+            seed = next(s for s in range(100)
+                        if 15 not in np.random.default_rng(s).permutation(16)[:8])
+            steps_before_abort = 1
+        stats = learner.update(buf, np.random.default_rng(seed))
+        assert stats.aborted and stats.n_minibatches == steps_before_abort
+        self.assert_views(learner)
+        for a, b in zip(params.trainable_arrays(), after_first):
+            assert np.array_equal(a, b)
+        assert np.array_equal(learner.optimizer.m, moments[0])
+        assert np.array_equal(learner.optimizer.v, moments[1])
+        assert learner.optimizer.t == moments[2]
+
+    def test_checkpoint_shares_no_memory(self):
+        from loader_rl.train import _snapshot_checkpoint
+
+        learner, _, _ = self.learner()
+        ckpt = _snapshot_checkpoint(learner.params, learner.config, small_env(), 0, {})
+        for a in ckpt.params.trainable_arrays():
+            for owned in (learner.theta, learner.grad, learner.optimizer.m, learner.optimizer.v):
+                assert not np.shares_memory(a, owned)
 
 
 class TestTrainConfigValidation:
@@ -475,3 +545,42 @@ class TestTrainLoop:
         assert result_1.last.timesteps == 128
         # one rollout of 128 decisions x 4 plant steps (minus early episode ends)
         assert result_4.last.timesteps > 300
+
+
+def _sha(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestTrainingGoldenOutputs:
+    """sha256 of the files two short training runs write: rollout,
+    minibatch forward/backward, gradient clip, Adam step, log-std floor,
+    greedy eval and checkpoint writer, bit for bit. The digests were
+    taken before the learner moved its parameters into one flat vector,
+    and hold for the build they were taken on (CPython 3.11, numpy 2.4,
+    x86-64 OpenBLAS); they are the same with one BLAS thread or several."""
+
+    def test_desk_recipe(self, tmp_path):
+        # the desk recipe cut to 2 updates: 80 minibatches each, eval after both
+        config = TrainConfig(learning_rate=3e-4, seed=1, control_interval=10,
+                             exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD,
+                             eval_every_updates=1, total_timesteps=10_000)
+        result = train(ApproachEnv, config, out_dir=tmp_path)
+        assert len(result.metrics) == 2 and result.last.timesteps == 10092
+        assert _sha(tmp_path / "metrics.csv") == \
+            "3a33e2b837a2a445cd78d2ea3d00fe35964b6c7efc7d228e4e90f355339eb309"
+        assert _sha(tmp_path / "best.ckpt") == \
+            "6ba712f27d80f988d5da143946d9418e7a220eaaa4007ad83a34fa2771f99150"
+        assert _sha(tmp_path / "last.ckpt") == \
+            "6ba712f27d80f988d5da143946d9418e7a220eaaa4007ad83a34fa2771f99150"
+
+    def test_bernoulli_every_plant_step(self, tmp_path):
+        result = train(small_env, quick_config(), out_dir=tmp_path)
+        assert len(result.metrics) == 2 and result.last.timesteps == 256
+        assert _sha(tmp_path / "metrics.csv") == \
+            "d4a63f87dbeb9b091aacb694b1b9bc91ebb994142f631232207cc46099d57807"
+        assert _sha(tmp_path / "best.ckpt") == \
+            "05fd88c42d237876b257a6904fa2824d4eb8dfd4afdbd70035ed4590c79ccfd4"
+        assert _sha(tmp_path / "last.ckpt") == \
+            "05fd88c42d237876b257a6904fa2824d4eb8dfd4afdbd70035ed4590c79ccfd4"
