@@ -66,6 +66,7 @@ from .checkpoint import (
 )
 from .emulator import (
     DelayBuffer,
+    EmulatedEnv,
     EmulationConfig,
     PidGains,
     PidState,
@@ -74,7 +75,7 @@ from .emulator import (
     utm_relative_observation,
 )
 from .evaluate import EvalReport, evaluate_policy, greedy_policy_fn, run_episode
-from .train import TrainResult, train
+from .train import TrainResult
 from .config import ConfigError, RunConfig, load_run_config
 from .trace import EpisodeTrace, read_trace_csv, write_trace_csv
 

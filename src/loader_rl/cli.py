@@ -9,6 +9,7 @@ selects the log level (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -18,11 +19,12 @@ import numpy as np
 
 from .checkpoint import CheckpointFormatError, PolicyCheckpoint, read_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
-from .emulator import EmulationConfig, run_emulated_episode
+from .emulator import run_emulated_episode
 from .env import ApproachEnv, env_digest
 from .evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from .plot import MetricsFormatError, read_metrics_csv, render_reward_curve_svg
+from .sim import BrakeModel
 from .trace import write_trace_csv
 from .train import train
 
@@ -138,8 +140,6 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config, overrides)
     train_config = run.train
     if run.seed != train_config.seed:
-        import dataclasses
-
         train_config = dataclasses.replace(train_config, seed=run.seed)
     out_dir = Path(args.out)
     result = train(
@@ -198,22 +198,17 @@ def cmd_replay(args) -> int:
 
 def cmd_emulate(args) -> int:
     run, ckpt = _resolve_policy_and_config(args)
-    import dataclasses
-
     emu = run.emulation
     if args.delay is not None:
         emu = dataclasses.replace(emu, position_delay=args.delay)
     if args.rate_scale is not None:
         emu = dataclasses.replace(emu, rate_scale=args.rate_scale)
     if args.brake_model is not None:
-        from .sim import BrakeModel
-
         emu = dataclasses.replace(emu, brake_model=BrakeModel(args.brake_model))
     if args.standstill is not None:
         emu = dataclasses.replace(emu, start_from_standstill=args.standstill)
-    policy = ckpt if ckpt is not None else _decide_fn(run, None, True, latched=True)
     trace = run_emulated_episode(
-        policy, emu, args.seed, run.env, run.vehicle,
+        _decide_fn(run, ckpt, args.scripted, latched=True), emu, args.seed, run.env, run.vehicle,
         heading=args.heading, config_digest=run.digest,
     )
     write_trace_csv(trace, args.trace)

@@ -7,7 +7,8 @@ between, a PID regulates the throttle toward cruise speed instead of
 the simulator's instant-speed assumption, and braking uses the smooth
 tapered pedal. With the delay at zero, the rate scale at one, the ideal
 brake and no PID error, the emulated episode reduces exactly to a plain
-environment episode.
+environment episode. :class:`EmulatedEnv` carries the quirks, so the
+episode drivers of plain environments run emulated episodes unchanged.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import flatcfg
-from .checkpoint import PolicyCheckpoint
-from .env import ApproachEnv, EnvConfig, Observation, env_digest, target_from_heading
-from .evaluate import greedy_policy_fn
+from .env import ApproachEnv, EnvConfig, Observation, target_from_heading
+from .evaluate import run_episode
 from .sim import BrakeModel, Controls, VehicleParams
-from .trace import EMULATION_COLUMNS, EpisodeTrace
+from .trace import EpisodeTrace
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ class EmulationConfig:
         flatcfg.check_fields(self, positive=("accel_limit",), nonnegative=("position_delay",))
         if not (0.0 < self.rate_scale <= 1.0):
             raise ValueError(f"rate_scale must be in (0, 1], got {self.rate_scale}")
+        if not math.isclose(1.0 / self.rate_scale, self.steps_per_decision, rel_tol=1e-9):
+            raise ValueError(f"1 / rate_scale must be a whole number, got {self.rate_scale}")
 
     @property
     def steps_per_decision(self) -> int:
@@ -88,9 +90,6 @@ class DelayBuffer:
             raise ValueError("delay buffer is empty")
         idx = bisect_right(self._times, now - self.delay) - 1
         return self._samples[max(idx, 0)]
-
-    def __len__(self) -> int:
-        return len(self._times)
 
 
 def pid_throttle(
@@ -135,8 +134,77 @@ def utm_relative_observation(
     )
 
 
+class EmulatedEnv(ApproachEnv):
+    """:class:`ApproachEnv` with the deployment quirks of ``emu``.
+
+    Between holds, ``obs`` is the delayed map-frame observation the
+    policy decides on; within a hold it is the true one, which the trace
+    rows record. Each hold runs the PID once at its start and steps the
+    plant with the configured brake model and the PID's throttle. Every
+    episode driver that takes an ``ApproachEnv`` takes this one unchanged.
+    """
+
+    extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
+                     "pedal_fraction")
+
+    def __init__(self, emu: EmulationConfig, env_config: Optional[EnvConfig] = None,
+                 vehicle_params: Optional[VehicleParams] = None):
+        super().__init__(env_config, vehicle_params)
+        self.emu = emu
+
+    def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
+        super().reset(seed, heading=heading)
+        state = self.state
+        if self.emu.start_from_standstill:
+            state.vehicle = replace(state.vehicle, speed=0.0)
+        origin = self.emu.utm_origin
+        self._start_utm = (origin[0] + state.start_x, origin[1] + state.start_y)
+        self._buffer = DelayBuffer(self.emu.position_delay)
+        self._sense()
+        self._pid = PidState()
+        self.command = 0.0  # PID output of the running hold
+        self.obs = self._delayed_observation()
+        return self.obs
+
+    def step(self, action: Controls, **step_kwargs):
+        out = super().step(action, **step_kwargs)
+        self._sense()
+        return out
+
+    def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
+        """Hold ``action`` under a throttle the PID sets once, at the start."""
+        self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed,
+                                               self.state.vehicle.speed, steps * self.config.dt,
+                                               self.emu.pid)
+        limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
+        total = super().hold(action, steps, on_step, brake_model=self.emu.brake_model,
+                             throttle_accel=self.command * limit)
+        self.obs = self._delayed_observation()
+        return total
+
+    def trace_extra(self) -> dict:
+        v = self.state.vehicle
+        true_x, true_y = self._true_position
+        delayed_x, delayed_y = self._buffer.read(v.elapsed)
+        return {"true_x": true_x, "true_y": true_y, "delayed_x": delayed_x,
+                "delayed_y": delayed_y, "pid_command": self.command,
+                "pedal_fraction": v.brake_pedal}
+
+    def _sense(self) -> None:
+        """Feed the delay buffer the map-frame position of the vehicle now."""
+        v = self.state.vehicle
+        origin = self.emu.utm_origin
+        self._true_position = (origin[0] + v.x, origin[1] + v.y)
+        self._buffer.append(v.elapsed, self._true_position)
+
+    def _delayed_observation(self) -> Observation:
+        v = self.state.vehicle
+        return utm_relative_observation(self._buffer.read(v.elapsed), self._start_utm,
+                                        v.heading, self.config, v.speed, v.lift)
+
+
 def run_emulated_episode(
-    policy: Union[PolicyCheckpoint, Callable[[Observation], Controls]],
+    decide: Callable[[Observation], Controls],
     emu: EmulationConfig,
     seed: int,
     env_config: Optional[EnvConfig] = None,
@@ -147,78 +215,13 @@ def run_emulated_episode(
 ) -> EpisodeTrace:
     """One emulated deployment episode; returns the extended trace.
 
-    ``policy`` is either a checkpoint (greedy decisions; its stored env
-    config must match the one in use) or a plain observation -> action
-    callable. The plant integrates at the environment timestep; the
-    policy and the PID only act on decision ticks and their outputs are
-    held in between by :meth:`ApproachEnv.hold`.
+    The policy decides every ``emu.steps_per_decision`` plant steps.
     """
-    if isinstance(policy, PolicyCheckpoint):
-        env_config = env_config or policy.env_config
-        vehicle_params = vehicle_params or policy.vehicle_params
-        ckpt_digest = env_digest(policy.env_config, policy.vehicle_params)
-        if ckpt_digest != env_digest(env_config, vehicle_params):
-            raise ValueError(
-                "checkpoint environment config does not match the requested "
-                f"environment (checkpoint digest {ckpt_digest})"
-            )
-        decide = greedy_policy_fn(policy.params)
-    else:
-        decide = policy
-        env_config = env_config or EnvConfig()
-        vehicle_params = vehicle_params or VehicleParams()
-    if hasattr(decide, "reset"):
-        decide.reset()
-
-    env = ApproachEnv(env_config, vehicle_params)
-    env.reset(seed, heading=heading)
-    if emu.start_from_standstill:
-        env.state.vehicle = replace(env.state.vehicle, speed=0.0)
-    state = env.state
-    ep_heading = state.vehicle.heading
-
-    origin = emu.utm_origin
-    start_utm = (origin[0] + state.start_x, origin[1] + state.start_y)
-    buffer = DelayBuffer(emu.position_delay)
-    buffer.append(state.vehicle.elapsed, (origin[0] + state.vehicle.x, origin[1] + state.vehicle.y))
-
-    trace = EpisodeTrace(
-        columns=list(EMULATION_COLUMNS),
-        initial_distance=state.prev_distance,
-        initial_lift=state.prev_lift,
-        config_digest=config_digest,
+    env = EmulatedEnv(emu, env_config, vehicle_params)
+    _, trace = run_episode(
+        env, decide, seed, heading=heading, collect_trace=True,
+        config_digest=config_digest, decision_interval=emu.steps_per_decision,
     )
-
-    def on_step(env: ApproachEnv, action: Controls) -> None:
-        # ``command`` is the PID output of the running hold
-        v = env.state.vehicle
-        buffer.append(v.elapsed, (origin[0] + v.x, origin[1] + v.y))
-        sensed_now = buffer.read(v.elapsed)
-        trace.add_env_step(
-            env, action,
-            true_x=origin[0] + v.x, true_y=origin[1] + v.y,
-            delayed_x=sensed_now[0], delayed_y=sensed_now[1],
-            pid_command=command, pedal_fraction=v.brake_pedal,
-        )
-
-    # the policy and the PID act at the start of each hold
-    pid_state = PidState()
-    control_dt = emu.steps_per_decision * env_config.dt
-    while not env.state.done:
-        vehicle = env.state.vehicle
-        sensed = buffer.read(vehicle.elapsed)
-        obs = utm_relative_observation(
-            sensed, start_utm, ep_heading, env_config, vehicle.speed, vehicle.lift
-        )
-        action = decide(obs)
-        command, pid_state = pid_throttle(
-            pid_state, vehicle_params.cruise_speed, vehicle.speed, control_dt, emu.pid
-        )
-        accel = command * (emu.accel_limit if command >= 0.0 else vehicle_params.ideal_decel)
-        env.hold(
-            action, emu.steps_per_decision, on_step,
-            brake_model=emu.brake_model, throttle_accel=accel,
-        )
     return trace
 
 

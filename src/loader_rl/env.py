@@ -328,6 +328,8 @@ class ApproachEnv:
     can run concurrently with separate seeds.
     """
 
+    extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
+
     def __init__(self, config: Optional[EnvConfig] = None, params: Optional[VehicleParams] = None):
         self.config = config or EnvConfig()
         self.params = params or VehicleParams()
@@ -357,6 +359,10 @@ class ApproachEnv:
         )
         self.episode_reward += self.breakdown.total
         return self.obs, self.breakdown, done
+
+    def trace_extra(self) -> dict:
+        """Values of :attr:`extra_columns` after the latest plant step."""
+        return {}
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None,
              **step_kwargs) -> float:

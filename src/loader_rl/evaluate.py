@@ -22,7 +22,7 @@ from .policy import (
 )
 from .seeding import substream_seed
 from .sim import Controls
-from .trace import EpisodeTrace
+from .trace import BASE_COLUMNS, EpisodeTrace
 
 DEGENERATE_HEADING_TOL = 0.05
 
@@ -77,7 +77,8 @@ def run_episode(
 
     ``decision_interval`` replays the training-time control rate: the
     policy is consulted every that-many plant steps and its action held
-    in between. A policy with a ``reset`` method is reset first.
+    in between. A policy with a ``reset`` method is reset first. The
+    trace carries the env's extra columns, if it has any.
     """
     if hasattr(decide, "reset"):
         decide.reset()
@@ -86,6 +87,7 @@ def run_episode(
     trace = on_step = None
     if collect_trace:
         trace = EpisodeTrace(
+            columns=BASE_COLUMNS + list(env.extra_columns),
             initial_distance=state.prev_distance,
             initial_lift=state.prev_lift,
             config_digest=config_digest,
@@ -93,14 +95,11 @@ def run_episode(
         on_step = trace.add_env_step
     while not env.state.done:
         env.hold(decide(env.obs), decision_interval, on_step)
-    final_distance = math.hypot(
-        env.state.target_x - env.state.vehicle.x, env.state.target_y - env.state.vehicle.y
-    )
     result = EpisodeResult(
         reward=env.episode_reward,
         length=env.state.step_count,
         outcome=env.breakdown.outcome,
-        final_distance=final_distance,
+        final_distance=env.state.prev_distance,  # set by the last step
         heading=state.vehicle.heading,
     )
     return result, trace

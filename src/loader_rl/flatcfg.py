@@ -95,6 +95,12 @@ def flatten(obj: Any, prefix: str = "") -> dict[str, str]:
     return out
 
 
+def _leaf_type(value: Any) -> Any:
+    """The type a leaf field decodes as: ``tuple[float, float]`` for a
+    tuple default, otherwise the default's own type (an enum's class)."""
+    return tuple[float, float] if isinstance(value, tuple) else type(value)
+
+
 def field_types(cls: Any, prefix: str = "") -> dict[str, Any]:
     """Dotted key -> leaf python type, for decoding."""
     out: dict[str, Any] = {}
@@ -104,12 +110,8 @@ def field_types(cls: Any, prefix: str = "") -> dict[str, Any]:
         key = f"{prefix}{f.name}"
         if dataclasses.is_dataclass(value):
             out.update(field_types(type(value), prefix=f"{key}."))
-        elif isinstance(value, Enum):
-            out[key] = type(value)
-        elif isinstance(value, tuple):
-            out[key] = tuple[float, float]
         else:
-            out[key] = type(value)
+            out[key] = _leaf_type(value)
     return out
 
 
@@ -123,13 +125,7 @@ def unflatten(cls: Any, flat: dict[str, str], prefix: str = "") -> Any:
         if dataclasses.is_dataclass(value):
             kwargs[f.name] = unflatten(type(value), flat, prefix=f"{key}.")
         elif key in flat:
-            if isinstance(value, Enum):
-                target = type(value)
-            elif isinstance(value, tuple):
-                target = tuple[float, float]
-            else:
-                target = type(value)
-            kwargs[f.name] = decode_value(flat[key], target)
+            kwargs[f.name] = decode_value(flat[key], _leaf_type(value))
     return dataclasses.replace(defaults, **kwargs)
 
 

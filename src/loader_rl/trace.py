@@ -6,8 +6,10 @@ from the start is just hypot(x, y). Metadata needed to recompute
 rewards from scratch (initial distance and lift, config digest) rides
 in ``#``-prefixed header lines so a trace file is self-contained.
 
-Emulation runs extend the base columns with the true and delayed
-positions, the speed-controller command and the brake pedal fraction.
+An environment may add columns after the base ones: it names them in
+``extra_columns`` and gives their values per step from ``trace_extra()``.
+The deployment emulator adds the true and delayed positions, the
+speed-controller command and the brake pedal fraction.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ BASE_COLUMNS = [
     "brake_action", "lift_action",
     "reward_total", "reward_progress", "reward_lift", "reward_time",
     "outcome",
-]
-
-EMULATION_COLUMNS = BASE_COLUMNS + [
-    "true_x", "true_y", "delayed_x", "delayed_y", "pid_command", "pedal_fraction",
 ]
 
 _INT_COLUMNS = {"step", "brake_action", "lift_action"}
@@ -71,16 +69,16 @@ class EpisodeTrace:
             raise ValueError(f"trace row missing columns: {sorted(missing)}")
         self.rows.append(row)
 
-    def add_env_step(self, env, action, **extra: float) -> None:
+    def add_env_step(self, env, action) -> None:
         """Append the row of ``env``'s latest plant step under the held
-        ``action``; ``extra`` fills any columns beyond the base ones."""
+        ``action``, with the env's extra columns."""
         v = env.state.vehicle
         obs = env.obs
         self.add_step(
             step=env.state.step_count, t=v.elapsed, x=v.x, y=v.y,
             rel_x=obs.rel_x, rel_y=obs.rel_y, speed=v.speed, lift=v.lift,
             brake_action=action.brake, lift_action=action.lift_up,
-            breakdown=env.breakdown, **extra,
+            breakdown=env.breakdown, **env.trace_extra(),
         )
 
     @property

@@ -129,6 +129,7 @@ class TestInvalidValues:
         "train.learning_rate=nan",
         "train.learning_rate=inf",
         "--delay=nan",
+        "--rate-scale=0.3",
         # NaN fails every comparison, so a bare ``x <= 0`` guard lets it through
         "env.speed_threshold=nan",
         "env.lift_start_jitter=nan",
@@ -183,12 +184,14 @@ class TestEval:
         assert code == 0
         assert "success_rate" in report.read_text()
 
-    def test_mismatched_config_rejected(self, train_run, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "emulate"])
+    def test_mismatched_config_rejected(self, command, train_run, tmp_path):
         _, out = train_run
         other = tmp_path / "other.cfg"
         other.write_text("seed=5\nenv.vicinity=2.0\n")
-        code = main(["eval", "--checkpoint", str(out / "last.ckpt"),
-                     "--config", str(other), "--episodes", "3"])
+        extra = {"eval": ["--episodes", "3"], "emulate": ["--trace", str(tmp_path / "t.csv")]}
+        code = main([command, "--checkpoint", str(out / "last.ckpt"),
+                     "--config", str(other), *extra[command]])
         assert code == 1
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from loader_rl.emulator import (
     DelayBuffer,
+    EmulatedEnv,
     EmulationConfig,
     PidGains,
     PidState,
@@ -18,7 +19,7 @@ from loader_rl.emulator import (
     utm_relative_observation,
 )
 from loader_rl.env import ApproachEnv, EnvConfig, Observation, Outcome
-from loader_rl.evaluate import run_episode
+from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from loader_rl.sim import BrakeModel, Controls
 from loader_rl.trace import BASE_COLUMNS
@@ -126,6 +127,8 @@ class TestEmulationConfig:
             EmulationConfig(rate_scale=0.0)
         with pytest.raises(ValueError):
             EmulationConfig(rate_scale=1.5)
+        with pytest.raises(ValueError):
+            EmulationConfig(rate_scale=0.3)  # would silently run at 1/3
 
     def test_steps_per_decision(self):
         assert EmulationConfig(rate_scale=1.0).steps_per_decision == 1
@@ -230,17 +233,17 @@ class TestPidSpeedSettling:
 
 
 class TestCheckpointPolicyPath:
-    def test_checkpoint_env_mismatch_rejected(self):
-        from tests.test_checkpoint import make_checkpoint
-
-        ckpt = make_checkpoint()
-        other_env = EnvConfig(vicinity=2.0)
-        with pytest.raises(ValueError, match="does not match"):
-            run_emulated_episode(ckpt, degenerate_emulation(), 0, other_env)
-
     def test_checkpoint_runs_with_own_config(self):
         from tests.test_checkpoint import make_checkpoint
 
         ckpt = make_checkpoint()
-        trace = run_emulated_episode(ckpt, degenerate_emulation(), 0)
+        trace = run_emulated_episode(greedy_policy_fn(ckpt.params), degenerate_emulation(), 0,
+                                     ckpt.env_config, ckpt.vehicle_params)
         assert len(trace.rows) > 0
+
+
+class TestEmulatedEnv:
+    def test_degenerate_evaluation_report_matches_plain_environment(self):
+        emulated = evaluate_policy(EmulatedEnv(degenerate_emulation()), scripted, 100, 0)
+        plain = evaluate_policy(ApproachEnv(), scripted, 100, 0)
+        assert emulated.to_text() == plain.to_text()

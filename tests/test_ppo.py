@@ -473,6 +473,13 @@ def small_env():
 
 
 class TestTrainLoop:
+    def test_package_does_not_shadow_train_module(self):
+        import types
+
+        import loader_rl.train as T
+
+        assert isinstance(T, types.ModuleType)
+
     def test_total_timesteps_equals_n_steps_gives_one_update(self):
         config = quick_config(total_timesteps=128)
         result = train(small_env, config)
