@@ -140,8 +140,14 @@ class EmulatedEnv(ApproachEnv):
     Between holds, ``obs`` is the delayed map-frame observation the
     policy decides on; within a hold it is the true one, which the trace
     rows record. Each hold runs the PID once at its start and steps the
-    plant with the configured brake model and the PID's throttle. Every
-    episode driver that takes an ``ApproachEnv`` takes this one unchanged.
+    plant with the configured brake model and the PID's throttle. The
+    controller runs at the emulated rate: every hold is
+    ``emu.steps_per_decision`` plant steps, so callers pass that as
+    their ``decision_interval`` (``run_emulated_episode`` does), and any
+    other hold length raises ValueError. ``run_episode``,
+    ``evaluate_policy`` and ``train`` take this env unchanged; ``step``
+    advances the bare plant, without the PID, the brake model or the
+    sensor.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -166,18 +172,23 @@ class EmulatedEnv(ApproachEnv):
         self.obs = self._delayed_observation()
         return self.obs
 
-    def step(self, action: Controls, **step_kwargs):
-        out = super().step(action, **step_kwargs)
-        self._sense()
-        return out
-
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
-        """Hold ``action`` under a throttle the PID sets once, at the start."""
+        """Hold ``action`` under a throttle the PID sets once, at the start,
+        sensing the position after every plant step."""
+        if steps != self.emu.steps_per_decision:
+            raise ValueError(f"an emulated hold is emu.steps_per_decision="
+                             f"{self.emu.steps_per_decision} plant steps, got steps={steps}")
         self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed,
                                                self.state.vehicle.speed, steps * self.config.dt,
                                                self.emu.pid)
         limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
-        total = super().hold(action, steps, on_step, brake_model=self.emu.brake_model,
+
+        def sense(env, action):
+            self._sense()
+            if on_step is not None:
+                on_step(env, action)
+
+        total = super().hold(action, steps, sense, brake_model=self.emu.brake_model,
                              throttle_accel=self.command * limit)
         self.obs = self._delayed_observation()
         return total

@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import flatcfg
-from .sim import BrakeModel, Controls, VehicleParams, VehicleState, step_vehicle
+from .sim import BrakeModel, Controls, VehicleParams, VehicleState, _vehicle_state, step_vehicle
 
 Action = Controls
 
@@ -319,13 +319,58 @@ def step(
     return new_env, obs, breakdown, done
 
 
-class ApproachEnv:
-    """Stateful wrapper over the functional reset/step API.
+class _Plant(NamedTuple):
+    """What :meth:`ApproachEnv.hold` reads of the config and the vehicle
+    parameters. Each product is the one :func:`step_vehicle` and
+    :func:`compute_reward` compute per step, so it has the same bits."""
 
-    Holds config and vehicle parameters; each instance owns exactly one
-    episode at a time and keeps its latest observation, latest reward
-    breakdown and running return. Instances are independent, so many
-    can run concurrently with separate seeds.
+    dt: float
+    dt_ok: bool
+    cruise_speed: float
+    ideal_decel: float
+    ideal_dv: float  # ideal_decel * dt
+    initial_pedal: float
+    pedal_decay: float  # exp(-dt / taper_time_constant)
+    lift_dv: float  # lift_rate * dt
+    lift_min: float
+    lift_max: float
+    out_of_range_radius: float
+    max_episode_time: float
+    vicinity: float
+    speed_threshold: float
+    lift_goal_frac: float
+    lift_reward_scale: float
+    goal_progress: bool
+    neg_time_penalty_tc: float
+
+
+def _plant(config: EnvConfig, params: VehicleParams) -> _Plant:
+    dt = config.dt
+    return _Plant(
+        dt, isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0,
+        params.cruise_speed, params.ideal_decel, params.ideal_decel * dt,
+        params.taper.initial_pedal, math.exp(-dt / params.taper.taper_time_constant),
+        params.lift_rate * dt, params.lift_min, params.lift_max,
+        config.out_of_range_radius, config.max_episode_time, config.vicinity,
+        config.speed_threshold, config.lift_goal_frac, config.lift_reward_scale,
+        config.lift_term_mode is LiftTermMode.GOAL_PROGRESS, -config.time_penalty_tc,
+    )
+
+
+# reward terms (progress, lift, time, terminal, total, done, outcome) of the
+# three endings
+_OUT_OF_RANGE = (0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.OUT_OF_RANGE)
+_TIMEOUT = (0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.TIMEOUT)
+_SUCCESS = (0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
+
+
+class ApproachEnv:
+    """Stateful episode over the plant of the functional reset/step API.
+
+    Holds config and vehicle parameters, both fixed once the env is built;
+    each instance owns exactly one episode at a time and keeps its latest
+    observation, latest reward breakdown and running return. Instances
+    are independent, so many can run concurrently with separate seeds.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -337,6 +382,7 @@ class ApproachEnv:
         self.obs: Optional[Observation] = None
         self.breakdown: Optional[RewardBreakdown] = None
         self.episode_reward = 0.0
+        self._plant = _plant(self.config, self.params)
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
         self.state, self.obs = reset(self.config, seed, self.params, heading=heading)
@@ -351,36 +397,138 @@ class ApproachEnv:
         brake_model: BrakeModel = BrakeModel.IDEAL,
         throttle_accel: float | None = None,
     ) -> tuple[Observation, RewardBreakdown, bool]:
-        if self.state is None:
-            raise RuntimeError("call reset before step")
-        self.state, self.obs, self.breakdown, done = step(
-            self.state, action, self.config, self.params,
-            brake_model=brake_model, throttle_accel=throttle_accel,
-        )
-        self.episode_reward += self.breakdown.total
-        return self.obs, self.breakdown, done
+        """One plant step: a hold of one step, through the same kernel."""
+        ApproachEnv.hold(self, action, 1, brake_model=brake_model, throttle_accel=throttle_accel)
+        return self.obs, self.breakdown, self.state.done
 
     def trace_extra(self) -> dict:
         """Values of :attr:`extra_columns` after the latest plant step."""
         return {}
 
-    def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None,
-             **step_kwargs) -> float:
+    def hold(
+        self,
+        action: Controls,
+        steps: int,
+        on_step: Optional[Callable] = None,
+        *,
+        brake_model: BrakeModel = BrakeModel.IDEAL,
+        throttle_accel: float | None = None,
+    ) -> float:
         """Zero-order hold: apply ``action`` for up to ``steps`` plant steps.
 
-        The one place a decision is held, for training, greedy evaluation
-        and deployment emulation alike. Stops when the episode ends;
-        ``on_step(env, action)`` runs after every plant step. Returns the
-        reward summed over the steps taken.
+        The one place the plant advances, for training, greedy evaluation
+        and deployment emulation alike. Stops when the episode ends and
+        returns the reward summed over the steps taken. Each step is the
+        functional :func:`step` (``brake_model`` and ``throttle_accel`` as
+        there), computed over plain floats with the same operations in the
+        same order and the same checks, so it gives the same bits. The
+        records ``state``, ``obs`` and ``breakdown`` are built once, at
+        the end of the hold, or after every plant step when ``on_step`` is
+        given: ``on_step(env, action)`` then runs after each step. It may
+        read the env but must not change its episode.
         """
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
+        start = self.state
+        if start is None:
+            raise RuntimeError("call reset before step")
+        if start.done:
+            raise RuntimeError("cannot step a finished episode; reset first")
+        (dt, dt_ok, cruise_speed, ideal_decel, ideal_dv, initial_pedal, pedal_decay, lift_dv,
+         lift_min, lift_max, radius, max_time, vicinity, speed_threshold, goal, lift_scale,
+         goal_progress, neg_tc) = self._plant
+        v = start.vehicle
+        if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))):
+            step_vehicle(v, action, dt, self.params, brake_model, throttle_accel)  # raises
+        throttle_dv = None if throttle_accel is None else throttle_accel * dt
+        tapered = brake_model is BrakeModel.TAPERED
+        brake, lift_up = action.brake, action.lift_up
+        x, y, heading, speed, lift, elapsed, pedal = (
+            v.x, v.y, v.heading, v.speed, v.lift, v.elapsed, v.brake_pedal)
+        tx, ty, sx, sy = start.target_x, start.target_y, start.start_x, start.start_y
+        step_count, prev_distance, prev_lift = (
+            start.step_count, start.prev_distance, start.prev_lift)
+        # an infinite heading is reported by the state check, not by math.sin
+        sin_h = math.sin(heading) if math.isfinite(heading) else math.nan
+        cos_h = math.cos(heading) if math.isfinite(heading) else math.nan
+        hypot, isfinite = math.hypot, math.isfinite
+        episode_reward = self.episode_reward
         total = 0.0
-        for _ in range(steps):
-            _, breakdown, done = self.step(action, **step_kwargs)
-            total += breakdown.total
-            if on_step is not None:
-                on_step(self, action)
-            if done:
-                break
+        try:
+            for _ in range(steps):
+                # the checks of step_vehicle and compute_reward: a sum of finite
+                # floats is finite or overflows, so a finite sum clears them all,
+                # and any other sum defers to them for their exact error
+                if not isfinite(x + y + heading + speed + lift + elapsed + pedal):
+                    step_vehicle(_vehicle_state(x, y, heading, speed, lift, elapsed, pedal),
+                                 action, dt, self.params, brake_model, throttle_accel)
+                new_x = x + speed * sin_h * dt
+                new_y = y + speed * cos_h * dt
+                if brake:
+                    if tapered:
+                        new_pedal = initial_pedal if pedal <= 0.0 else pedal * pedal_decay
+                        new_speed = max(0.0, speed - new_pedal * ideal_decel * dt)
+                    else:
+                        new_pedal = 0.0
+                        new_speed = max(0.0, speed - ideal_dv)
+                else:
+                    new_pedal = 0.0
+                    new_speed = cruise_speed if throttle_dv is None else speed + throttle_dv
+                new_speed = min(cruise_speed, max(0.0, new_speed))
+                new_lift = min(lift_max, lift + lift_dv) if lift_up else lift
+                new_lift = min(lift_max, max(lift_min, new_lift))
+
+                distance = hypot(tx - new_x, ty - new_y)
+                out_of_range = hypot(new_x - sx, new_y - sy) > radius
+                new_count = step_count + 1
+                timed_out = new_count * dt >= max_time
+                if not isfinite(prev_distance + distance + prev_lift + new_lift + new_speed) \
+                        or new_count < 1:
+                    compute_reward(prev_distance, distance, prev_lift, new_lift, new_speed,
+                                   new_count, out_of_range, timed_out, self.config)
+                if out_of_range:
+                    terms = _OUT_OF_RANGE
+                elif timed_out:
+                    terms = _TIMEOUT
+                elif distance < vicinity and new_speed < speed_threshold and new_lift > goal:
+                    terms = _SUCCESS
+                else:
+                    progress = prev_distance - distance
+                    if goal_progress:
+                        lift_term = lift_scale * (min(new_lift, goal) - min(prev_lift, goal))
+                    else:
+                        lift_term = prev_lift - goal * new_lift
+                    time_term = neg_tc * new_count
+                    terms = (progress, lift_term, time_term, 0.0, progress + lift_term + time_term,
+                             False, Outcome.RUNNING)
+                reward = terms[4]
+
+                x, y, speed, lift, pedal = new_x, new_y, new_speed, new_lift, new_pedal
+                elapsed += dt
+                step_count, prev_distance, prev_lift = new_count, distance, new_lift
+                episode_reward += reward
+                total += reward
+                if on_step is not None:
+                    self._publish(start, x, y, speed, lift, elapsed, pedal, step_count,
+                                  distance, terms, episode_reward)
+                    on_step(self, action)
+                if terms[5]:
+                    break
+        finally:
+            # also when a check raises mid-hold: the steps taken stand
+            if on_step is None and step_count != start.step_count:
+                self._publish(start, x, y, speed, lift, elapsed, pedal, step_count,
+                              prev_distance, terms, episode_reward)
         return total
+
+    def _publish(self, start: EnvState, x, y, speed, lift, elapsed, pedal, step_count, distance,
+                 terms, episode_reward) -> None:
+        """Write a hold's plant state back as the records :func:`step`
+        returns, over the episode constants of ``start``."""
+        tx, ty = start.target_x, start.target_y
+        vehicle = _vehicle_state(x, y, start.vehicle.heading, speed, lift, elapsed, pedal)
+        self.state = EnvState(vehicle, tx, ty, start.start_x, start.start_y, step_count,
+                              distance, lift, terms[5], start.rng)
+        self.obs = _observation(abs(tx - x), abs(ty - y), speed, lift)
+        self.breakdown = _reward_breakdown(*terms)
+        self.episode_reward = episode_reward

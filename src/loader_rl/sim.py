@@ -162,10 +162,15 @@ def step_vehicle(
     is given, the snap is replaced by ``v += throttle_accel * dt`` so an
     external speed controller can shape acceleration. The lift
     integrates ``lift_rate * dt`` while ``lift_up`` is held, clamped to
-    its range. Speed is clamped to [0, cruise_speed].
+    its range. Speed is clamped to [0, cruise_speed]. ValueError is
+    raised for a ``dt`` that is not finite and positive, and for a
+    non-finite ``throttle_accel`` or state field.
     """
     if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be a finite positive number, got {dt!r}")
+    # max(0.0, nan) is 0.0: a NaN throttle would silently stop the vehicle
+    if throttle_accel is not None and not math.isfinite(throttle_accel):
+        raise ValueError(f"throttle_accel must be finite, got {throttle_accel!r}")
     if not state.is_finite():
         raise ValueError(f"vehicle state has non-finite fields: {state}")
 

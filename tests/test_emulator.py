@@ -247,3 +247,12 @@ class TestEmulatedEnv:
         emulated = evaluate_policy(EmulatedEnv(degenerate_emulation()), scripted, 100, 0)
         plain = evaluate_policy(ApproachEnv(), scripted, 100, 0)
         assert emulated.to_text() == plain.to_text()
+
+    def test_hold_runs_at_the_emulated_control_rate(self):
+        # deciding every plant step would run the PID at dt instead of the
+        # emulated control period
+        env = EmulatedEnv(EmulationConfig(position_delay=0.0, rate_scale=0.1))
+        with pytest.raises(ValueError, match=r"steps_per_decision=10 plant steps, got steps=1"):
+            evaluate_policy(env, scripted, 1, 0)
+        report = evaluate_policy(env, scripted, 1, 0, decision_interval=10)
+        assert report.n_episodes == 1

@@ -1,0 +1,197 @@
+"""``ApproachEnv.hold`` against the functional reference, bit for bit.
+
+The hold advances the plant over plain floats; the functional
+``env.step`` (over ``sim.step_vehicle`` and ``env.compute_reward``) is
+the readable reference. Folding it ``k`` times must give exactly the
+records, return and hold total that ``hold(action, k)`` gives, and the
+same errors at the same plant step.
+"""
+
+import dataclasses
+import itertools
+import math
+import struct
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from loader_rl.env import ApproachEnv, EnvConfig, LiftTermMode, step
+from loader_rl.oracle import OracleConfig, scripted_policy
+from loader_rl.sim import BrakeModel, Controls, VehicleParams
+
+
+def bits(value):
+    """A float by its bit pattern (tells -0.0 from 0.0, compares NaN), else the value."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def record_bits(record) -> tuple:
+    return tuple(bits(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+
+def env_bits(env) -> tuple:
+    """Every field of an ``EnvState``, its vehicle field by field; the
+    generator by identity."""
+    return tuple(
+        record_bits(env.vehicle) if f.name == "vehicle"
+        else id(env.rng) if f.name == "rng"
+        else bits(getattr(env, f.name))
+        for f in dataclasses.fields(env)
+    )
+
+
+def snapshot(state, obs, breakdown, episode_reward) -> tuple:
+    return (env_bits(state), record_bits(obs),
+            None if breakdown is None else record_bits(breakdown), bits(episode_reward))
+
+
+def assert_same_records(a, b) -> None:
+    """Two envs hold the same episode records, bit for bit; each owns its generator."""
+    snap_a = snapshot(a.state, a.obs, a.breakdown, a.episode_reward)
+    snap_b = snapshot(b.state, b.obs, b.breakdown, b.episode_reward)
+    assert snap_a[0][:-1] == snap_b[0][:-1] and snap_a[1:] == snap_b[1:]
+
+
+def reference_hold(state, obs, breakdown, episode_reward, action, k, config, params, kwargs):
+    """``hold`` as a fold of the functional step; also returns the
+    snapshot after every plant step."""
+    total = 0.0
+    after_each = []
+    for _ in range(k):
+        state, obs, breakdown, done = step(state, action, config, params, **kwargs)
+        episode_reward += breakdown.total
+        total += breakdown.total
+        after_each.append(snapshot(state, obs, breakdown, episode_reward))
+        if done:
+            break
+    return state, obs, breakdown, episode_reward, total, after_each
+
+
+holds = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=30
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    heading=st.one_of(st.none(), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+    start_speed=st.sampled_from([None, 0.0, 0.7]),
+    max_episode_time=st.sampled_from([0.3, 2.0, 15.0, 15.0]),
+    lift_term_mode=st.sampled_from(list(LiftTermMode)),
+    pad_obs_to_5d=st.booleans(),
+    brake_model=st.sampled_from(list(BrakeModel)),
+    throttle_accel=st.one_of(st.none(), st.floats(-5.0, 5.0)),
+    scripted=st.booleans(),
+    callback=st.booleans(),
+    use_step=st.booleans(),
+    plan=holds,
+)
+def test_hold_equals_folded_functional_step(seed, heading, start_speed, max_episode_time,
+                                            lift_term_mode, pad_obs_to_5d, brake_model,
+                                            throttle_accel, scripted, callback, use_step, plan):
+    config = EnvConfig(max_episode_time=max_episode_time, lift_term_mode=lift_term_mode,
+                       pad_obs_to_5d=pad_obs_to_5d)
+    params = VehicleParams()
+    oracle = OracleConfig(env=config, vehicle=params)
+    kwargs = {"brake_model": brake_model, "throttle_accel": throttle_accel}
+    env = ApproachEnv(config, params)
+    env.reset(seed, heading=heading)
+    if start_speed is not None:
+        env.state.vehicle = dataclasses.replace(env.state.vehicle, speed=start_speed)
+    state, obs, breakdown, episode_reward = env.state, env.obs, None, 0.0
+
+    # the plan repeats until the episode ends (at most 15 s of plant time)
+    for brake, lift_up, k in itertools.cycle(plan):
+        # scripted holds reach the Success ending too
+        action = scripted_policy(env.obs, oracle) if scripted else Controls(brake, lift_up)
+        seen = []
+        on_step = None
+        if callback:
+            def on_step(e, a):
+                assert e is env and a is action
+                seen.append(snapshot(e.state, e.obs, e.breakdown, e.episode_reward))
+        if use_step and k == 1 and not callback:
+            # ApproachEnv.step is the one-step hold
+            obs_, breakdown_, done_ = env.step(action, **kwargs)
+            assert (obs_, breakdown_, done_) == (env.obs, env.breakdown, env.state.done)
+            total = breakdown_.total
+        else:
+            total = env.hold(action, k, on_step, **kwargs)
+        state, obs, breakdown, episode_reward, want_total, after_each = reference_hold(
+            state, obs, breakdown, episode_reward, action, k, config, params, kwargs)
+        assert bits(total) == bits(want_total)
+        assert snapshot(env.state, env.obs, env.breakdown, env.episode_reward) == after_each[-1]
+        assert seen == (after_each if callback else [])
+        if state.done:
+            where = "mid-hold" if len(after_each) < k else "at hold end"
+            event(f"{breakdown.outcome.value}, {where}")
+            with pytest.raises(RuntimeError, match="finished episode"):
+                env.hold(action, k, on_step, **kwargs)
+            break
+
+
+def _corrupt_vehicle(**fields):
+    def corrupt(env):
+        env.state.vehicle = dataclasses.replace(env.state.vehicle, **fields)
+    return corrupt
+
+
+def _corrupt_env(**fields):
+    def corrupt(env):
+        for name, value in fields.items():
+            setattr(env.state, name, value)
+    return corrupt
+
+
+INVALID = [
+    ("x nan", _corrupt_vehicle(x=math.nan), {}),
+    ("heading inf", _corrupt_vehicle(heading=math.inf), {}),
+    ("speed -inf", _corrupt_vehicle(speed=-math.inf), {}),
+    ("pedal nan", _corrupt_vehicle(brake_pedal=math.nan), {}),
+    ("far away", _corrupt_vehicle(x=1.5e308, y=1.5e308), {}),
+    ("prev_distance nan", _corrupt_env(prev_distance=math.nan), {}),
+    ("prev_lift inf", _corrupt_env(prev_lift=math.inf), {}),
+    ("step_count negative", _corrupt_env(step_count=-3), {}),
+    ("episode finished", _corrupt_env(done=True), {}),
+    ("throttle nan", None, {"throttle_accel": math.nan}),
+    ("throttle inf", None, {"throttle_accel": math.inf}),
+    ("throttle nan on a bad state", _corrupt_vehicle(x=math.nan), {"throttle_accel": math.nan}),
+]
+
+
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("brake", [0, 1])
+@pytest.mark.parametrize("case, corrupt, kwargs", INVALID, ids=[c[0] for c in INVALID])
+def test_hold_raises_what_the_functional_step_raises(case, corrupt, kwargs, brake, k):
+    env = ApproachEnv()
+    env.reset(5)
+    env.hold(Controls(0, 1), 3)
+    if corrupt is not None:
+        corrupt(env)
+    before = env.state
+    records = (env.obs, env.breakdown, env.episode_reward)
+    with pytest.raises(Exception) as want:
+        step(before, Controls(brake, 1), env.config, env.params, **kwargs)
+    with pytest.raises(type(want.value)) as got:
+        env.hold(Controls(brake, 1), k, **kwargs)
+    assert str(got.value) == str(want.value)
+    # the failing step was the hold's first, so the episode is untouched
+    assert env.state is before and (env.obs, env.breakdown, env.episode_reward) == records
+
+
+def test_callback_error_leaves_the_steps_taken():
+    env, ref = ApproachEnv(), ApproachEnv()
+    env.reset(3)
+    ref.reset(3)
+
+    def fail_on_fourth(e, a):
+        if e.state.step_count == 4:
+            raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        env.hold(Controls(0, 1), 10, fail_on_fourth)
+    ref.hold(Controls(0, 1), 4)
+    assert_same_records(env, ref)

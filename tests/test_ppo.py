@@ -511,11 +511,14 @@ class TestTrainLoop:
         class FailingEnv(ApproachEnv):
             steps = 0
 
-            def step(self, action, **kw):
-                FailingEnv.steps += 1
-                if FailingEnv.steps > 200:
-                    raise RuntimeError("sensor dropout")
-                return super().step(action, **kw)
+            def hold(self, action, steps, on_step=None, **kw):
+                # hooks the point after each plant step: the 201st step never runs
+                def count(env, action):
+                    FailingEnv.steps += 1
+                    if FailingEnv.steps == 200:
+                        raise RuntimeError("sensor dropout")
+
+                return super().hold(action, steps, count, **kw)
 
         FailingEnv.steps = 0
         out = tmp_path / "run"

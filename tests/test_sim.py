@@ -85,6 +85,13 @@ class TestStepVehicle:
         with pytest.raises(ValueError, match=rf"\b{name}={bad!r}"):
             step_vehicle(make_state(**{name: bad}), Controls(0, 0), 0.1, PARAMS)
 
+    @pytest.mark.parametrize("brake", [0, 1])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_throttle_rejected(self, brake, bad):
+        # max(0.0, nan) is 0.0, so a NaN throttle would otherwise stop the vehicle silently
+        with pytest.raises(ValueError, match=rf"throttle_accel must be finite, got {bad!r}"):
+            step_vehicle(make_state(), Controls(brake, 0), 0.1, PARAMS, throttle_accel=bad)
+
     def test_purity_bit_for_bit(self):
         s0 = make_state(heading=1.234, speed=1.7, lift=0.62)
         a = step_vehicle(s0, Controls(1, 1), 1 / 50, PARAMS, BrakeModel.TAPERED)
