@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -44,7 +45,10 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(prog="loader-rl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,7 +196,7 @@ def cmd_replay(args) -> int:
         decision_interval=interval,
     )
     write_trace_csv(trace, args.trace, normalized=args.normalized)
-    print(f"wrote {len(trace.rows)}-step trace ({trace.outcome.value}) to {args.trace}")
+    print(f"wrote {len(trace.values)}-step trace ({trace.outcome.value}) to {args.trace}")
     return EXIT_OK
 
 
@@ -212,7 +216,7 @@ def cmd_emulate(args) -> int:
         heading=args.heading, config_digest=run.digest,
     )
     write_trace_csv(trace, args.trace)
-    print(f"wrote {len(trace.rows)}-step emulation trace ({trace.outcome.value}) to {args.trace}")
+    print(f"wrote {len(trace.values)}-step emulation trace ({trace.outcome.value}) to {args.trace}")
     return EXIT_OK
 
 

@@ -160,17 +160,17 @@ class EmulatedEnv(ApproachEnv):
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
         super().reset(seed, heading=heading)
-        state = self.state
         if self.emu.start_from_standstill:
-            state.vehicle = replace(state.vehicle, speed=0.0)
+            state = self.state
+            self.state = replace(state, vehicle=replace(state.vehicle, speed=0.0))
         origin = self.emu.utm_origin
-        self._start_utm = (origin[0] + state.start_x, origin[1] + state.start_y)
+        self._start_utm = (origin[0] + self.start_x, origin[1] + self.start_y)
         self._buffer = DelayBuffer(self.emu.position_delay)
         self._sense()
         self._pid = PidState()
         self.command = 0.0  # PID output of the running hold
-        self.obs = self._delayed_observation()
-        return self.obs
+        self._obs = self._delayed_observation()
+        return self._obs
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
         """Hold ``action`` under a throttle the PID sets once, at the start,
@@ -178,9 +178,8 @@ class EmulatedEnv(ApproachEnv):
         if steps != self.emu.steps_per_decision:
             raise ValueError(f"an emulated hold is emu.steps_per_decision="
                              f"{self.emu.steps_per_decision} plant steps, got steps={steps}")
-        self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed,
-                                               self.state.vehicle.speed, steps * self.config.dt,
-                                               self.emu.pid)
+        self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed, self.speed,
+                                               steps * self.config.dt, self.emu.pid)
         limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
 
         def sense(env, action):
@@ -190,28 +189,22 @@ class EmulatedEnv(ApproachEnv):
 
         total = super().hold(action, steps, sense, brake_model=self.emu.brake_model,
                              throttle_accel=self.command * limit)
-        self.obs = self._delayed_observation()
+        self._obs = self._delayed_observation()
         return total
 
-    def trace_extra(self) -> dict:
-        v = self.state.vehicle
-        true_x, true_y = self._true_position
-        delayed_x, delayed_y = self._buffer.read(v.elapsed)
-        return {"true_x": true_x, "true_y": true_y, "delayed_x": delayed_x,
-                "delayed_y": delayed_y, "pid_command": self.command,
-                "pedal_fraction": v.brake_pedal}
+    def trace_extra(self) -> tuple:
+        return (*self._true_position, *self._buffer.read(self.elapsed), self.command,
+                self.brake_pedal)
 
     def _sense(self) -> None:
         """Feed the delay buffer the map-frame position of the vehicle now."""
-        v = self.state.vehicle
         origin = self.emu.utm_origin
-        self._true_position = (origin[0] + v.x, origin[1] + v.y)
-        self._buffer.append(v.elapsed, self._true_position)
+        self._true_position = (origin[0] + self.x, origin[1] + self.y)
+        self._buffer.append(self.elapsed, self._true_position)
 
     def _delayed_observation(self) -> Observation:
-        v = self.state.vehicle
-        return utm_relative_observation(self._buffer.read(v.elapsed), self._start_utm,
-                                        v.heading, self.config, v.speed, v.lift)
+        return utm_relative_observation(self._buffer.read(self.elapsed), self._start_utm,
+                                        self.heading, self.config, self.speed, self.lift)
 
 
 def run_emulated_episode(
@@ -238,9 +231,9 @@ def run_emulated_episode(
 
 def braking_onset_time(trace: EpisodeTrace) -> Optional[float]:
     """Time of the first step whose held action engaged the brake."""
-    for row in trace.rows:
-        if row["brake_action"]:
-            return row["t"]
+    for brake, t in zip(trace.column("brake_action"), trace.column("t")):
+        if brake:
+            return t
     return None
 
 
@@ -250,7 +243,7 @@ def final_overshoot(trace: EpisodeTrace, config: EnvConfig) -> float:
     Motion is a straight line from the origin, so distance travelled
     minus the target distance measures penetration past the point.
     """
-    if not trace.rows:
+    if not trace.values:
         return 0.0
-    last = trace.rows[-1]
+    last = dict(zip(trace.columns, trace.values[-1]))
     return max(0.0, math.hypot(last["x"], last["y"]) - config.target_distance)

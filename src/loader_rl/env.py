@@ -16,7 +16,7 @@ short of the point from being past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -136,7 +136,7 @@ def _reward_breakdown(progress_term, lift_term, time_term, terminal_term, total,
     return r
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvState:
     vehicle: VehicleState
     target_x: float
@@ -147,7 +147,6 @@ class EnvState:
     prev_distance: float
     prev_lift: float
     done: bool
-    rng: np.random.Generator = field(repr=False)
 
 
 def target_from_heading(start: tuple[float, float], heading: float, distance: float) -> tuple[float, float]:
@@ -263,7 +262,6 @@ def reset(
         prev_distance=config.target_distance,
         prev_lift=lift0,
         done=False,
-        rng=rng,
     )
     return env, build_observation(env)
 
@@ -311,7 +309,7 @@ def step(
     done = breakdown.done
     new_env = EnvState(
         vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
-        step_count, curr_distance, vehicle.lift, done, env.rng,
+        step_count, curr_distance, vehicle.lift, done,
     )
     obs = _observation(
         abs(env.target_x - vehicle.x), abs(env.target_y - vehicle.y), vehicle.speed, vehicle.lift
@@ -368,9 +366,21 @@ class ApproachEnv:
     """Stateful episode over the plant of the functional reset/step API.
 
     Holds config and vehicle parameters, both fixed once the env is built;
-    each instance owns exactly one episode at a time and keeps its latest
-    observation, latest reward breakdown and running return. Instances
-    are independent, so many can run concurrently with separate seeds.
+    each instance owns exactly one episode at a time. Instances are
+    independent, so many can run concurrently with separate seeds.
+
+    The running episode lives in plain attributes named like the fields of
+    :class:`EnvState` and :class:`VehicleState`: ``x``, ``y``, ``heading``,
+    ``speed``, ``lift``, ``elapsed``, ``brake_pedal``, ``target_x``,
+    ``target_y``, ``start_x``, ``start_y``, ``step_count``,
+    ``prev_distance``, ``prev_lift`` and ``done`` (None before the first
+    reset); ``sin_heading`` and ``cos_heading``, computed once per episode;
+    ``reward_terms``, the latest step's :class:`RewardBreakdown` fields in
+    order (None before the first step); and ``episode_reward``, the
+    running return. Read them freely, but change the episode only by
+    assigning ``state``. The records ``state``, ``obs`` and ``breakdown``
+    are built from these attributes when read and kept until the next
+    plant step.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -378,17 +388,67 @@ class ApproachEnv:
     def __init__(self, config: Optional[EnvConfig] = None, params: Optional[VehicleParams] = None):
         self.config = config or EnvConfig()
         self.params = params or VehicleParams()
-        self.state: Optional[EnvState] = None
-        self.obs: Optional[Observation] = None
-        self.breakdown: Optional[RewardBreakdown] = None
-        self.episode_reward = 0.0
         self._plant = _plant(self.config, self.params)
+        self.done = None
+        self.reward_terms = None
+        self.episode_reward = 0.0
+        self._state = self._obs = self._breakdown = None
+
+    @property
+    def state(self) -> Optional[EnvState]:
+        """The episode as an :class:`EnvState`, None before reset.
+
+        Assigning a state (``dataclasses.replace`` of this one) sets the
+        episode; the latest reward and the return stay as they were.
+        """
+        state = self._state
+        if state is None and self.done is not None:
+            state = self._state = EnvState(
+                VehicleState(self.x, self.y, self.heading, self.speed, self.lift, self.elapsed,
+                             self.brake_pedal),
+                self.target_x, self.target_y, self.start_x, self.start_y, self.step_count,
+                self.prev_distance, self.prev_lift, self.done,
+            )
+        return state
+
+    @state.setter
+    def state(self, state: EnvState) -> None:
+        v = state.vehicle
+        self.x, self.y, self.heading, self.speed = v.x, v.y, v.heading, v.speed
+        self.lift, self.elapsed, self.brake_pedal = v.lift, v.elapsed, v.brake_pedal
+        self.target_x, self.target_y = state.target_x, state.target_y
+        self.start_x, self.start_y = state.start_x, state.start_y
+        self.step_count, self.done = state.step_count, state.done
+        self.prev_distance, self.prev_lift = state.prev_distance, state.prev_lift
+        # an infinite heading is reported by the state check, not by math.sin
+        finite = math.isfinite(v.heading)
+        self.sin_heading = math.sin(v.heading) if finite else math.nan
+        self.cos_heading = math.cos(v.heading) if finite else math.nan
+        self._state, self._obs = state, None
+
+    @property
+    def obs(self) -> Optional[Observation]:
+        """The observation of the vehicle now, None before reset."""
+        obs = self._obs
+        if obs is None and self.done is not None:
+            obs = self._obs = _observation(abs(self.target_x - self.x),
+                                           abs(self.target_y - self.y), self.speed, self.lift)
+        return obs
+
+    @property
+    def breakdown(self) -> Optional[RewardBreakdown]:
+        """The reward of the latest plant step, None before the first."""
+        breakdown = self._breakdown
+        if breakdown is None and self.reward_terms is not None:
+            breakdown = self._breakdown = _reward_breakdown(*self.reward_terms)
+        return breakdown
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
-        self.state, self.obs = reset(self.config, seed, self.params, heading=heading)
-        self.breakdown = None
+        self.state, obs = reset(self.config, seed, self.params, heading=heading)
+        self._obs = obs
+        self.reward_terms = self._breakdown = None
         self.episode_reward = 0.0
-        return self.obs
+        return obs
 
     def step(
         self,
@@ -399,11 +459,11 @@ class ApproachEnv:
     ) -> tuple[Observation, RewardBreakdown, bool]:
         """One plant step: a hold of one step, through the same kernel."""
         ApproachEnv.hold(self, action, 1, brake_model=brake_model, throttle_accel=throttle_accel)
-        return self.obs, self.breakdown, self.state.done
+        return self.obs, self.breakdown, self.done
 
-    def trace_extra(self) -> dict:
+    def trace_extra(self) -> tuple:
         """Values of :attr:`extra_columns` after the latest plant step."""
-        return {}
+        return ()
 
     def hold(
         self,
@@ -422,35 +482,33 @@ class ApproachEnv:
         functional :func:`step` (``brake_model`` and ``throttle_accel`` as
         there), computed over plain floats with the same operations in the
         same order and the same checks, so it gives the same bits. The
-        records ``state``, ``obs`` and ``breakdown`` are built once, at
-        the end of the hold, or after every plant step when ``on_step`` is
-        given: ``on_step(env, action)`` then runs after each step. It may
-        read the env but must not change its episode.
+        episode attributes are written back once, at the end of the hold,
+        or after every plant step when ``on_step`` is given:
+        ``on_step(env, action)`` then runs after each step. It may read the
+        env but must not change its episode. A hold builds no record; the
+        records are built when read.
         """
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
-        start = self.state
-        if start is None:
+        if self.done is None:
             raise RuntimeError("call reset before step")
-        if start.done:
+        if self.done:
             raise RuntimeError("cannot step a finished episode; reset first")
         (dt, dt_ok, cruise_speed, ideal_decel, ideal_dv, initial_pedal, pedal_decay, lift_dv,
          lift_min, lift_max, radius, max_time, vicinity, speed_threshold, goal, lift_scale,
          goal_progress, neg_tc) = self._plant
-        v = start.vehicle
+        x, y, heading, speed, lift, elapsed, pedal = (
+            self.x, self.y, self.heading, self.speed, self.lift, self.elapsed, self.brake_pedal)
         if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))):
-            step_vehicle(v, action, dt, self.params, brake_model, throttle_accel)  # raises
+            step_vehicle(_vehicle_state(x, y, heading, speed, lift, elapsed, pedal),
+                         action, dt, self.params, brake_model, throttle_accel)  # raises
         throttle_dv = None if throttle_accel is None else throttle_accel * dt
         tapered = brake_model is BrakeModel.TAPERED
         brake, lift_up = action.brake, action.lift_up
-        x, y, heading, speed, lift, elapsed, pedal = (
-            v.x, v.y, v.heading, v.speed, v.lift, v.elapsed, v.brake_pedal)
-        tx, ty, sx, sy = start.target_x, start.target_y, start.start_x, start.start_y
-        step_count, prev_distance, prev_lift = (
-            start.step_count, start.prev_distance, start.prev_lift)
-        # an infinite heading is reported by the state check, not by math.sin
-        sin_h = math.sin(heading) if math.isfinite(heading) else math.nan
-        cos_h = math.cos(heading) if math.isfinite(heading) else math.nan
+        sin_h, cos_h = self.sin_heading, self.cos_heading
+        tx, ty, sx, sy = self.target_x, self.target_y, self.start_x, self.start_y
+        start_count = step_count = self.step_count
+        prev_distance, prev_lift = self.prev_distance, self.prev_lift
         hypot, isfinite = math.hypot, math.isfinite
         episode_reward = self.episode_reward
         total = 0.0
@@ -509,26 +567,20 @@ class ApproachEnv:
                 episode_reward += reward
                 total += reward
                 if on_step is not None:
-                    self._publish(start, x, y, speed, lift, elapsed, pedal, step_count,
-                                  distance, terms, episode_reward)
+                    self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
+                    self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
+                    self.prev_distance, self.prev_lift = prev_distance, prev_lift
+                    self.reward_terms, self.episode_reward = terms, episode_reward
+                    self._state = self._obs = self._breakdown = None
                     on_step(self, action)
                 if terms[5]:
                     break
         finally:
             # also when a check raises mid-hold: the steps taken stand
-            if on_step is None and step_count != start.step_count:
-                self._publish(start, x, y, speed, lift, elapsed, pedal, step_count,
-                              prev_distance, terms, episode_reward)
+            if on_step is None and step_count != start_count:
+                self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
+                self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
+                self.prev_distance, self.prev_lift = prev_distance, prev_lift
+                self.reward_terms, self.episode_reward = terms, episode_reward
+                self._state = self._obs = self._breakdown = None
         return total
-
-    def _publish(self, start: EnvState, x, y, speed, lift, elapsed, pedal, step_count, distance,
-                 terms, episode_reward) -> None:
-        """Write a hold's plant state back as the records :func:`step`
-        returns, over the episode constants of ``start``."""
-        tx, ty = start.target_x, start.target_y
-        vehicle = _vehicle_state(x, y, start.vehicle.heading, speed, lift, elapsed, pedal)
-        self.state = EnvState(vehicle, tx, ty, start.start_x, start.start_y, step_count,
-                              distance, lift, terms[5], start.rng)
-        self.obs = _observation(abs(tx - x), abs(ty - y), speed, lift)
-        self.breakdown = _reward_breakdown(*terms)
-        self.episode_reward = episode_reward

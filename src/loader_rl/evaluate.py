@@ -83,24 +83,23 @@ def run_episode(
     if hasattr(decide, "reset"):
         decide.reset()
     env.reset(seed, heading=heading)
-    state = env.state
     trace = on_step = None
     if collect_trace:
         trace = EpisodeTrace(
             columns=BASE_COLUMNS + list(env.extra_columns),
-            initial_distance=state.prev_distance,
-            initial_lift=state.prev_lift,
+            initial_distance=env.prev_distance,
+            initial_lift=env.prev_lift,
             config_digest=config_digest,
         )
         on_step = trace.add_env_step
-    while not env.state.done:
+    while not env.done:
         env.hold(decide(env.obs), decision_interval, on_step)
     result = EpisodeResult(
         reward=env.episode_reward,
-        length=env.state.step_count,
+        length=env.step_count,
         outcome=env.breakdown.outcome,
-        final_distance=env.state.prev_distance,  # set by the last step
-        heading=state.vehicle.heading,
+        final_distance=env.prev_distance,  # set by the last step
+        heading=env.heading,
     )
     return result, trace
 

@@ -78,7 +78,8 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
     are re-derived, not read from the reward columns. Raises ValueError
     for rows that are malformed or missing.
     """
-    if not trace.rows:
+    rows = trace.rows
+    if not rows:
         raise ValueError("empty trace")
     needed = {"step", "t", "x", "y", "rel_x", "rel_y", "speed", "lift"}
     if not needed.issubset(trace.columns):
@@ -88,7 +89,7 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
     prev_distance = trace.initial_distance
     prev_lift = trace.initial_lift
     total = 0.0
-    for row in trace.rows:
+    for row in rows:
         distance = math.sqrt(row["rel_x"] ** 2 + row["rel_y"] ** 2)
         from_start = math.sqrt(row["x"] ** 2 + row["y"] ** 2)
         out_of_range = from_start > config.out_of_range_radius

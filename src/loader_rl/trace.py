@@ -1,24 +1,25 @@
 """Episode traces and their CSV form.
 
-A trace holds one row per environment step. World coordinates are in
-the episode frame (the vehicle starts at the origin), so the distance
-from the start is just hypot(x, y). Metadata needed to recompute
-rewards from scratch (initial distance and lift, config digest) rides
-in ``#``-prefixed header lines so a trace file is self-contained.
+A trace holds one row per environment step, as a tuple of values
+aligned with its columns. World coordinates are in the episode frame
+(the vehicle starts at the origin), so the distance from the start is
+just hypot(x, y). Metadata needed to recompute rewards from scratch
+(initial distance and lift, config digest) rides in ``#``-prefixed
+header lines so a trace file is self-contained.
 
 An environment may add columns after the base ones: it names them in
-``extra_columns`` and gives their values per step from ``trace_extra()``.
-The deployment emulator adds the true and delayed positions, the
-speed-controller command and the brake pedal fraction.
+``extra_columns`` and gives their values per step, as a tuple in that
+order, from ``trace_extra()``. The deployment emulator adds the true
+and delayed positions, the speed-controller command and the brake
+pedal fraction.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from operator import itemgetter
+from typing import Iterable, Optional
 
-from .env import Outcome, RewardBreakdown
+from .env import Outcome
 
 BASE_COLUMNS = [
     "step", "t", "x", "y", "rel_x", "rel_y", "speed", "lift",
@@ -30,68 +31,60 @@ BASE_COLUMNS = [
 _INT_COLUMNS = {"step", "brake_action", "lift_action"}
 
 
-@dataclass
 class EpisodeTrace:
-    columns: list[str] = field(default_factory=lambda: list(BASE_COLUMNS))
-    rows: list[dict] = field(default_factory=list)
-    initial_distance: float = 0.0
-    initial_lift: float = 0.0
-    config_digest: str = ""
+    """One row per plant step, kept as a tuple of values aligned with
+    ``columns``. ``rows`` gives them as dicts, built when read; rows
+    passed as dicts to the constructor must have every column."""
 
-    def add_step(
-        self,
-        step: int,
-        t: float,
-        x: float,
-        y: float,
-        rel_x: float,
-        rel_y: float,
-        speed: float,
-        lift: float,
-        brake_action: int,
-        lift_action: int,
-        breakdown: RewardBreakdown,
-        **extra: float,
-    ) -> None:
-        row = {
-            "step": step, "t": t, "x": x, "y": y,
-            "rel_x": rel_x, "rel_y": rel_y, "speed": speed, "lift": lift,
-            "brake_action": brake_action, "lift_action": lift_action,
-            "reward_total": breakdown.total,
-            "reward_progress": breakdown.progress_term,
-            "reward_lift": breakdown.lift_term,
-            "reward_time": breakdown.time_term,
-            "outcome": breakdown.outcome.value,
-        }
-        row.update(extra)
-        missing = set(self.columns) - set(row)
-        if missing:
-            raise ValueError(f"trace row missing columns: {sorted(missing)}")
-        self.rows.append(row)
+    def __init__(self, columns: Optional[list[str]] = None, rows: Iterable[dict] = (),
+                 initial_distance: float = 0.0, initial_lift: float = 0.0,
+                 config_digest: str = ""):
+        self.columns = list(BASE_COLUMNS) if columns is None else columns
+        self.initial_distance = initial_distance
+        self.initial_lift = initial_lift
+        self.config_digest = config_digest
+        self.values: list[tuple] = []
+        for row in rows:
+            missing = [c for c in self.columns if c not in row]
+            if missing:
+                raise ValueError(f"trace row missing columns: {missing}")
+            self.values.append(tuple(row[c] for c in self.columns))
+
+    def add_step(self, values: tuple) -> None:
+        """Append one row: a tuple with one value per column."""
+        if len(values) != len(self.columns):
+            raise ValueError(f"trace row has {len(values)} values for {len(self.columns)} columns")
+        self.values.append(values)
 
     def add_env_step(self, env, action) -> None:
         """Append the row of ``env``'s latest plant step under the held
         ``action``, with the env's extra columns."""
-        v = env.state.vehicle
-        obs = env.obs
-        self.add_step(
-            step=env.state.step_count, t=v.elapsed, x=v.x, y=v.y,
-            rel_x=obs.rel_x, rel_y=obs.rel_y, speed=v.speed, lift=v.lift,
-            brake_action=action.brake, lift_action=action.lift_up,
-            breakdown=env.breakdown, **env.trace_extra(),
-        )
+        x, y = env.x, env.y
+        # reward terms: progress, lift, time, terminal, total, done, outcome
+        terms = env.reward_terms
+        self.add_step((
+            env.step_count, env.elapsed, x, y, abs(env.target_x - x), abs(env.target_y - y),
+            env.speed, env.lift, action.brake, action.lift_up,
+            terms[4], terms[0], terms[1], terms[2], terms[6].value,
+        ) + env.trace_extra())
+
+    @property
+    def rows(self) -> list[dict]:
+        columns = self.columns
+        return [dict(zip(columns, values)) for values in self.values]
 
     @property
     def outcome(self) -> Outcome:
-        if not self.rows:
+        if not self.values:
             return Outcome.RUNNING
-        return Outcome(self.rows[-1]["outcome"])
+        return Outcome(self.values[-1][self.columns.index("outcome")])
 
     def total_reward(self) -> float:
-        return sum(r["reward_total"] for r in self.rows)
+        return sum(self.column("reward_total"))
 
     def column(self, name: str) -> list:
-        return [r[name] for r in self.rows]
+        i = self.columns.index(name)
+        return [values[i] for values in self.values]
 
 
 def _cell_type(name: str, normalized: bool = False) -> type:
@@ -105,9 +98,10 @@ def _cell_type(name: str, normalized: bool = False) -> type:
 def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False) -> None:
     """Write the trace; ``normalized`` min-max scales each numeric column
     to [0, 1] (constant columns become 0) and writes every one as float."""
-    rows = trace.rows
+    columns = list(zip(*trace.values))
     if normalized:
-        rows = _normalize_rows(trace)
+        columns = [col if name == "outcome" else _min_max_scaled(col)
+                   for name, col in zip(trace.columns, columns)]
     out = io.StringIO()
     out.write(f"# config_digest={trace.config_digest}\n")
     out.write(f"# initial_distance={trace.initial_distance!r}\n")
@@ -117,9 +111,9 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
     out.write(",".join(trace.columns) + "\n")
     # one converter per column, applied column by column; str of a float
     # is its shortest round-trip repr, so cells read back bit-exactly
-    columns = [map(str, map(_cell_type(c, normalized), map(itemgetter(c), rows)))
-               for c in trace.columns]
-    for line in map(",".join, zip(*columns)):
+    cells = [map(str, map(_cell_type(name, normalized), col))
+             for name, col in zip(trace.columns, columns)]
+    for line in map(",".join, zip(*cells)):
         out.write(line + "\n")
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file, "w") as f:
@@ -128,18 +122,10 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
         path_or_file.write(out.getvalue())
 
 
-def _normalize_rows(trace: EpisodeTrace) -> list[dict]:
-    numeric = [c for c in trace.columns if c != "outcome"]
-    lo = {c: min(r[c] for r in trace.rows) for c in numeric}
-    hi = {c: max(r[c] for r in trace.rows) for c in numeric}
-    normed = []
-    for r in trace.rows:
-        row = dict(r)
-        for c in numeric:
-            span = hi[c] - lo[c]
-            row[c] = (r[c] - lo[c]) / span if span > 0 else 0.0
-        normed.append(row)
-    return normed
+def _min_max_scaled(column: tuple) -> list:
+    lo, hi = min(column), max(column)
+    span = hi - lo
+    return [(v - lo) / span if span > 0 else 0.0 for v in column]
 
 
 def read_trace_csv(path_or_file) -> EpisodeTrace:
@@ -177,5 +163,5 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        trace.rows.append({name: typ(cell) for name, typ, cell in zip(header, types, cells)})
+        trace.values.append(tuple(typ(cell) for typ, cell in zip(types, cells)))
     return trace

@@ -142,7 +142,7 @@ def train(
 
     def timesteps() -> int:
         # read off the env, so it stays right when the env raises mid-hold
-        return finished_steps + env.state.step_count
+        return finished_steps + env.step_count
 
     def make_ckpt() -> PolicyCheckpoint:
         return _snapshot_checkpoint(
@@ -168,10 +168,10 @@ def train(
                     stored = u
                 # one buffer entry per decision, its reward summed over the hold
                 reward_sum = env.hold(action, config.control_interval)
-                done = env.state.done
+                done = env.done
                 buffer.add(xn, stored, log_prob, value, reward_sum, done)
                 if done:
-                    length = env.state.step_count
+                    length = env.step_count
                     window.push(env.episode_reward, length,
                                 env.breakdown.outcome is Outcome.SUCCESS)
                     episode_index += 1

@@ -248,8 +248,14 @@ class TestGoldenOutputs:
 
     def test_scripted_replay_trace(self, tmp_path):
         p = tmp_path / "trace.csv"
-        assert main(["replay", "--scripted", "--seed", "0", "--trace", str(p)]) == 0
-        assert sha(p) == "c9316d6dc58765abb623dfd76597e3cdf6df87a2ebdb86268b9bd4b1a44af1fa"
+        for flags, digest in (
+            (["--seed", "0"], "c9316d6dc58765abb623dfd76597e3cdf6df87a2ebdb86268b9bd4b1a44af1fa"),
+            # min-max scaling column by column, integer columns as floats
+            (["--seed", "5", "--normalized"],
+             "8e57d915c1bf6ec303b9d32745707356b15949a926fdee28581230fe5af705e7"),
+        ):
+            assert main(["replay", "--scripted", *flags, "--trace", str(p)]) == 0
+            assert sha(p) == digest, flags
 
     @pytest.mark.parametrize("delay, digest", [
         ("0", "f94668ff8c61cdd3ea2b9b046c45c63eda3c44d5796d64e80e2f4f67910b3946"),
@@ -336,6 +342,15 @@ class TestEmulate:
             last = trace.rows[-1]
             overshoots.append(math.hypot(last["x"], last["y"]) - 5.0)
         assert overshoots[1] > overshoots[0]
+
+    def test_parsed_flags_do_not_carry_into_the_next_call(self, tmp_path):
+        # the parser is built once per process and reused by every main call
+        assert main(["emulate", "--scripted", "--seed", "0", "--delay", "0", "--no-standstill",
+                     "--trace", str(tmp_path / "first.csv")]) == 0
+        p = tmp_path / "second.csv"
+        assert main(["emulate", "--scripted", "--seed", "0", "--delay", "3",
+                     "--trace", str(p)]) == 0
+        assert sha(p) == "2cd1f751ad5b26ce61b362abe79ec246fec9efa799798bd9c97b4e407dae8f45"
 
     def test_negative_delay_rejected(self, tmp_path, capsys):
         code = main(["emulate", "--scripted", "--seed", "9",

@@ -94,9 +94,9 @@ class TestReset:
 class TestBuildObservation:
     def test_at_target_zero_offsets(self):
         env, _ = reset(CFG, 1, heading=0.0)
-        env.vehicle = env.vehicle.__class__(
+        env = dataclasses.replace(env, vehicle=VehicleState(
             x=0.0, y=5.0, heading=0.0, speed=1.0, lift=0.6, elapsed=1.0
-        )
+        ))
         obs = build_observation(env)
         assert (obs.rel_x, obs.rel_y) == (0.0, 0.0)
         assert obs.speed == 1.0
@@ -104,9 +104,9 @@ class TestBuildObservation:
 
     def test_past_target_absolute_values(self):
         env, _ = reset(CFG, 1, heading=0.0)
-        env.vehicle = env.vehicle.__class__(
+        env = dataclasses.replace(env, vehicle=VehicleState(
             x=0.2, y=5.3, heading=0.0, speed=2.0, lift=0.5, elapsed=1.0
-        )
+        ))
         obs = build_observation(env)
         assert obs.rel_x == pytest.approx(0.2)
         assert obs.rel_y == pytest.approx(0.3)
@@ -222,13 +222,11 @@ class TestStepEpisodes:
             before = copy.copy(env)
             vehicle = env.vehicle
             vehicle_fields = dataclasses.astuple(vehicle)
-            rng_state = env.rng.bit_generator.state
             new_env, _, _, _ = step(env, action, CFG, params, brake_model=BrakeModel.TAPERED)
             assert new_env is not env and new_env.vehicle is not vehicle
             assert env == before
             assert env.vehicle is vehicle
             assert dataclasses.astuple(vehicle) == vehicle_fields
-            assert env.rng.bit_generator.state == rng_state
             env = new_env
         assert env.step_count == 6 and env.vehicle.brake_pedal > 0.0
 
@@ -406,18 +404,36 @@ class TestTraceCsv:
         result, trace = self._trace()
         assert len(trace.rows) == result.length
 
-    def test_round_trip(self, tmp_path):
+    def test_rows_must_fill_every_column(self):
         _, trace = self._trace()
-        p = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(p))
-        back = read_trace_csv(str(p))
-        assert back.columns == trace.columns
-        assert back.config_digest == "deadbeef"
-        assert back.initial_distance == trace.initial_distance
-        assert back.initial_lift == trace.initial_lift
-        assert len(back.rows) == len(trace.rows)
-        for a, b in zip(trace.rows, back.rows):
-            assert a == b
+        with pytest.raises(ValueError, match="has 14 values for 15 columns"):
+            trace.add_step(trace.values[-1][:-1])
+        with pytest.raises(ValueError, match=r"missing columns: \['outcome'\]"):
+            row = trace.rows[0]
+            del row["outcome"]
+            EpisodeTrace(columns=trace.columns, rows=[row])
+        assert EpisodeTrace(columns=trace.columns, rows=trace.rows).values == trace.values
+
+    def test_round_trip(self, tmp_path):
+        from loader_rl.emulator import EmulationConfig, run_emulated_episode
+        from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
+
+        _, plain = self._trace()
+        # the emulator's six extra columns read back too
+        emulated = run_emulated_episode(LatchedBrakePolicy(OracleConfig()), EmulationConfig(), 8,
+                                        config_digest="deadbeef")
+        assert len(emulated.columns) == len(plain.columns) + 6
+        for trace in (plain, emulated):
+            p = tmp_path / "trace.csv"
+            write_trace_csv(trace, str(p))
+            back = read_trace_csv(str(p))
+            assert back.columns == trace.columns
+            assert back.config_digest == "deadbeef"
+            assert back.initial_distance == trace.initial_distance
+            assert back.initial_lift == trace.initial_lift
+            assert len(back.rows) == len(trace.rows)
+            for a, b in zip(trace.rows, back.rows):
+                assert a == b
 
     def test_normalized_columns_in_unit_range(self):
         _, trace = self._trace()
