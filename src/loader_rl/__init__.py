@@ -74,7 +74,7 @@ from .emulator import (
     run_emulated_episode,
     utm_relative_observation,
 )
-from .evaluate import EvalReport, evaluate_policy, greedy_policy_fn, run_episode
+from .evaluate import EvalReport, evaluate_policy, greedy_policy_fn, run_episode, run_episodes
 from .train import TrainResult
 from .config import ConfigError, RunConfig, load_run_config
 from .trace import EpisodeTrace, read_trace_csv, write_trace_csv

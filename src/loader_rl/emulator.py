@@ -144,10 +144,12 @@ class EmulatedEnv(ApproachEnv):
     controller runs at the emulated rate: every hold is
     ``emu.steps_per_decision`` plant steps, so callers pass that as
     their ``decision_interval`` (``run_emulated_episode`` does), and any
-    other hold length raises ValueError. ``run_episode``,
+    other hold length raises ValueError. ``run_episodes``,
     ``evaluate_policy`` and ``train`` take this env unchanged; ``step``
     advances the bare plant, without the PID, the brake model or the
-    sensor.
+    sensor. As evaluation lanes are shallow copies of one env, the
+    episode's sensor buffer, PID state and command are all set by
+    ``reset``, never shared between lanes.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",

@@ -368,6 +368,10 @@ class ApproachEnv:
     Holds config and vehicle parameters, both fixed once the env is built;
     each instance owns exactly one episode at a time. Instances are
     independent, so many can run concurrently with separate seeds.
+    Evaluation runs its episodes in lanes that are shallow copies of one
+    env (``copy.copy``), sharing everything but what ``reset`` assigns;
+    so an env, and any subclass, keeps per-episode state only in
+    attributes that ``reset`` sets.
 
     The running episode lives in plain attributes named like the fields of
     :class:`EnvState` and :class:`VehicleState`: ``x``, ``y``, ``heading``,

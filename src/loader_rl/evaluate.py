@@ -8,37 +8,51 @@ absolute offsets.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .env import ApproachEnv, Observation, Outcome
-from .policy import (
-    ExplorationMode,
-    PolicyParams,
-    greedy_action,
-    policy_forward,
-    threshold_greedy_action,
-)
+from .policy import PolicyParams, _as_obs_array, greedy_action, policy_forward
 from .seeding import substream_seed
-from .sim import Controls
+from .sim import CONTROLS, Controls
 from .trace import BASE_COLUMNS, EpisodeTrace
 
 DEGENERATE_HEADING_TOL = 0.05
+# episodes evaluate_policy runs in lockstep at most, so its memory does not
+# grow with the episode count
+_BLOCK = 64
 
 PolicyFn = Callable[[Observation], Controls]
 
 
 def greedy_policy_fn(params: PolicyParams) -> PolicyFn:
     """Deterministic action choice from trained parameters; each decision
-    runs the actor only."""
+    runs the actor only, and a head fires iff its output is positive (in
+    the continuous-threshold mode too, see ``threshold_greedy_action``).
+
+    ``decide.batch(observations)`` decides a list of observations at once,
+    with one stacked actor pass, and returns the controls that deciding
+    them one by one returns.
+    """
 
     def decide(obs: Observation) -> Controls:
         logits, _ = policy_forward(params, obs, value=False)
-        if params.exploration_mode is ExplorationMode.CONTINUOUS_THRESHOLD:
-            return threshold_greedy_action(logits)
         return greedy_action(logits)
 
+    def batch(observations: Sequence[Observation]) -> list[Controls]:
+        x = np.zeros((len(observations), params.obs_dim))
+        x[:, :4] = [(o.rel_x, o.rel_y, o.speed, o.lift) for o in observations]
+        if not np.isfinite(x).all():
+            for obs in observations:
+                _as_obs_array(obs, params.obs_dim)  # raises for the first non-finite one
+        fire = (params.actor(params.obs_normalizer.normalize(x)) > 0.0).tolist()
+        return [CONTROLS[brake][lift_up] for brake, lift_up in fire]
+
+    decide.batch = batch
     return decide
 
 
@@ -63,6 +77,66 @@ class EpisodeResult:
         return is_degenerate_heading(self.heading)
 
 
+def run_episodes(
+    envs: Sequence[ApproachEnv],
+    decide: PolicyFn,
+    seeds: Sequence[int],
+    *,
+    headings: Optional[Sequence[Optional[float]]] = None,
+    collect_trace: bool = False,
+    config_digest: str = "",
+    decision_interval: int = 1,
+) -> list[tuple[EpisodeResult, Optional[EpisodeTrace]]]:
+    """One full episode per env under a deterministic policy function, all
+    run in lockstep; returns (result, trace) per env, in order.
+
+    Env ``i`` is reset with ``seeds[i]`` (and ``headings[i]``). In each
+    decision round every running episode gets a decision, then holds it
+    for ``decision_interval`` plant steps, the training-time control rate.
+    A policy with a ``batch`` method decides all running episodes in one
+    call while more than one runs, so ``batch`` must return what deciding
+    them one by one returns; other policies are called once per episode.
+    A policy with a ``reset`` method gets a reset copy per episode. The
+    envs are distinct objects and the episodes independent, so each gives
+    what it gives when run alone. The trace carries the env's extra
+    columns, if it has any.
+    """
+    n = len(envs)
+    headings = [None] * n if headings is None else headings
+    if len(set(map(id, envs))) != n or len(seeds) != n or len(headings) != n:
+        raise ValueError(f"need {n} distinct envs and a seed and a heading for each")
+    has_reset = hasattr(decide, "reset")
+    batch = getattr(decide, "batch", None)
+    lanes, traces = [], []
+    for i, env in enumerate(envs):
+        lane_decide = decide
+        if has_reset:
+            lane_decide = copy.copy(decide)
+            lane_decide.reset()
+        env.reset(seeds[i], heading=headings[i])
+        trace = on_step = None
+        if collect_trace:
+            trace = EpisodeTrace(columns=BASE_COLUMNS + list(env.extra_columns),
+                                 initial_distance=env.prev_distance,
+                                 initial_lift=env.prev_lift, config_digest=config_digest)
+            on_step = trace.add_env_step
+        traces.append(trace)
+        lanes.append((env, lane_decide, on_step))
+    while lanes:
+        if batch is None or len(lanes) == 1:  # a batch of one costs more than a call
+            for env, lane_decide, on_step in lanes:
+                env.hold(lane_decide(env.obs), decision_interval, on_step)
+        else:
+            actions = batch([lane[0].obs for lane in lanes])
+            for (env, _, on_step), action in zip(lanes, actions):
+                env.hold(action, decision_interval, on_step)
+        lanes = [lane for lane in lanes if not lane[0].done]
+    # the final distance is the prev_distance the last step set
+    return [(EpisodeResult(env.episode_reward, env.step_count, env.breakdown.outcome,
+                           env.prev_distance, env.heading), trace)
+            for env, trace in zip(envs, traces)]
+
+
 def run_episode(
     env: ApproachEnv,
     decide: PolicyFn,
@@ -73,35 +147,9 @@ def run_episode(
     config_digest: str = "",
     decision_interval: int = 1,
 ) -> tuple[EpisodeResult, Optional[EpisodeTrace]]:
-    """One full episode under a deterministic policy function.
-
-    ``decision_interval`` replays the training-time control rate: the
-    policy is consulted every that-many plant steps and its action held
-    in between. A policy with a ``reset`` method is reset first. The
-    trace carries the env's extra columns, if it has any.
-    """
-    if hasattr(decide, "reset"):
-        decide.reset()
-    env.reset(seed, heading=heading)
-    trace = on_step = None
-    if collect_trace:
-        trace = EpisodeTrace(
-            columns=BASE_COLUMNS + list(env.extra_columns),
-            initial_distance=env.prev_distance,
-            initial_lift=env.prev_lift,
-            config_digest=config_digest,
-        )
-        on_step = trace.add_env_step
-    while not env.done:
-        env.hold(decide(env.obs), decision_interval, on_step)
-    result = EpisodeResult(
-        reward=env.episode_reward,
-        length=env.step_count,
-        outcome=env.breakdown.outcome,
-        final_distance=env.prev_distance,  # set by the last step
-        heading=env.heading,
-    )
-    return result, trace
+    """One full episode: :func:`run_episodes` over the one env."""
+    return run_episodes([env], decide, [seed], headings=[heading], collect_trace=collect_trace,
+                        config_digest=config_digest, decision_interval=decision_interval)[0]
 
 
 @dataclass
@@ -162,14 +210,22 @@ def evaluate_policy(
     notes: Optional[dict] = None,
     decision_interval: int = 1,
 ) -> EvalReport:
-    """Run seeded greedy episodes and aggregate both heading buckets."""
+    """Run seeded greedy episodes and aggregate both heading buckets.
+
+    Episode ``i`` starts from seed ``substream_seed(seed, "eval", i)``. The
+    episodes run in lockstep (:func:`run_episodes`), in blocks of at most
+    ``_BLOCK``, each in a shallow copy of ``env``; ``env`` itself is not
+    stepped.
+    """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    lanes = [copy.copy(env) for _ in range(min(n_episodes, _BLOCK))]
     results = []
-    for i in range(n_episodes):
-        ep_seed = substream_seed(seed, "eval", i)
-        result, _ = run_episode(env, decide, ep_seed, decision_interval=decision_interval)
-        results.append(result)
+    for start in range(0, n_episodes, _BLOCK):
+        block = range(start, min(start + _BLOCK, n_episodes))
+        seeds = [substream_seed(seed, "eval", i) for i in block]
+        results += [result for result, _ in run_episodes(
+            lanes[:len(block)], decide, seeds, decision_interval=decision_interval)]
     main = [r for r in results if not r.degenerate]
     degenerate = [r for r in results if r.degenerate]
     return EvalReport(

@@ -72,8 +72,9 @@ class MLP:
         return (h[0] if squeeze else h), cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # one input (in,) runs a plain 1-D pass: no cache, the same output bits
-        return self._layers(x, None) if x.ndim == 1 else self.forward(x)[0]
+        """The output alone, from a pass that keeps no cache. A batch (batch, in)
+        gives the bits of ``forward``; one input (in,) runs a plain 1-D pass."""
+        return self._layers(x, None)
 
     def _layers(self, h: np.ndarray, cache: list[np.ndarray] | None) -> np.ndarray:
         """tanh(h @ W + b) per hidden layer, then a linear one; cached unless cache is None."""

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .env import EnvConfig, Controls, Observation
-from .sim import VehicleParams
+from .sim import CONTROLS, VehicleParams
 from .trace import EpisodeTrace
 
 
@@ -41,7 +41,7 @@ def scripted_policy(obs: Observation, oracle: OracleConfig) -> Controls:
     stopping = obs.speed * obs.speed / (2.0 * oracle.vehicle.ideal_decel)
     brake = 1 if distance <= stopping + oracle.brake_margin else 0
     lift_up = 1 if obs.lift <= oracle.env.lift_goal_frac else 0
-    return Controls(brake=brake, lift_up=lift_up)
+    return CONTROLS[brake][lift_up]
 
 
 class LatchedBrakePolicy:
@@ -63,7 +63,7 @@ class LatchedBrakePolicy:
         if action.brake:
             self.braking = True
         if self.braking:
-            action = Controls(brake=1, lift_up=action.lift_up)
+            action = CONTROLS[1][action.lift_up]
         return action
 
     def reset(self) -> None:

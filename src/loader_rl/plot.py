@@ -18,7 +18,9 @@ class MetricsFormatError(Exception):
 
 def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
     """Returns (rows, config_digest). Raises MetricsFormatError with the
-    offending row number for malformed content."""
+    offending row number for malformed content, which includes a last data
+    row without a line end: ``train`` writes whole lines, so such a row was
+    cut off."""
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file) as f:
             text = f.read()
@@ -53,6 +55,8 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
             rows.append({k: float(v) for k, v in zip(header, cells)})
         except ValueError as e:
             raise MetricsFormatError(f"row {lineno}: {e}") from e
+        if lineno == len(lines) and not text.endswith(("\n", "\r")):
+            raise MetricsFormatError(f"row {lineno}: no line end, the row was cut off")
     if header is None:
         raise MetricsFormatError("row 0: metrics file is empty")
     return rows, digest

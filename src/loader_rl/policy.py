@@ -24,7 +24,7 @@ import numpy as np
 
 from .env import Observation
 from .nets import MLP
-from .sim import Controls
+from .sim import CONTROLS, Controls
 
 HIDDEN = 64
 N_ACTIONS = 2
@@ -200,12 +200,12 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[Control
     u = rng.random(N_ACTIONS)
     a = (u < p).astype(np.float64)
     log_prob = float(bernoulli_log_prob(logits, a))
-    return Controls(brake=int(a[0]), lift_up=int(a[1])), log_prob
+    return CONTROLS[int(a[0])][int(a[1])], log_prob
 
 
 def greedy_action(logits: np.ndarray) -> Controls:
     """Most likely action: a head fires iff its logit is positive."""
-    return Controls(brake=int(logits[0] > 0.0), lift_up=int(logits[1] > 0.0))
+    return CONTROLS[int(logits[0] > 0.0)][int(logits[1] > 0.0)]
 
 
 class ThresholdSampler:
@@ -238,8 +238,8 @@ class ThresholdSampler:
         std = np.exp(log_std)
         u = mean + std * self._noise
         log_prob = float(gaussian_tanh_log_prob(u, mean, log_std))
-        squashed = np.tanh(u)
-        return Controls(brake=int(squashed[0] > 0.0), lift_up=int(squashed[1] > 0.0)), log_prob, u
+        # a head fires iff tanh(u) > 0, which is u > 0 (see threshold_greedy_action)
+        return CONTROLS[int(u[0] > 0.0)][int(u[1] > 0.0)], log_prob, u
 
 
 def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
@@ -254,4 +254,7 @@ def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray)
 
 
 def threshold_greedy_action(mean: np.ndarray) -> Controls:
-    return Controls(brake=int(math.tanh(mean[0]) > 0.0), lift_up=int(math.tanh(mean[1]) > 0.0))
+    """A head fires iff its squashed mean ``tanh(mean)`` is positive. tanh is
+    odd and monotone and rounds no nonzero value to zero, so that is the sign
+    of the mean itself: the action of :func:`greedy_action`."""
+    return greedy_action(mean)

@@ -82,6 +82,11 @@ class Controls:
             raise ValueError(f"lift_up must be 0 or 1, got {self.lift_up!r}")
 
 
+# The four controls, ``CONTROLS[brake][lift_up]``. Policies return these
+# shared records rather than building and checking one per decision.
+CONTROLS = ((Controls(0, 0), Controls(0, 1)), (Controls(1, 0), Controls(1, 1)))
+
+
 @dataclass(frozen=True)
 class VehicleState:
     """Pose, speed and actuator state at one instant.

@@ -390,6 +390,17 @@ class TestPlot:
         assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    def test_row_cut_off_inside_its_last_number(self, train_run, tmp_path, capsys):
+        _, out = train_run
+        text = (out / "metrics.csv").read_text()
+        cut = text[:-2]  # the line end and the last digit of the last row
+        last = cut.splitlines()[-1].split(",")
+        assert len(cut.splitlines()) == 4 and len(last) == 10 and float(last[-1])
+        p = tmp_path / "cut.csv"
+        p.write_text(cut)
+        assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        assert "row 4: no line end" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["plot", "--metrics", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "x.svg")]) == 2

@@ -1,0 +1,242 @@
+"""Lockstep episodes against a sequential reference, bit for bit.
+
+``run_episodes`` runs many episodes in lockstep, and ``evaluate_policy``
+runs its episodes as lanes of it. The reference here is the plain loop:
+a fresh env per episode, ``reset``, then ``hold(decide(obs), k)`` until
+done. Every result field, every trace value and every report statistic
+must equal the reference's bits. The greedy policies' batched decision
+(``decide.batch``) is pinned against deciding one observation at a time.
+"""
+
+import dataclasses
+import math
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loader_rl import evaluate
+from loader_rl.checkpoint import read_checkpoint
+from loader_rl.emulator import EmulatedEnv, EmulationConfig
+from loader_rl.env import ApproachEnv, EnvConfig, LiftTermMode, Observation
+from loader_rl.evaluate import (
+    BucketStats,
+    EpisodeResult,
+    evaluate_policy,
+    greedy_policy_fn,
+    run_episodes,
+)
+from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
+from loader_rl.policy import ExplorationMode, init_policy
+from loader_rl.seeding import substream_seed
+from loader_rl.sim import CONTROLS, BrakeModel
+from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
+from tests.test_cli import golden_checkpoint
+
+ORACLE = OracleConfig()
+
+
+def bits(value):
+    """A float by its bit pattern (tells -0.0 from 0.0, compares NaN), else the value."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def record_bits(record) -> tuple:
+    return tuple(bits(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+
+def trace_bits(trace: EpisodeTrace) -> tuple:
+    return (tuple(trace.columns), bits(trace.initial_distance), bits(trace.initial_lift),
+            trace.config_digest, tuple(tuple(map(bits, row)) for row in trace.values))
+
+
+def report_bits(report) -> tuple:
+    return (report.n_episodes, record_bits(report.overall), record_bits(report.main),
+            record_bits(report.degenerate))
+
+
+def greedy_params(mode: ExplorationMode, dim: int):
+    """The parameters of ``golden_checkpoint`` (for dim 4 and the threshold
+    mode), in the given mode and input size."""
+    params = init_policy(dim, np.random.default_rng(3), mode)
+    for rel_x in (0.0, 1.5, 3.0, 4.5):
+        for speed in (0.0, 1.0, 2.0):
+            row = [rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed, 0.0][:dim]
+            params.obs_normalizer.update(np.array(row))
+    return params
+
+
+class PulsedBrakePolicy:
+    """Brakes on every 7th decision since its reset, lifting throughout. Its
+    lanes fall out of step only if they share its count: the latched
+    policy cannot show that, as every episode reaches its trigger
+    distance at the same plant step."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.calls = 0
+
+    def __call__(self, obs):
+        self.calls += 1
+        return CONTROLS[int(self.calls % 7 == 0)][1]
+
+
+def make_policy(kind: str, dim: int):
+    if kind == "scripted":
+        return lambda obs: scripted_policy(obs, ORACLE)
+    if kind == "latched":
+        return LatchedBrakePolicy(ORACLE)
+    if kind == "pulsed":
+        return PulsedBrakePolicy()
+    mode = {"threshold": ExplorationMode.CONTINUOUS_THRESHOLD,
+            "bernoulli": ExplorationMode.BERNOULLI}[kind]
+    return greedy_policy_fn(greedy_params(mode, dim))
+
+
+def env_factory(kind: str, interval: int):
+    if kind == "emulated":
+        # degenerate but for the control rate, which the interval sets
+        emu = EmulationConfig(position_delay=0.0, rate_scale=1.0 / interval,
+                              brake_model=BrakeModel.IDEAL, start_from_standstill=False)
+        return lambda: EmulatedEnv(emu)
+    config = {"plain": EnvConfig(), "pad5": EnvConfig(pad_obs_to_5d=True),
+              "literal": EnvConfig(lift_term_mode=LiftTermMode.LITERAL)}[kind]
+    return lambda: ApproachEnv(config)
+
+
+def reference(make_env, decide, seeds, headings, interval, collect_trace):
+    """The sequential loop: one fresh env per episode, decided one
+    observation at a time."""
+    out = []
+    for seed, heading in zip(seeds, headings):
+        env = make_env()
+        if hasattr(decide, "reset"):
+            decide.reset()
+        env.reset(seed, heading=heading)
+        trace = on_step = None
+        if collect_trace:
+            trace = EpisodeTrace(columns=BASE_COLUMNS + list(env.extra_columns),
+                                 initial_distance=env.prev_distance,
+                                 initial_lift=env.prev_lift, config_digest="d")
+            on_step = trace.add_env_step
+        while not env.done:
+            env.hold(decide(env.obs), interval, on_step)
+        out.append((EpisodeResult(env.episode_reward, env.step_count, env.breakdown.outcome,
+                                  env.prev_distance, env.heading), trace))
+    return out
+
+
+def assert_same_episodes(got, want) -> None:
+    assert len(got) == len(want)
+    for (result, trace), (ref_result, ref_trace) in zip(got, want):
+        assert record_bits(result) == record_bits(ref_result)
+        assert (trace is None) == (ref_trace is None)
+        if trace is not None:
+            assert trace_bits(trace) == trace_bits(ref_trace)
+
+
+def assert_evaluation_matches(make_env, decide, n, seed, interval) -> None:
+    report = evaluate_policy(make_env(), decide, n, seed, decision_interval=interval)
+    seeds = [substream_seed(seed, "eval", i) for i in range(n)]
+    results = [r for r, _ in reference(make_env, decide, seeds, [None] * n, interval, False)]
+    main = [r for r in results if not r.degenerate]
+    degenerate = [r for r in results if r.degenerate]
+    assert report_bits(report) == (
+        n, record_bits(BucketStats.from_results(results)),
+        record_bits(BucketStats.from_results(main)),
+        record_bits(BucketStats.from_results(degenerate)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    policy=st.sampled_from(["threshold", "bernoulli", "scripted", "latched", "pulsed"]),
+    env_kind=st.sampled_from(["plain", "pad5", "literal", "emulated"]),
+    interval=st.sampled_from([1, 10]),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    block=st.sampled_from([None, 3]),
+    data=st.data(),
+)
+def test_lockstep_matches_sequential_reference(policy, env_kind, interval, n, seed, block, data):
+    dim = 5 if env_kind == "pad5" else 4
+    make_env = env_factory(env_kind, interval)
+    headings = data.draw(st.lists(
+        st.one_of(st.none(), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+        min_size=n, max_size=n))
+    seeds = [seed + i for i in range(n)]
+    want = reference(make_env, make_policy(policy, dim), seeds, headings, interval, True)
+    got = run_episodes([make_env() for _ in range(n)], make_policy(policy, dim), seeds,
+                       headings=headings, collect_trace=True, config_digest="d",
+                       decision_interval=interval)
+    assert_same_episodes(got, want)
+    with mock.patch.object(evaluate, "_BLOCK", block or evaluate._BLOCK):
+        assert_evaluation_matches(make_env, make_policy(policy, dim), n, seed, interval)
+
+
+@pytest.mark.parametrize("policy", ["threshold", "scripted"])
+def test_evaluation_across_a_block_boundary(policy):
+    interval = 10 if policy == "threshold" else 1
+    assert_evaluation_matches(env_factory("plain", interval), make_policy(policy, 4),
+                              evaluate._BLOCK + 1, 7, interval)
+
+
+def test_evaluation_leaves_the_given_env_alone():
+    env = ApproachEnv()
+    evaluate_policy(env, make_policy("scripted", 4), 3, 0)
+    assert env.done is None
+
+
+def test_lanes_must_be_distinct_and_seeded():
+    env = ApproachEnv()
+    decide = make_policy("scripted", 4)
+    with pytest.raises(ValueError, match="distinct envs"):
+        run_episodes([env, env], decide, [0, 1])
+    with pytest.raises(ValueError, match="distinct envs"):
+        run_episodes([ApproachEnv(), ApproachEnv()], decide, [0])
+    with pytest.raises(ValueError, match="distinct envs"):
+        run_episodes([ApproachEnv()], decide, [0], headings=[None, 1.0])
+
+
+class TestBatchedDecision:
+    """``decide.batch`` against deciding one observation at a time."""
+
+    @pytest.fixture(params=["golden", "bernoulli"])
+    def decide(self, request, tmp_path):
+        if request.param == "golden":
+            params = read_checkpoint(str(golden_checkpoint(tmp_path / "golden.ckpt"))).params
+        else:
+            params = greedy_params(ExplorationMode.BERNOULLI, 4)
+        return greedy_policy_fn(params)
+
+    @staticmethod
+    def observations(n, seed=0):
+        rng = np.random.default_rng(seed)
+        low, high = [0.0, 0.0, 0.0, 0.0], [10.0, 10.0, 2.0, 1.0]
+        return [Observation(*map(float, row)) for row in rng.uniform(low, high, size=(n, 4))]
+
+    def test_same_controls_as_one_at_a_time(self, decide):
+        obs = self.observations(10_000)
+        single = [decide(o) for o in obs]
+        assert len(set(single)) > 1  # the decisions really vary
+        assert decide.batch(obs) == single
+        for n in (1, 2, 257):
+            assert decide.batch(obs[:n]) == single[:n]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_row_raises_like_one_at_a_time(self, decide, index, bad):
+        obs = self.observations(3)
+        values = [1.0, 2.0, 1.5, 0.5]
+        values[index] = bad
+        obs[1] = Observation(*values)
+        with pytest.raises(ValueError, match="non-finite values") as single:
+            decide(obs[1])
+        with pytest.raises(ValueError, match="non-finite values") as batched:
+            decide.batch(obs)
+        assert str(batched.value) == str(single.value)

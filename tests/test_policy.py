@@ -1,5 +1,6 @@
 """Policy heads, sampling, normalizer and exploration-mode tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,44 @@ class TestThresholdSampler:
         assert (a.brake, a.lift_up) == (1, 0)
 
 
+class TestSignWithoutTanh:
+    """The threshold actions test the sign of the mean or sample itself; the
+    actions of the tanh-sign rule they replaced are pinned here, on random
+    values and on the floats where tanh could differ."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+             math.inf, -math.inf, math.nan]
+
+    def values(self):
+        rng = np.random.default_rng(12)
+        random = [rng.normal(size=2) * scale for scale in (1e-300, 1e-8, 1.0, 1e3)
+                  for _ in range(250)]
+        return random + [np.array(pair) for pair in itertools.product(self.EDGES, repeat=2)]
+
+    def test_greedy_action_equals_tanh_sign(self):
+        for mean in self.values():
+            a = threshold_greedy_action(mean)
+            assert (a.brake, a.lift_up) == (int(math.tanh(mean[0]) > 0.0),
+                                            int(math.tanh(mean[1]) > 0.0)), mean
+
+    def test_sampled_action_equals_tanh_sign(self):
+        class NegativeZeroNoise:  # u = mean + std * -0.0 is the mean, bit for bit
+            def standard_normal(self, n):
+                return np.full(n, -0.0)
+
+        sampler = ThresholdSampler(resample_every=1)
+        rng = np.random.default_rng(13)
+        with np.errstate(all="ignore"):  # the log-prob of infinite and NaN samples
+            for mean in self.values():
+                for noise in (NegativeZeroNoise(), rng):
+                    action, _, u = sampler.sample(mean, np.zeros(2), noise)
+                    if isinstance(noise, NegativeZeroNoise):
+                        assert u.tobytes() == mean.tobytes()
+                    squashed = np.tanh(u)
+                    assert (action.brake, action.lift_up) == (int(squashed[0] > 0.0),
+                                                              int(squashed[1] > 0.0)), u
+
+
 class TestArchitecture:
     def test_network_shapes(self):
         params = init_policy(4, np.random.default_rng(0))
@@ -223,6 +262,8 @@ class TestArchitecture:
             assert out.shape == (sizes[-1],)
             assert np.array_equal(out, net.forward(x[None, :])[0][0])
             assert np.array_equal(out, net.forward(x)[0])
+        # a batch runs its own cache-free pass too, with the bits of forward
+        assert net(xs).tobytes() == net.forward(xs)[0].tobytes()
 
     def test_hidden_layers_orthogonal(self):
         m = MLP([8, 8, 2], np.random.default_rng(0))
