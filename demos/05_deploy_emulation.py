@@ -15,7 +15,7 @@ oracle = OracleConfig()
 
 print("delay | brake onset | overshoot | outcome")
 for delay in (0.0, 1.0, 2.0, 3.0):
-    emu = EmulationConfig(position_delay=delay)  # tapered brake, 10% rate, PID throttle
+    emu = EmulationConfig(position_delay=delay)  # tapered brake, 10 steps/decision, PID throttle
     trace = run_emulated_episode(LatchedBrakePolicy(oracle), emu, seed=11)
     onset = braking_onset_time(trace)
     print(
@@ -27,7 +27,8 @@ print("\nvs. the plain simulator episode (no delay, ideal brake, full rate):")
 from loader_rl import BrakeModel, scripted_policy
 
 emu = EmulationConfig(
-    position_delay=0.0, rate_scale=1.0, brake_model=BrakeModel.IDEAL, start_from_standstill=False
+    position_delay=0.0, control_interval=1, brake_model=BrakeModel.IDEAL,
+    start_from_standstill=False,
 )
 trace = run_emulated_episode(lambda o: scripted_policy(o, oracle), emu, seed=11)
 print(f"outcome {trace.outcome.value}, overshoot {final_overshoot(trace, env_config):.2f} m")

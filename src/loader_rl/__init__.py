@@ -8,7 +8,6 @@ tapered braking).
 """
 
 from .env import (
-    Action,
     ApproachEnv,
     EnvConfig,
     EnvState,

@@ -4,12 +4,14 @@ Layout: 8-byte magic, little-endian u32 format version, u32 header
 length, a JSON header (configs, digests, rng state, array manifest),
 then the raw little-endian float64 array payload in manifest order.
 Weights round-trip bit-exactly because they never leave binary form.
+Only the current format version loads: version 1 checkpoints stored a
+vehicle setting that no longer exists, so their env digest cannot be
+reproduced.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import struct
 from dataclasses import dataclass, field
@@ -23,10 +25,8 @@ from .policy import ExplorationMode, ObsNormalizer, PolicyParams
 from .ppo import TrainConfig
 from .sim import VehicleParams
 
-logger = logging.getLogger(__name__)
-
 MAGIC = b"LOADERRL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointFormatError(Exception):
@@ -41,7 +41,6 @@ class PolicyCheckpoint:
     vehicle_params: VehicleParams
     timesteps: int = 0
     rng_state: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
 
 def _collect_arrays(params: PolicyParams) -> dict[str, np.ndarray]:
@@ -61,7 +60,6 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     arrays = _collect_arrays(ckpt.params)
     manifest = [[name, list(a.shape)] for name, a in arrays.items()]
     header = {
-        "format_version": ckpt.format_version,
         "env_digest": env_digest(ckpt.env_config, ckpt.vehicle_params),
         "timesteps": ckpt.timesteps,
         "rng_state": ckpt.rng_state,
@@ -76,7 +74,7 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     header_bytes = json.dumps(header, sort_keys=True).encode()
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", ckpt.format_version)
+    blob += struct.pack("<I", FORMAT_VERSION)
     blob += struct.pack("<I", len(header_bytes))
     blob += header_bytes
     for name, _ in manifest:
@@ -97,11 +95,9 @@ def write_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
             os.remove(tmp)
 
 
-def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> PolicyCheckpoint:
+def load_checkpoint(data: bytes) -> PolicyCheckpoint:
     """Parse checkpoint bytes; any structural problem raises
-    CheckpointFormatError. A mismatched expected env digest logs a
-    warning but still loads (callers that need strictness compare
-    digests themselves)."""
+    CheckpointFormatError."""
     if len(data) < len(MAGIC) + 8:
         raise CheckpointFormatError("truncated checkpoint: missing header")
     if data[: len(MAGIC)] != MAGIC:
@@ -122,7 +118,7 @@ def load_checkpoint(data: bytes, expected_env_digest: str | None = None) -> Poli
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"corrupt header: {e}") from e
     try:
-        return _from_header(header, data, offset + header_len, version, expected_env_digest)
+        return _from_header(header, data, offset + header_len)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(f"header does not follow the checkpoint schema: {e!r}") from e
 
@@ -133,9 +129,7 @@ def _stored_net(arrays: dict[str, np.ndarray], name: str, sizes: list[int]) -> M
     return MLP.from_params(sizes, [arrays[f"{name}.{i}"] for i in range(2 * len(sizes) - 2)])
 
 
-def _from_header(
-    header: dict, data: bytes, offset: int, version: int, expected_env_digest: str | None
-) -> PolicyCheckpoint:
+def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
     """The checkpoint a parsed header describes; a header of the wrong
     shape raises KeyError, TypeError or ValueError."""
     arrays: dict[str, np.ndarray] = {}
@@ -174,19 +168,12 @@ def _from_header(
         vehicle_params=vehicle_params,
         timesteps=int(header["timesteps"]),
         rng_state=header.get("rng_state", {}),
-        format_version=version,
     )
-    digest = env_digest(env_config, vehicle_params)
-    if header.get("env_digest") != digest:
+    if header.get("env_digest") != env_digest(env_config, vehicle_params):
         raise CheckpointFormatError("stored env digest does not match stored configs")
-    if expected_env_digest is not None and expected_env_digest != digest:
-        logger.warning(
-            "checkpoint was trained against a different environment config "
-            "(digest %s, expected %s)", digest, expected_env_digest,
-        )
     return ckpt
 
 
-def read_checkpoint(path, expected_env_digest: str | None = None) -> PolicyCheckpoint:
+def read_checkpoint(path) -> PolicyCheckpoint:
     with open(path, "rb") as f:
-        return load_checkpoint(f.read(), expected_env_digest)
+        return load_checkpoint(f.read())

@@ -2,8 +2,9 @@
 
 Every command is a deterministic function of (config file, flags,
 seed); artifacts embed the merged config digest. Exit codes: 0 success,
-1 validation error, 2 I/O error, 3 numerical failure. LOADER_RL_LOG
-selects the log level (error, info, debug).
+1 validation error (a malformed command line included), 2 I/O error,
+3 numerical failure. LOADER_RL_LOG selects the log level (error, info,
+debug).
 """
 
 from __future__ import annotations
@@ -45,11 +46,19 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation error, instead of
+    exiting 2 (the I/O code) as argparse does; ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
     unchanged, so every call starts from the same defaults."""
-    parser = argparse.ArgumentParser(prog="loader-rl", description=__doc__)
+    parser = _Parser(prog="loader-rl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a policy and write metrics + checkpoints")
@@ -77,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emu.add_argument("--seed", type=int, default=0)
     p_emu.add_argument("--trace", required=True)
     p_emu.add_argument("--delay", type=float, default=None, help="position sensing delay, s")
-    p_emu.add_argument("--rate-scale", type=float, default=None,
-                       help="control rate as a fraction of the plant rate")
+    p_emu.add_argument("--control-interval", type=int, default=None,
+                       help="plant steps per policy decision")
     p_emu.add_argument("--brake-model", choices=["ideal", "tapered"], default=None)
     p_emu.add_argument("--standstill", dest="standstill", action="store_true", default=None,
                        help="start from zero speed (deployment-like)")
@@ -100,15 +109,18 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None]:
-    """Environment settings come from --config when given, otherwise from
-    the checkpoint; an explicit config must match the checkpoint's."""
+    """Settings come from --config when given, otherwise from the defaults.
+    A checkpoint's env, vehicle and train settings replace them, so it is
+    judged where it was trained and decides at its training-time control
+    rate; an explicit config must match the checkpoint's environment."""
     ckpt = None
     if args.checkpoint is not None:
         ckpt = read_checkpoint(args.checkpoint)
     overrides = {"seed": str(args.seed)} if args.seed is not None else {}
-    if args.config is not None:
-        run = load_run_config(args.config, overrides, require_seed=args.seed is None)
-        if ckpt is not None:
+    run = load_run_config(args.config, overrides,
+                          require_seed=args.config is not None and args.seed is None)
+    if ckpt is not None:
+        if args.config is not None:
             ckpt_digest = env_digest(ckpt.env_config, ckpt.vehicle_params)
             run_digest = env_digest(run.env, run.vehicle)
             if ckpt_digest != run_digest:
@@ -116,13 +128,8 @@ def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None
                     f"checkpoint env digest {ckpt_digest} does not match the "
                     f"config's {run_digest}; refusing to evaluate across environments"
                 )
-    else:
-        run = load_run_config(None, overrides, require_seed=False)
-        if ckpt is not None:
-            run = RunConfig(
-                env=ckpt.env_config, vehicle=ckpt.vehicle_params,
-                train=ckpt.train_config, emulation=run.emulation, seed=run.seed,
-            )
+        run = dataclasses.replace(run, env=ckpt.env_config, vehicle=ckpt.vehicle_params,
+                                  train=ckpt.train_config)
     return run, ckpt
 
 
@@ -135,21 +142,26 @@ def _decide_fn(run: RunConfig, ckpt: PolicyCheckpoint | None, scripted: bool, la
     return greedy_policy_fn(ckpt.params)
 
 
+def _greedy_setup(args):
+    """(run config, env, policy, decision interval) of eval and replay: a
+    trained policy decides at its training-time control rate, the
+    scripted policy every plant step."""
+    run, ckpt = _resolve_policy_and_config(args)
+    interval = run.train.control_interval if ckpt is not None else 1
+    return run, ApproachEnv(run.env, run.vehicle), _decide_fn(run, ckpt, args.scripted), interval
+
+
 def cmd_train(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
     if args.total_timesteps is not None:
         overrides["train.total_timesteps"] = str(args.total_timesteps)
-    run = load_run_config(args.config, overrides)
-    train_config = run.train
-    if run.seed != train_config.seed:
-        train_config = dataclasses.replace(train_config, seed=run.seed)
-    out_dir = Path(args.out)
+    run = load_run_config(args.config, overrides, seed_trains=True)
     result = train(
         lambda: ApproachEnv(run.env, run.vehicle),
-        train_config,
-        out_dir=out_dir,
+        run.train,
+        out_dir=Path(args.out),
         config_digest=run.digest,
     )
     if result.aborted_updates == len(result.metrics):  # last.ckpt is written by now
@@ -161,11 +173,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run, ckpt = _resolve_policy_and_config(args)
-    decide = _decide_fn(run, ckpt, args.scripted)
-    env = ApproachEnv(run.env, run.vehicle)
-    # replay a trained policy at its training-time control rate
-    interval = run.train.control_interval if ckpt is not None else 1
+    run, env, decide, interval = _greedy_setup(args)
     report = evaluate_policy(
         env, decide, args.episodes, args.seed,
         config_digest=run.digest,
@@ -186,10 +194,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    run, ckpt = _resolve_policy_and_config(args)
-    decide = _decide_fn(run, ckpt, args.scripted)
-    env = ApproachEnv(run.env, run.vehicle)
-    interval = run.train.control_interval if ckpt is not None else 1
+    run, env, decide, interval = _greedy_setup(args)
     _, trace = run_episode(
         env, decide, args.seed, heading=args.heading,
         collect_trace=True, config_digest=run.digest,
@@ -205,8 +210,8 @@ def cmd_emulate(args) -> int:
     emu = run.emulation
     if args.delay is not None:
         emu = dataclasses.replace(emu, position_delay=args.delay)
-    if args.rate_scale is not None:
-        emu = dataclasses.replace(emu, rate_scale=args.rate_scale)
+    if args.control_interval is not None:
+        emu = dataclasses.replace(emu, control_interval=args.control_interval)
     if args.brake_model is not None:
         emu = dataclasses.replace(emu, brake_model=BrakeModel(args.brake_model))
     if args.standstill is not None:

@@ -9,7 +9,7 @@ artifact a command writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import flatcfg
 from .emulator import EmulationConfig
@@ -88,11 +88,15 @@ def build_run_config(
     overrides: dict[str, str] | None = None,
     source: str = "<config>",
     require_seed: bool = True,
+    seed_trains: bool = False,
 ) -> RunConfig:
     """Assemble a RunConfig from parsed entries plus CLI overrides.
 
     Overrides use the same dotted keys and win over the file. A missing
-    seed is an error unless ``require_seed`` is false.
+    seed is an error unless ``require_seed`` is false. With
+    ``seed_trains`` the run seed is also the training seed: ``train.seed``
+    takes its value, and an explicit ``train.seed`` that differs is an
+    error.
     """
     known = _known_keys()
     flat: dict[str, str] = {k: v for k, (v, _) in entries.items()}
@@ -130,10 +134,16 @@ def build_run_config(
             sections[section] = flatcfg.unflatten(cls, sub)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{source}: invalid {section} configuration: {e}") from e
+    train = sections["train"]
+    if seed_trains:
+        if "train.seed" in flat and train.seed != seed:
+            raise fail("train.seed", ValueError(f"train.seed={train.seed} disagrees with "
+                                                f"seed={seed}; the run seed is the training seed"))
+        train = replace(train, seed=seed)
     return RunConfig(
         env=sections["env"],
         vehicle=sections["vehicle"],
-        train=sections["train"],
+        train=train,
         emulation=sections["emulation"],
         seed=seed,
     )
@@ -143,10 +153,12 @@ def load_run_config(
     path: str | None,
     overrides: dict[str, str] | None = None,
     require_seed: bool = True,
+    seed_trains: bool = False,
 ) -> RunConfig:
     if path is None:
-        return build_run_config({}, overrides, require_seed=require_seed)
+        return build_run_config({}, overrides, require_seed=require_seed, seed_trains=seed_trains)
     with open(path) as f:
         text = f.read()
     entries = parse_config_text(text, source=str(path))
-    return build_run_config(entries, overrides, source=str(path), require_seed=require_seed)
+    return build_run_config(entries, overrides, source=str(path), require_seed=require_seed,
+                            seed_trains=seed_trains)

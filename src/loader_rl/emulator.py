@@ -2,13 +2,14 @@
 
 Reproduces the deployment quirks around an otherwise unchanged episode:
 the position sensor reports with a configurable delay, the controller
-runs at a fraction of the plant rate with actions zero-order-held in
-between, a PID regulates the throttle toward cruise speed instead of
-the simulator's instant-speed assumption, and braking uses the smooth
-tapered pedal. With the delay at zero, the rate scale at one, the ideal
-brake and no PID error, the emulated episode reduces exactly to a plain
-environment episode. :class:`EmulatedEnv` carries the quirks, so the
-episode drivers of plain environments run emulated episodes unchanged.
+decides once every ``control_interval`` plant steps with actions
+zero-order-held in between, a PID regulates the throttle toward cruise
+speed instead of the simulator's instant-speed assumption, and braking
+uses the smooth tapered pedal. With the delay at zero, a decision every
+plant step, the ideal brake and no PID error, the emulated episode
+reduces exactly to a plain environment episode. :class:`EmulatedEnv`
+carries the quirks, so the episode drivers of plain environments run
+emulated episodes unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class PidState:
 @dataclass(frozen=True)
 class EmulationConfig:
     position_delay: float = 3.0
-    rate_scale: float = 0.1  # control rate as a fraction of the plant rate
+    # plant steps per policy decision, as train.control_interval
+    control_interval: int = 10
     pid: PidGains = field(default_factory=PidGains)
     brake_model: BrakeModel = BrakeModel.TAPERED
     utm_origin: tuple[float, float] = (0.0, 0.0)
@@ -53,15 +55,8 @@ class EmulationConfig:
     start_from_standstill: bool = True
 
     def __post_init__(self) -> None:
-        flatcfg.check_fields(self, positive=("accel_limit",), nonnegative=("position_delay",))
-        if not (0.0 < self.rate_scale <= 1.0):
-            raise ValueError(f"rate_scale must be in (0, 1], got {self.rate_scale}")
-        if not math.isclose(1.0 / self.rate_scale, self.steps_per_decision, rel_tol=1e-9):
-            raise ValueError(f"1 / rate_scale must be a whole number, got {self.rate_scale}")
-
-    @property
-    def steps_per_decision(self) -> int:
-        return max(1, round(1.0 / self.rate_scale))
+        flatcfg.check_fields(self, positive=("accel_limit", "control_interval"),
+                             nonnegative=("position_delay",))
 
 
 class DelayBuffer:
@@ -142,7 +137,7 @@ class EmulatedEnv(ApproachEnv):
     rows record. Each hold runs the PID once at its start and steps the
     plant with the configured brake model and the PID's throttle. The
     controller runs at the emulated rate: every hold is
-    ``emu.steps_per_decision`` plant steps, so callers pass that as
+    ``emu.control_interval`` plant steps, so callers pass that as
     their ``decision_interval`` (``run_emulated_episode`` does), and any
     other hold length raises ValueError. ``run_episodes``,
     ``evaluate_policy`` and ``train`` take this env unchanged; ``step``
@@ -177,9 +172,9 @@ class EmulatedEnv(ApproachEnv):
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
         """Hold ``action`` under a throttle the PID sets once, at the start,
         sensing the position after every plant step."""
-        if steps != self.emu.steps_per_decision:
-            raise ValueError(f"an emulated hold is emu.steps_per_decision="
-                             f"{self.emu.steps_per_decision} plant steps, got steps={steps}")
+        if steps != self.emu.control_interval:
+            raise ValueError(f"an emulated hold is emu.control_interval="
+                             f"{self.emu.control_interval} plant steps, got steps={steps}")
         self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed, self.speed,
                                                steps * self.config.dt, self.emu.pid)
         limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
@@ -221,12 +216,12 @@ def run_emulated_episode(
 ) -> EpisodeTrace:
     """One emulated deployment episode; returns the extended trace.
 
-    The policy decides every ``emu.steps_per_decision`` plant steps.
+    The policy decides every ``emu.control_interval`` plant steps.
     """
     env = EmulatedEnv(emu, env_config, vehicle_params)
     _, trace = run_episode(
         env, decide, seed, heading=heading, collect_trace=True,
-        config_digest=config_digest, decision_interval=emu.steps_per_decision,
+        config_digest=config_digest, decision_interval=emu.control_interval,
     )
     return trace
 

@@ -25,8 +25,6 @@ import numpy as np
 from . import flatcfg
 from .sim import BrakeModel, Controls, VehicleParams, VehicleState, _vehicle_state, step_vehicle
 
-Action = Controls
-
 
 class Outcome(Enum):
     RUNNING = "Running"

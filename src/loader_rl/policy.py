@@ -43,12 +43,16 @@ class ExplorationMode(Enum):
 
 
 class ObsNormalizer:
-    """Running per-element mean/variance (Welford), with a variance floor."""
+    """Running per-element mean/variance (Welford), with a variance floor.
 
-    def __init__(self, dim: int, eps: float = 1e-8, clip: float = 10.0):
+    ``eps`` and ``clip`` are constants: checkpoints store only the
+    statistics, so any other value would not survive a save and load."""
+
+    eps = 1e-8  # variance floor
+    clip = 10.0  # normalized values are clipped to [-clip, clip]
+
+    def __init__(self, dim: int):
         self.dim = dim
-        self.eps = eps
-        self.clip = clip
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
@@ -83,8 +87,8 @@ class ObsNormalizer:
         }
 
     @classmethod
-    def from_state_arrays(cls, arrays: dict[str, np.ndarray], eps: float = 1e-8, clip: float = 10.0) -> "ObsNormalizer":
-        norm = cls(dim=len(arrays["mean"]), eps=eps, clip=clip)
+    def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "ObsNormalizer":
+        norm = cls(dim=len(arrays["mean"]))
         norm.mean = np.asarray(arrays["mean"], dtype=np.float64).copy()
         norm.m2 = np.asarray(arrays["m2"], dtype=np.float64).copy()
         norm.count = int(arrays["count"][0])

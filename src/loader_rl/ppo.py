@@ -42,7 +42,6 @@ class TrainConfig:
     ent_coef: float = 0.0
     vf_coef: float = 0.5
     max_grad_norm: float = 0.5
-    n_envs: int = 1
     total_timesteps: int = 3_000_000
     seed: int = 0
     exploration_mode: ExplorationMode = ExplorationMode.BERNOULLI
@@ -58,7 +57,7 @@ class TrainConfig:
         flatcfg.check_fields(
             self,
             positive=("learning_rate", "n_steps", "batch_size", "n_epochs", "clip_range",
-                      "max_grad_norm", "n_envs", "total_timesteps", "noise_resample_every",
+                      "max_grad_norm", "total_timesteps", "noise_resample_every",
                       "control_interval", "eval_every_updates", "eval_episodes",
                       "checkpoint_every_updates"),
             nonnegative=("vf_coef",),
@@ -67,11 +66,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if (self.n_steps * self.n_envs) % self.batch_size != 0:
-            raise ValueError(
-                f"batch_size ({self.batch_size}) must divide n_steps*n_envs "
-                f"({self.n_steps * self.n_envs})"
-            )
+        if self.n_steps % self.batch_size != 0:
+            raise ValueError(f"batch_size ({self.batch_size}) must divide n_steps ({self.n_steps})")
 
 
 class RolloutBuffer:

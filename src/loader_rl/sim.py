@@ -57,13 +57,10 @@ class VehicleParams:
     lift_rate: float = 0.15         # fraction of lift range per second
     lift_min: float = 0.0
     lift_max: float = 1.0
-    steering_limit: float = 0.6545  # rad (~37.5 deg); stored, unused on the straight-line task
     taper: TaperParams = field(default_factory=TaperParams)
 
     def __post_init__(self) -> None:
-        flatcfg.check_fields(
-            self, positive=("cruise_speed", "ideal_decel", "lift_rate", "steering_limit")
-        )
+        flatcfg.check_fields(self, positive=("cruise_speed", "ideal_decel", "lift_rate"))
         if not self.lift_min < self.lift_max:
             raise ValueError("lift_min must be < lift_max")
 

@@ -109,8 +109,6 @@ def train(
     If the environment raises, the last checkpoint is persisted before
     the error propagates.
     """
-    if config.n_envs != 1:
-        raise ValueError("only n_envs=1 rollout collection is implemented")
     env = env_factory()
     obs_dim = env.config.obs_dim
     master = config.seed

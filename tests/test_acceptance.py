@@ -268,7 +268,7 @@ class TestCriterion8EmulatorDegeneracy:
     def test_degenerate_emulation_equals_environment(self):
         oracle = OracleConfig()
         emu = EmulationConfig(
-            position_delay=0.0, rate_scale=1.0, brake_model=BrakeModel.IDEAL,
+            position_delay=0.0, control_interval=1, brake_model=BrakeModel.IDEAL,
             start_from_standstill=False,
         )
         mismatches = 0

@@ -16,6 +16,7 @@ from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.ppo import TrainConfig
 from loader_rl.sim import VehicleParams
 from loader_rl.trace import read_trace_csv
+from tests.test_checkpoint import payload_sha
 
 TINY_TRAIN = "\n".join([
     "seed=5",
@@ -42,6 +43,13 @@ def train_run(tmp_path):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def digest_and_body(path):
+    """(the config digest an artifact embeds in its first line, sha256 of
+    every byte after that line)."""
+    first, _, body = path.read_bytes().partition(b"\n")
+    return first.decode().rpartition("=")[2], hashlib.sha256(body).hexdigest()
 
 
 class TestTrain:
@@ -76,6 +84,45 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert "vicinty" in err and ":2" in err
+
+    @pytest.mark.parametrize("key", ["train.n_envs=1", "vehicle.steering_limit=0.6545",
+                                     "emulation.rate_scale=0.1"])
+    def test_removed_key_is_unknown(self, key, tmp_path, capsys):
+        # settings that only raised, were never read, or spelled the
+        # decision rate a second time
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{key}\n")
+        assert main(["train", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: unknown key {key.partition('=')[0]!r}" in err
+
+    def test_run_seed_is_the_training_seed(self, tmp_path):
+        # train.seed takes the run seed, so the digest covers the seed the
+        # run really trained with; an equal explicit train.seed is the same run
+        outs = {}
+        for name, extra in (("plain", ""), ("explicit", "train.seed=5\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(TINY_TRAIN + extra)
+            assert main(["train", str(cfg), "--out", str(tmp_path / name)]) == 0
+            outs[name] = sha(tmp_path / name / "metrics.csv")
+            assert read_checkpoint(tmp_path / name / "last.ckpt").train_config.seed == 5
+        assert outs["plain"] == outs["explicit"]
+        first = (tmp_path / "plain" / "metrics.csv").read_text().splitlines()[0]
+        assert first == "# config_digest=7cbe4cb0cf4d4ab6"
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_conflicting_train_seed_exits_1(self, where, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        argv = ["train", str(cfg), "--out", str(tmp_path / "x")]
+        if where == "file":
+            cfg.write_text(TINY_TRAIN.replace("seed=5", "seed=1") + "train.seed=7\n")
+        else:
+            cfg.write_text(TINY_TRAIN.replace("seed=5\n", "train.seed=7\n"))
+            argv += ["--seed", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "train.seed=7 disagrees with seed=1" in err
+        assert not (tmp_path / "x").exists()
 
     def test_writes_checkpoints(self, train_run):
         _, out = train_run
@@ -129,7 +176,8 @@ class TestInvalidValues:
         "train.learning_rate=nan",
         "train.learning_rate=inf",
         "--delay=nan",
-        "--rate-scale=0.3",
+        "--control-interval=0",
+        "emulation.control_interval=0",
         # NaN fails every comparison, so a bare ``x <= 0`` guard lets it through
         "env.speed_threshold=nan",
         "env.lift_start_jitter=nan",
@@ -153,6 +201,32 @@ class TestInvalidValues:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestCommandLineErrors:
+    """A malformed command line is a validation error (exit 1), not the
+    I/O code 2 that argparse exits with."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--scripted", "--episodes", "abc"], "invalid int value: 'abc'"),
+        (["emulate", "--scripted", "--trace", "t.csv", "--control-interval", "abc"],
+         "invalid int value: 'abc'"),
+        (["emulate", "--scripted", "--trace", "t.csv", "--rate-scale", "0.1"],
+         "unrecognized arguments: --rate-scale"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: loader-rl") and message in err
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert "--checkpoint" in capsys.readouterr().out
 
 
 class TestEval:
@@ -235,38 +309,49 @@ class TestReplay:
         assert all(isinstance(v, float) for v in steps)
 
 
+# config digest of the default run config at seed 0
+DEFAULT_DIGEST = "ce6eeec7b88eabf8"
+# body of the default scripted emulation trace at --seed 0 --delay 3
+EMULATION_BODY_DELAY_3 = "2a27bdc639fe0de806ed7ad7e476fa9db248e32c7a9ce5b2ec6b33fc49bd61bd"
+
+
 class TestGoldenOutputs:
-    """sha256 of CLI outputs that run only Python ``math``, no BLAS, pinned
-    so that a rewrite of the plant step or the trace writer cannot move a
-    single output bit. Taken on CPython 3.11 with x86-64 glibc libm."""
+    """CLI outputs that run only Python ``math``, no BLAS, pinned so that a
+    rewrite of the plant step or the trace writer cannot move a single
+    output bit. Each output has two pins: the config digest of its first
+    line, which moves whenever a config key does, and the sha256 of every
+    byte after that line, which does not. Taken on CPython 3.11 with
+    x86-64 glibc libm."""
 
     def test_scripted_eval_report(self, tmp_path):
         p = tmp_path / "report.txt"
         assert main(["eval", "--scripted", "--episodes", "20", "--seed", "0",
                      "--report", str(p)]) == 0
-        assert sha(p) == "a1678a9290dd6a763b250c4bcb6604fce5784ecfe5039f36683e44fe08152b1f"
+        assert digest_and_body(p) == (
+            DEFAULT_DIGEST, "4ea1d951b8424db3b439ec37b7be0a8c4eaf90cc7e7bba43544411db79d76170")
 
     def test_scripted_replay_trace(self, tmp_path):
         p = tmp_path / "trace.csv"
-        for flags, digest in (
-            (["--seed", "0"], "c9316d6dc58765abb623dfd76597e3cdf6df87a2ebdb86268b9bd4b1a44af1fa"),
+        for flags, pins in (
+            (["--seed", "0"],
+             (DEFAULT_DIGEST, "9957e639f9aac9aa33cf5127ae8b0721deb44a42120be5dacd88cb0097f27821")),
             # min-max scaling column by column, integer columns as floats
-            (["--seed", "5", "--normalized"],
-             "8e57d915c1bf6ec303b9d32745707356b15949a926fdee28581230fe5af705e7"),
+            (["--seed", "5", "--normalized"], ("047e47f515dc3f42",
+             "9261470c6196da972b9f5991fe69d3ae974f0f01fe71ba9659cccd7dd62654ef")),
         ):
             assert main(["replay", "--scripted", *flags, "--trace", str(p)]) == 0
-            assert sha(p) == digest, flags
+            assert digest_and_body(p) == pins, flags
 
-    @pytest.mark.parametrize("delay, digest", [
-        ("0", "f94668ff8c61cdd3ea2b9b046c45c63eda3c44d5796d64e80e2f4f67910b3946"),
-        ("3", "2cd1f751ad5b26ce61b362abe79ec246fec9efa799798bd9c97b4e407dae8f45"),
-    ])
-    def test_scripted_emulation_trace(self, tmp_path, delay, digest):
+    @pytest.mark.parametrize("delay, body", [
+        ("0", "ef60137d87760d6051964defaddb8e002dee3ce96cf831a89cf728a0f0d3ac39"),
+        ("3", EMULATION_BODY_DELAY_3),
+    ], ids=["0", "3"])
+    def test_scripted_emulation_trace(self, tmp_path, delay, body):
         # default emulation: decimated control, PID throttle, tapered brake
         p = tmp_path / "emu.csv"
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", delay,
                      "--trace", str(p)]) == 0
-        assert sha(p) == digest
+        assert digest_and_body(p) == (DEFAULT_DIGEST, body)
 
 
 def golden_checkpoint(path):
@@ -283,36 +368,57 @@ def golden_checkpoint(path):
 
 
 class TestCheckpointGoldenOutputs:
-    """sha256 of the greedy checkpoint path: checkpoint read, actor
-    forward, zero-order hold at the stored control interval, plant step
-    and trace writer. The forward runs numpy matrix products through
-    BLAS, so the digests hold for the build they were taken on (CPython
-    3.11, numpy 2.4, x86-64 OpenBLAS)."""
+    """The greedy checkpoint path: checkpoint read, actor forward,
+    zero-order hold at the stored control interval, plant step and trace
+    writer, pinned as in TestGoldenOutputs. The checkpoint itself is
+    pinned whole and by its array payload, which a header change leaves
+    alone. The forward runs numpy matrix products through BLAS, so the
+    pins hold for the build they were taken on (CPython 3.11, numpy 2.4,
+    x86-64 OpenBLAS)."""
 
     @pytest.fixture()
     def ckpt(self, tmp_path):
         path = golden_checkpoint(tmp_path / "golden.ckpt")
-        assert sha(path) == "99d7654c7de48700d801d68950bd69c111d3c6c145a035150bd034e526882b2d"
+        assert sha(path) == "7d0cf4d1b5cb0ba7117911c8690a9df57ee68d22450c4d53875c120dcf3dfedf"
+        assert payload_sha(path) == \
+            "cdd8c16c45a8677b72dd681f5090b2ebf120616f313d77a01721577e90f8a82b"
         return str(path)
 
     def test_eval_report(self, ckpt, tmp_path):
         p = tmp_path / "report.txt"
         assert main(["eval", "--checkpoint", ckpt, "--episodes", "20", "--seed", "0",
                      "--report", str(p)]) == 0
-        assert sha(p) == "109878e18ba10ae2b59eadc5434db9962d72e93762e90f61fef8e8c8e2b9b4d6"
+        assert digest_and_body(p) == (
+            "781c21ddb81394cd", "b3f85b5783b8a1b45de7e4bf96f34521cfd384b1c168552d5df3ffbb98197f03")
 
     def test_replay_trace(self, ckpt, tmp_path):
         p = tmp_path / "trace.csv"
         assert main(["replay", "--checkpoint", ckpt, "--seed", "3", "--trace", str(p)]) == 0
-        assert sha(p) == "7ed16500d9a4ae0db6c103fcadffdea2fe7937b61f8618a50e3bb688d5382ede"
+        assert digest_and_body(p) == (
+            "4c75e4820e915c47", "de5ea663f5dfef0bc9f04b1564d541d88a762b5f4f8e032422da913e306b7255")
         # the greedy decisions really switch the brake both ways
         assert {row["brake_action"] for row in read_trace_csv(str(p)).rows} == {0, 1}
+
+    def test_config_keeps_the_checkpoint_settings(self, ckpt, tmp_path):
+        # a config beside a checkpoint cannot change how the checkpoint
+        # decides: it still holds each decision for its 10 plant steps
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=0\n")
+        reports = []
+        for extra in ([], ["--config", str(cfg)]):
+            p = tmp_path / f"report{len(reports)}.txt"
+            assert main(["eval", "--checkpoint", ckpt, "--episodes", "5", "--seed", "0",
+                         "--report", str(p), *extra]) == 0
+            reports.append(p.read_text())
+        assert reports[0] == reports[1]
+        assert "note.control_interval=10\n" in reports[1]
 
     def test_emulation_trace(self, ckpt, tmp_path):
         p = tmp_path / "emu.csv"
         assert main(["emulate", "--checkpoint", ckpt, "--seed", "0", "--delay", "3",
                      "--trace", str(p)]) == 0
-        assert sha(p) == "b582b760f2c1c295c6d2640d0bc04e6820d82f86391f6facb7f113302dbd881b"
+        assert digest_and_body(p) == (
+            "781c21ddb81394cd", "f2f4d9f84c1a3e6cd67892f2940d7713746dd623a473dba2feafc6027d342fd3")
 
 
 class TestEmulate:
@@ -321,7 +427,7 @@ class TestEmulate:
         emu_path = tmp_path / "emu.csv"
         assert main(["replay", "--scripted", "--seed", "9", "--trace", str(replay_path)]) == 0
         assert main(["emulate", "--scripted", "--seed", "9", "--trace", str(emu_path),
-                     "--delay", "0", "--rate-scale", "1", "--brake-model", "ideal",
+                     "--delay", "0", "--control-interval", "1", "--brake-model", "ideal",
                      "--no-standstill"]) == 0
         a = read_trace_csv(str(replay_path))
         b = read_trace_csv(str(emu_path))
@@ -350,7 +456,7 @@ class TestEmulate:
         p = tmp_path / "second.csv"
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", "3",
                      "--trace", str(p)]) == 0
-        assert sha(p) == "2cd1f751ad5b26ce61b362abe79ec246fec9efa799798bd9c97b4e407dae8f45"
+        assert digest_and_body(p) == (DEFAULT_DIGEST, EMULATION_BODY_DELAY_3)
 
     def test_negative_delay_rejected(self, tmp_path, capsys):
         code = main(["emulate", "--scripted", "--seed", "9",

@@ -122,22 +122,20 @@ class TestEmulationConfig:
         with pytest.raises(ValueError):
             EmulationConfig(position_delay=-1.0)
 
-    def test_rejects_bad_rate_scale(self):
-        with pytest.raises(ValueError):
-            EmulationConfig(rate_scale=0.0)
-        with pytest.raises(ValueError):
-            EmulationConfig(rate_scale=1.5)
-        with pytest.raises(ValueError):
-            EmulationConfig(rate_scale=0.3)  # would silently run at 1/3
+    def test_rejects_bad_control_interval(self):
+        for interval in (0, -1):
+            with pytest.raises(ValueError, match="control_interval must be > 0"):
+                EmulationConfig(control_interval=interval)
 
     def test_steps_per_decision(self):
-        assert EmulationConfig(rate_scale=1.0).steps_per_decision == 1
-        assert EmulationConfig(rate_scale=0.1).steps_per_decision == 10
+        # one integer setting, spelled as train.control_interval
+        assert EmulationConfig().control_interval == 10
+        assert EmulationConfig(control_interval=1).control_interval == 1
 
 
 def degenerate_emulation():
     return EmulationConfig(
-        position_delay=0.0, rate_scale=1.0, brake_model=BrakeModel.IDEAL,
+        position_delay=0.0, control_interval=1, brake_model=BrakeModel.IDEAL,
         start_from_standstill=False,
     )
 
@@ -156,7 +154,7 @@ class TestDegenerateEquality:
     def test_utm_origin_does_not_perturb_behavior(self):
         emu0 = degenerate_emulation()
         emu1 = EmulationConfig(
-            position_delay=0.0, rate_scale=1.0, brake_model=BrakeModel.IDEAL,
+            position_delay=0.0, control_interval=1, brake_model=BrakeModel.IDEAL,
             start_from_standstill=False, utm_origin=(652000.0, 6860000.0),
         )
         a = run_emulated_episode(scripted, emu0, 3)
@@ -167,7 +165,7 @@ class TestDegenerateEquality:
 
 class TestDecimation:
     def test_one_decision_per_ten_plant_steps(self):
-        emu = EmulationConfig(position_delay=0.0, rate_scale=0.1)
+        emu = EmulationConfig(position_delay=0.0, control_interval=10)
         trace = run_emulated_episode(LatchedBrakePolicy(ORACLE), emu, 5)
         brake = trace.column("brake_action")
         command = trace.column("pid_command")
@@ -181,7 +179,7 @@ class TestDecimation:
     def test_delayed_observation_holds_start_early_on(self):
         # 1 s into motion at cruise with a 3 s delay the sensed position is
         # still the starting point
-        emu = EmulationConfig(position_delay=3.0, rate_scale=0.1, start_from_standstill=False)
+        emu = EmulationConfig(position_delay=3.0, control_interval=10, start_from_standstill=False)
         trace = run_emulated_episode(lambda o: Controls(0, 1), emu, 9)
         one_second = [r for r in trace.rows if abs(r["t"] - 1.0) < 1e-9][0]
         assert one_second["delayed_x"] == trace.rows[0]["delayed_x"]
@@ -225,7 +223,7 @@ class TestPidSpeedSettling:
     def test_settles_near_cruise_within_five_seconds(self):
         cfg = EnvConfig(target_distance=30.0, vicinity=1.0, out_of_range_radius=40.0,
                         max_episode_time=8.0)
-        emu = EmulationConfig(position_delay=0.0, rate_scale=0.1)
+        emu = EmulationConfig(position_delay=0.0, control_interval=10)
         trace = run_emulated_episode(lambda o: Controls(0, 1), emu, 13, cfg)
         late = [r["speed"] for r in trace.rows if r["t"] >= 5.0]
         assert late, "episode ended before 5 s"
@@ -251,8 +249,8 @@ class TestEmulatedEnv:
     def test_hold_runs_at_the_emulated_control_rate(self):
         # deciding every plant step would run the PID at dt instead of the
         # emulated control period
-        env = EmulatedEnv(EmulationConfig(position_delay=0.0, rate_scale=0.1))
-        with pytest.raises(ValueError, match=r"steps_per_decision=10 plant steps, got steps=1"):
+        env = EmulatedEnv(EmulationConfig(position_delay=0.0, control_interval=10))
+        with pytest.raises(ValueError, match=r"control_interval=10 plant steps, got steps=1"):
             evaluate_policy(env, scripted, 1, 0)
         report = evaluate_policy(env, scripted, 1, 0, decision_interval=10)
         assert report.n_episodes == 1

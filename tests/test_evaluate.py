@@ -102,7 +102,7 @@ def make_policy(kind: str, dim: int):
 def env_factory(kind: str, interval: int):
     if kind == "emulated":
         # degenerate but for the control rate, which the interval sets
-        emu = EmulationConfig(position_delay=0.0, rate_scale=1.0 / interval,
+        emu = EmulationConfig(position_delay=0.0, control_interval=interval,
                               brake_model=BrakeModel.IDEAL, start_from_standstill=False)
         return lambda: EmulatedEnv(emu)
     config = {"plain": EnvConfig(), "pad5": EnvConfig(pad_obs_to_5d=True),

@@ -504,8 +504,9 @@ class TestTrainLoop:
         assert result.last.params.log_std is not None
 
     def test_multi_env_rejected(self):
-        with pytest.raises(ValueError):
-            train(small_env, quick_config(n_envs=2))
+        # one rollout env is all there is: n_envs is not a setting
+        with pytest.raises(TypeError, match="n_envs"):
+            quick_config(n_envs=2)
 
     def test_env_error_persists_last_checkpoint(self, tmp_path):
         class FailingEnv(ApproachEnv):
@@ -563,13 +564,22 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _assert_checkpoints(out, whole, payload):
+    from tests.test_checkpoint import payload_sha
+
+    for name in ("best.ckpt", "last.ckpt"):
+        assert (_sha(out / name), payload_sha(out / name)) == (whole, payload), name
+
+
 class TestTrainingGoldenOutputs:
     """sha256 of the files two short training runs write: rollout,
     minibatch forward/backward, gradient clip, Adam step, log-std floor,
-    greedy eval and checkpoint writer, bit for bit. The digests were
-    taken before the learner moved its parameters into one flat vector,
-    and hold for the build they were taken on (CPython 3.11, numpy 2.4,
-    x86-64 OpenBLAS); they are the same with one BLAS thread or several."""
+    greedy eval and checkpoint writer, bit for bit. A checkpoint is also
+    pinned by its array payload, which a header change leaves alone. The
+    metrics and payload digests were taken before the learner moved its
+    parameters into one flat vector, and hold for the build they were
+    taken on (CPython 3.11, numpy 2.4, x86-64 OpenBLAS); they are the same
+    with one BLAS thread or several."""
 
     def test_desk_recipe(self, tmp_path):
         # the desk recipe cut to 2 updates: 80 minibatches each, eval after both
@@ -580,17 +590,15 @@ class TestTrainingGoldenOutputs:
         assert len(result.metrics) == 2 and result.last.timesteps == 10092
         assert _sha(tmp_path / "metrics.csv") == \
             "3a33e2b837a2a445cd78d2ea3d00fe35964b6c7efc7d228e4e90f355339eb309"
-        assert _sha(tmp_path / "best.ckpt") == \
-            "6ba712f27d80f988d5da143946d9418e7a220eaaa4007ad83a34fa2771f99150"
-        assert _sha(tmp_path / "last.ckpt") == \
-            "6ba712f27d80f988d5da143946d9418e7a220eaaa4007ad83a34fa2771f99150"
+        _assert_checkpoints(
+            tmp_path, "547a32f1dd7802d5375de047732358e0374ef6b94116b003c836ee9fc2ae7c26",
+            "df57fd2b08c2bc519d3b95b5bb760abaa3d7dd33bf4c343b010ab8e5fea964d3")
 
     def test_bernoulli_every_plant_step(self, tmp_path):
         result = train(small_env, quick_config(), out_dir=tmp_path)
         assert len(result.metrics) == 2 and result.last.timesteps == 256
         assert _sha(tmp_path / "metrics.csv") == \
             "d4a63f87dbeb9b091aacb694b1b9bc91ebb994142f631232207cc46099d57807"
-        assert _sha(tmp_path / "best.ckpt") == \
-            "05fd88c42d237876b257a6904fa2824d4eb8dfd4afdbd70035ed4590c79ccfd4"
-        assert _sha(tmp_path / "last.ckpt") == \
-            "05fd88c42d237876b257a6904fa2824d4eb8dfd4afdbd70035ed4590c79ccfd4"
+        _assert_checkpoints(
+            tmp_path, "e8ebf8889283e6b6e67f577225ed25f479225712d8568b40be8f31140c67842f",
+            "a874b5ce8a32799ba7369ca980b1ac6a4aa635acec2741d3a84ea3804211a1fc")
