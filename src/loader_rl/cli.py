@@ -70,12 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     _policy_args(p_eval)
     p_eval.add_argument("--episodes", type=int, default=100)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--report", default=None, help="write the report to this file")
 
     p_replay = sub.add_parser("replay", help="write one greedy episode trace CSV")
     _policy_args(p_replay)
-    p_replay.add_argument("--seed", type=int, default=0)
+    p_replay.add_argument("--seed", type=int, default=None)
     p_replay.add_argument("--trace", required=True, help="output CSV path")
     p_replay.add_argument("--normalized", action="store_true",
                           help="min-max scale numeric columns to [0, 1]")
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_emu = sub.add_parser("emulate", help="run a deployment-emulation episode")
     _policy_args(p_emu)
-    p_emu.add_argument("--seed", type=int, default=0)
+    p_emu.add_argument("--seed", type=int, default=None)
     p_emu.add_argument("--trace", required=True)
     p_emu.add_argument("--delay", type=float, default=None, help="position sensing delay, s")
     p_emu.add_argument("--control-interval", type=int, default=None,
@@ -109,10 +109,11 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None]:
-    """Settings come from --config when given, otherwise from the defaults.
-    A checkpoint's env, vehicle and train settings replace them, so it is
-    judged where it was trained and decides at its training-time control
-    rate; an explicit config must match the checkpoint's environment."""
+    """Settings come from --config when given, otherwise from the defaults;
+    --seed, when given, replaces the config's seed. A checkpoint's env,
+    vehicle and train settings replace them, so it is judged where it was
+    trained and decides at its training-time control rate; an explicit
+    config must match the checkpoint's environment."""
     ckpt = None
     if args.checkpoint is not None:
         ckpt = read_checkpoint(args.checkpoint)
@@ -175,11 +176,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run, env, decide, interval = _greedy_setup(args)
     report = evaluate_policy(
-        env, decide, args.episodes, args.seed,
+        env, decide, args.episodes, run.seed,
         config_digest=run.digest,
         notes={
             "learning_rate": run.train.learning_rate,
-            "seed": args.seed,
+            "seed": run.seed,
             "control_interval": interval,
             "exploration_mode": run.train.exploration_mode.value,
         },
@@ -196,7 +197,7 @@ def cmd_eval(args) -> int:
 def cmd_replay(args) -> int:
     run, env, decide, interval = _greedy_setup(args)
     _, trace = run_episode(
-        env, decide, args.seed, heading=args.heading,
+        env, decide, run.seed, heading=args.heading,
         collect_trace=True, config_digest=run.digest,
         decision_interval=interval,
     )
@@ -216,8 +217,9 @@ def cmd_emulate(args) -> int:
         emu = dataclasses.replace(emu, brake_model=BrakeModel(args.brake_model))
     if args.standstill is not None:
         emu = dataclasses.replace(emu, start_from_standstill=args.standstill)
+    run = dataclasses.replace(run, emulation=emu)  # so the digest covers the flags
     trace = run_emulated_episode(
-        _decide_fn(run, ckpt, args.scripted, latched=True), emu, args.seed, run.env, run.vehicle,
+        _decide_fn(run, ckpt, args.scripted, latched=True), emu, run.seed, run.env, run.vehicle,
         heading=args.heading, config_digest=run.digest,
     )
     write_trace_csv(trace, args.trace)

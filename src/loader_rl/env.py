@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import flatcfg
-from .sim import BrakeModel, Controls, VehicleParams, VehicleState, _vehicle_state, step_vehicle
+from .sim import BrakeModel, Controls, VehicleParams, VehicleState, step_vehicle
 
 
 class Outcome(Enum):
@@ -78,8 +78,7 @@ class EnvConfig:
         return 5 if self.pad_obs_to_5d else 4
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Agent input: absolute target offsets, speed, normalized lift."""
 
     rel_x: float
@@ -93,8 +92,7 @@ class Observation:
         return np.array([self.rel_x, self.rel_y, self.speed, self.lift])
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     progress_term: float
     lift_term: float
     time_term: float
@@ -104,34 +102,10 @@ class RewardBreakdown:
     outcome: Outcome
 
 
-def _observation(rel_x, rel_y, speed, lift) -> Observation:
-    """``Observation(...)`` for the plant step, built like
-    :func:`loader_rl.sim._vehicle_state` (fields written into the
-    instance ``__dict__``). Keep the fields in step with the class."""
-    o = object.__new__(Observation)
-    d = o.__dict__
-    d["rel_x"] = rel_x
-    d["rel_y"] = rel_y
-    d["speed"] = speed
-    d["lift"] = lift
-    return o
-
-
-def _reward_breakdown(progress_term, lift_term, time_term, terminal_term, total, done,
-                      outcome) -> RewardBreakdown:
-    """``RewardBreakdown(...)`` for the plant step, built like
-    :func:`loader_rl.sim._vehicle_state`. Keep the fields in step with
-    the class."""
-    r = object.__new__(RewardBreakdown)
-    d = r.__dict__
-    d["progress_term"] = progress_term
-    d["lift_term"] = lift_term
-    d["time_term"] = time_term
-    d["terminal_term"] = terminal_term
-    d["total"] = total
-    d["done"] = done
-    d["outcome"] = outcome
-    return r
+# the rewards of the three endings
+_OUT_OF_RANGE = RewardBreakdown(0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.OUT_OF_RANGE)
+_TIMEOUT = RewardBreakdown(0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.TIMEOUT)
+_SUCCESS = RewardBreakdown(0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
 
 
 @dataclass(frozen=True)
@@ -203,16 +177,17 @@ def compute_reward(
     if step_count < 1:
         raise ValueError(f"step_count must be >= 1, got {step_count}")
 
-    if out_of_range or timed_out:
-        outcome = Outcome.OUT_OF_RANGE if out_of_range else Outcome.TIMEOUT
-        return _reward_breakdown(0.0, 0.0, 0.0, -1.0, -1.0, True, outcome)
+    if out_of_range:
+        return _OUT_OF_RANGE
+    if timed_out:
+        return _TIMEOUT
 
     if (
         curr_distance < config.vicinity
         and speed < config.speed_threshold
         and curr_lift > config.lift_goal_frac
     ):
-        return _reward_breakdown(0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
+        return _SUCCESS
 
     progress = prev_distance - curr_distance
     goal = config.lift_goal_frac
@@ -222,7 +197,7 @@ def compute_reward(
         lift_term = prev_lift - goal * curr_lift
     time_term = -config.time_penalty_tc * step_count
     total = progress + lift_term + time_term
-    return _reward_breakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
+    return RewardBreakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
 
 
 def reset(
@@ -309,7 +284,7 @@ def step(
         vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
         step_count, curr_distance, vehicle.lift, done,
     )
-    obs = _observation(
+    obs = Observation(
         abs(env.target_x - vehicle.x), abs(env.target_y - vehicle.y), vehicle.speed, vehicle.lift
     )
     return new_env, obs, breakdown, done
@@ -353,13 +328,6 @@ def _plant(config: EnvConfig, params: VehicleParams) -> _Plant:
     )
 
 
-# reward terms (progress, lift, time, terminal, total, done, outcome) of the
-# three endings
-_OUT_OF_RANGE = (0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.OUT_OF_RANGE)
-_TIMEOUT = (0.0, 0.0, 0.0, -1.0, -1.0, True, Outcome.TIMEOUT)
-_SUCCESS = (0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
-
-
 class ApproachEnv:
     """Stateful episode over the plant of the functional reset/step API.
 
@@ -381,8 +349,11 @@ class ApproachEnv:
     order (None before the first step); and ``episode_reward``, the
     running return. Read them freely, but change the episode only by
     assigning ``state``. The records ``state``, ``obs`` and ``breakdown``
-    are built from these attributes when read and kept until the next
-    plant step.
+    are built from these attributes when read: ``state`` and ``obs`` are
+    kept until the next plant step, ``breakdown`` is built on each read.
+    :class:`Observation` and :class:`RewardBreakdown` are named tuples,
+    equal to the tuple of their values; :class:`EnvState` and
+    :class:`VehicleState` are frozen dataclasses.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -394,7 +365,7 @@ class ApproachEnv:
         self.done = None
         self.reward_terms = None
         self.episode_reward = 0.0
-        self._state = self._obs = self._breakdown = None
+        self._state = self._obs = None
 
     @property
     def state(self) -> Optional[EnvState]:
@@ -433,22 +404,20 @@ class ApproachEnv:
         """The observation of the vehicle now, None before reset."""
         obs = self._obs
         if obs is None and self.done is not None:
-            obs = self._obs = _observation(abs(self.target_x - self.x),
-                                           abs(self.target_y - self.y), self.speed, self.lift)
+            obs = self._obs = Observation(abs(self.target_x - self.x),
+                                          abs(self.target_y - self.y), self.speed, self.lift)
         return obs
 
     @property
     def breakdown(self) -> Optional[RewardBreakdown]:
         """The reward of the latest plant step, None before the first."""
-        breakdown = self._breakdown
-        if breakdown is None and self.reward_terms is not None:
-            breakdown = self._breakdown = _reward_breakdown(*self.reward_terms)
-        return breakdown
+        terms = self.reward_terms
+        return None if terms is None else RewardBreakdown._make(terms)
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
         self.state, obs = reset(self.config, seed, self.params, heading=heading)
         self._obs = obs
-        self.reward_terms = self._breakdown = None
+        self.reward_terms = None
         self.episode_reward = 0.0
         return obs
 
@@ -502,7 +471,7 @@ class ApproachEnv:
         x, y, heading, speed, lift, elapsed, pedal = (
             self.x, self.y, self.heading, self.speed, self.lift, self.elapsed, self.brake_pedal)
         if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))):
-            step_vehicle(_vehicle_state(x, y, heading, speed, lift, elapsed, pedal),
+            step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
                          action, dt, self.params, brake_model, throttle_accel)  # raises
         throttle_dv = None if throttle_accel is None else throttle_accel * dt
         tapered = brake_model is BrakeModel.TAPERED
@@ -520,7 +489,7 @@ class ApproachEnv:
                 # floats is finite or overflows, so a finite sum clears them all,
                 # and any other sum defers to them for their exact error
                 if not isfinite(x + y + heading + speed + lift + elapsed + pedal):
-                    step_vehicle(_vehicle_state(x, y, heading, speed, lift, elapsed, pedal),
+                    step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
                                  action, dt, self.params, brake_model, throttle_accel)
                 new_x = x + speed * sin_h * dt
                 new_y = y + speed * cos_h * dt
@@ -573,7 +542,7 @@ class ApproachEnv:
                     self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
                     self.prev_distance, self.prev_lift = prev_distance, prev_lift
                     self.reward_terms, self.episode_reward = terms, episode_reward
-                    self._state = self._obs = self._breakdown = None
+                    self._state = self._obs = None
                     on_step(self, action)
                 if terms[5]:
                     break
@@ -584,5 +553,5 @@ class ApproachEnv:
                 self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
                 self.prev_distance, self.prev_lift = prev_distance, prev_lift
                 self.reward_terms, self.episode_reward = terms, episode_reward
-                self._state = self._obs = self._breakdown = None
+                self._state = self._obs = None
         return total

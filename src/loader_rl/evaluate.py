@@ -32,7 +32,8 @@ PolicyFn = Callable[[Observation], Controls]
 def greedy_policy_fn(params: PolicyParams) -> PolicyFn:
     """Deterministic action choice from trained parameters; each decision
     runs the actor only, and a head fires iff its output is positive (in
-    the continuous-threshold mode too, see ``threshold_greedy_action``).
+    the continuous-threshold mode too, where that is the sign of the
+    squashed mean ``tanh(mean)``).
 
     ``decide.batch(observations)`` decides a list of observations at once,
     with one stacked actor pass, and returns the controls that deciding

@@ -208,7 +208,9 @@ def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[Control
 
 
 def greedy_action(logits: np.ndarray) -> Controls:
-    """Most likely action: a head fires iff its logit is positive."""
+    """Most likely action: a head fires iff its logit is positive. In the
+    continuous-threshold mode the outputs are means, and a head fires iff
+    ``tanh(mean) > 0``, the same sign test."""
     return CONTROLS[int(logits[0] > 0.0)][int(logits[1] > 0.0)]
 
 
@@ -242,7 +244,8 @@ class ThresholdSampler:
         std = np.exp(log_std)
         u = mean + std * self._noise
         log_prob = float(gaussian_tanh_log_prob(u, mean, log_std))
-        # a head fires iff tanh(u) > 0, which is u > 0 (see threshold_greedy_action)
+        # a head fires iff tanh(u) > 0, which is u > 0: tanh is odd and monotone
+        # and rounds no nonzero value to zero
         return CONTROLS[int(u[0] > 0.0)][int(u[1] > 0.0)], log_prob, u
 
 
@@ -255,10 +258,3 @@ def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray)
     base = -0.5 * z * z - log_std - 0.5 * LOG2PI
     corr = np.log1p(-np.tanh(u) ** 2 + 1e-12)
     return (base - corr).sum(axis=-1)
-
-
-def threshold_greedy_action(mean: np.ndarray) -> Controls:
-    """A head fires iff its squashed mean ``tanh(mean)`` is positive. tanh is
-    odd and monotone and rounds no nonzero value to zero, so that is the sign
-    of the mean itself: the action of :func:`greedy_action`."""
-    return greedy_action(mean)

@@ -110,26 +110,6 @@ class VehicleState:
         )
 
 
-def _vehicle_state(x, y, heading, speed, lift, elapsed, brake_pedal) -> VehicleState:
-    """``VehicleState(...)`` for the plant step, at a quarter of the cost.
-
-    The frozen ``__init__`` pays one ``object.__setattr__`` per field;
-    this writes the fields into the instance ``__dict__`` in order. The
-    record equals, hashes and prints like a constructed one and is just
-    as immutable. Keep the fields in step with the class.
-    """
-    s = object.__new__(VehicleState)
-    d = s.__dict__
-    d["x"] = x
-    d["y"] = y
-    d["heading"] = heading
-    d["speed"] = speed
-    d["lift"] = lift
-    d["elapsed"] = elapsed
-    d["brake_pedal"] = brake_pedal
-    return s
-
-
 def tapered_brake_decel(
     pedal_state: float, dt: float, taper: TaperParams, ideal_decel: float
 ) -> tuple[float, float]:
@@ -199,4 +179,4 @@ def step_vehicle(
         lift = state.lift
     lift = min(params.lift_max, max(params.lift_min, lift))
 
-    return _vehicle_state(x, y, state.heading, speed, lift, state.elapsed + dt, pedal)
+    return VehicleState(x, y, state.heading, speed, lift, state.elapsed + dt, pedal)

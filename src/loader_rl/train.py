@@ -12,7 +12,8 @@ which is kept even if training later collapses.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -50,32 +51,6 @@ class TrainResult:
     metrics: list[dict]
     best_eval: Optional[tuple[float, float]] = None  # (success_rate, reward_mean)
     aborted_updates: int = 0
-
-
-@dataclass
-class _EpisodeWindow:
-    rewards: list[float] = field(default_factory=list)
-    lengths: list[int] = field(default_factory=list)
-    successes: list[bool] = field(default_factory=list)
-
-    def push(self, reward: float, length: int, success: bool) -> None:
-        self.rewards.append(reward)
-        self.lengths.append(length)
-        self.successes.append(success)
-        if len(self.rewards) > EPISODE_WINDOW:
-            self.rewards.pop(0)
-            self.lengths.pop(0)
-            self.successes.pop(0)
-
-    def stats(self) -> tuple[float, float, float]:
-        if not self.rewards:
-            return float("nan"), float("nan"), float("nan")
-        n = len(self.rewards)
-        return (
-            sum(self.rewards) / n,
-            sum(self.lengths) / n,
-            sum(self.successes) / n,
-        )
 
 
 def _snapshot_checkpoint(
@@ -120,7 +95,7 @@ def train(
     sampler = ThresholdSampler(config.noise_resample_every)
 
     buffer = RolloutBuffer(config.n_steps, obs_dim)
-    window = _EpisodeWindow()
+    window = deque(maxlen=EPISODE_WINDOW)  # (reward, length, success) of the latest episodes
     metrics: list[dict] = []
     metrics_file = None
     if out_dir is not None:
@@ -170,8 +145,8 @@ def train(
                 buffer.add(xn, stored, log_prob, value, reward_sum, done)
                 if done:
                     length = env.step_count
-                    window.push(env.episode_reward, length,
-                                env.breakdown.outcome is Outcome.SUCCESS)
+                    window.append((env.episode_reward, length,
+                                   env.breakdown.outcome is Outcome.SUCCESS))
                     episode_index += 1
                     env.reset(substream_seed(master, "env", episode_index))
                     finished_steps += length
@@ -229,7 +204,12 @@ def train(
 
 
 def _append_metrics(metrics, metrics_file, timesteps, updates, window, stats: UpdateStats) -> None:
-    r_mean, l_mean, s_rate = window.stats()
+    if window:
+        n = len(window)
+        rewards, lengths, successes = zip(*window)
+        r_mean, l_mean, s_rate = sum(rewards) / n, sum(lengths) / n, sum(successes) / n
+    else:
+        r_mean = l_mean = s_rate = float("nan")
     row = {
         "timestep": timesteps,
         "updates": updates,

@@ -269,6 +269,42 @@ class TestEval:
         assert code == 1
 
 
+class TestSeedSource:
+    """eval, replay and emulate take their seed from --seed, else from the
+    --config file, else 0."""
+
+    OUTPUT = {"eval": ["--episodes", "3", "--report"], "replay": ["--trace"],
+              "emulate": ["--trace"]}
+
+    def run(self, command, tmp_path, *flags):
+        p = tmp_path / f"{command}{len(list(tmp_path.iterdir()))}.out"
+        assert main([command, "--scripted", *flags, *self.OUTPUT[command], str(p)]) == 0
+        return p.read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "replay", "emulate"])
+    def test_config_seed_applies_without_the_flag(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\n")
+        from_config = self.run(command, tmp_path, "--config", str(cfg))
+        assert from_config == self.run(command, tmp_path, "--seed", "7")
+        assert from_config != self.run(command, tmp_path, "--seed", "0")
+        if command == "eval":
+            assert b"note.seed=7\n" in from_config
+
+    @pytest.mark.parametrize("command", ["eval", "replay", "emulate"])
+    def test_config_without_seed_needs_the_flag(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("env.vicinity=1.5\n")
+        code = main([command, "--scripted", "--config", str(cfg),
+                     *self.OUTPUT[command], str(tmp_path / "x.out")])
+        assert code == 1
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "replay", "emulate"])
+    def test_no_config_and_no_flag_runs_seed_0(self, command, tmp_path):
+        assert self.run(command, tmp_path) == self.run(command, tmp_path, "--seed", "0")
+
+
 class TestReplay:
     def test_trace_row_count_and_digest(self, tmp_path):
         trace_path = tmp_path / "t.csv"
@@ -342,16 +378,18 @@ class TestGoldenOutputs:
             assert main(["replay", "--scripted", *flags, "--trace", str(p)]) == 0
             assert digest_and_body(p) == pins, flags
 
-    @pytest.mark.parametrize("delay, body", [
-        ("0", "ef60137d87760d6051964defaddb8e002dee3ce96cf831a89cf728a0f0d3ac39"),
-        ("3", EMULATION_BODY_DELAY_3),
+    @pytest.mark.parametrize("delay, digest, body", [
+        # the digest covers the --delay flag; 3 s is the default delay
+        ("0", "0d89c3b7ffe2a755",
+         "ef60137d87760d6051964defaddb8e002dee3ce96cf831a89cf728a0f0d3ac39"),
+        ("3", DEFAULT_DIGEST, EMULATION_BODY_DELAY_3),
     ], ids=["0", "3"])
-    def test_scripted_emulation_trace(self, tmp_path, delay, body):
+    def test_scripted_emulation_trace(self, tmp_path, delay, digest, body):
         # default emulation: decimated control, PID throttle, tapered brake
         p = tmp_path / "emu.csv"
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", delay,
                      "--trace", str(p)]) == 0
-        assert digest_and_body(p) == (DEFAULT_DIGEST, body)
+        assert digest_and_body(p) == (digest, body)
 
 
 def golden_checkpoint(path):
@@ -457,6 +495,24 @@ class TestEmulate:
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", "3",
                      "--trace", str(p)]) == 0
         assert digest_and_body(p) == (DEFAULT_DIGEST, EMULATION_BODY_DELAY_3)
+
+    @pytest.mark.parametrize("setting, flags", [
+        ("emulation.position_delay=0.5", ["--delay", "0.5"]),
+        ("emulation.control_interval=5", ["--control-interval", "5"]),
+        ("emulation.brake_model=ideal", ["--brake-model", "ideal"]),
+        ("emulation.start_from_standstill=false", ["--no-standstill"]),
+    ])
+    def test_flag_digests_as_its_config_key(self, setting, flags, tmp_path):
+        # a flag gives the output of its config key; with both, of either
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=0\n{setting}\n")
+        outputs = []
+        for extra in (flags, ["--config", str(cfg)], ["--config", str(cfg), *flags]):
+            p = tmp_path / f"emu{len(outputs)}.csv"
+            assert main(["emulate", "--scripted", *extra, "--trace", str(p)]) == 0
+            outputs.append(digest_and_body(p))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0] != DEFAULT_DIGEST
 
     def test_negative_delay_rejected(self, tmp_path, capsys):
         code = main(["emulate", "--scripted", "--seed", "9",

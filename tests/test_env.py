@@ -21,15 +21,13 @@ from loader_rl.env import (
     Observation,
     Outcome,
     RewardBreakdown,
-    _observation,
-    _reward_breakdown,
     build_observation,
     compute_reward,
     reset,
     step,
     target_from_heading,
 )
-from loader_rl.sim import BrakeModel, Controls, VehicleParams, VehicleState, _vehicle_state
+from loader_rl.sim import BrakeModel, Controls, VehicleParams, VehicleState
 from loader_rl.trace import EpisodeTrace, read_trace_csv, write_trace_csv
 
 CFG = EnvConfig()
@@ -271,40 +269,17 @@ class TestStepEpisodes:
                     assert rb.progress_term == rb.lift_term == rb.time_term == 0.0
 
 
-# the plant step's private record constructors, each with distinct field
-# values so that a swapped field shows
-STEP_RECORDS = [
-    (VehicleState, _vehicle_state, (0.25, -1.5, 2.0, 1.75, 0.5, 0.125, 0.375)),
-    (Observation, _observation, (3.0, 4.5, 2.0, 0.75)),
-    (RewardBreakdown, _reward_breakdown, (0.03, 0.02, -0.001, 0.0, 0.049, False, Outcome.RUNNING)),
-    (RewardBreakdown, _reward_breakdown, (0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)),
-]
-
-
 class TestStepRecords:
-    @pytest.mark.parametrize("cls, fast, values", STEP_RECORDS)
-    def test_equals_public_constructor(self, cls, fast, values):
-        a, b = fast(*values), cls(*values)
-        assert type(a) is cls
-        assert a == b and b == a
-        assert hash(a) == hash(b)
-        assert repr(a) == repr(b)
-        assert dataclasses.astuple(a) == dataclasses.astuple(b) == values
-
-    @pytest.mark.parametrize("cls, fast, values", STEP_RECORDS)
-    def test_writes_exactly_the_dataclass_fields(self, cls, fast, values):
-        # a field added to the class but not to its fast constructor fails here
-        assert list(vars(fast(*values))) == [f.name for f in dataclasses.fields(cls)]
-
-    @pytest.mark.parametrize("cls, fast, values", STEP_RECORDS)
-    def test_still_frozen(self, cls, fast, values):
-        record = fast(*values)
-        name = dataclasses.fields(cls)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, name, 9.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(record, name)
-        assert dataclasses.astuple(record) == values
+    def test_observation_and_reward_are_named_tuples(self):
+        obs = Observation(3.0, 4.5, 2.0, 0.75)
+        rb = RewardBreakdown(0.03, 0.02, -0.001, 0.0, 0.049, False, Outcome.RUNNING)
+        assert obs == (3.0, 4.5, 2.0, 0.75) and obs.speed == 2.0
+        assert rb == (0.03, 0.02, -0.001, 0.0, 0.049, False, Outcome.RUNNING)
+        assert repr(obs) == "Observation(rel_x=3.0, rel_y=4.5, speed=2.0, lift=0.75)"
+        for record in (obs, rb):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 9.0)
 
     def test_step_records_equal_public_ones(self):
         env = ApproachEnv()
@@ -313,7 +288,8 @@ class TestStepRecords:
         while not done:
             obs, rb, done = env.step(Controls(int(env.state.step_count > 100), 1))
             for record in (obs, rb, env.state.vehicle):
-                rebuilt = type(record)(*dataclasses.astuple(record))
+                values = record if isinstance(record, tuple) else dataclasses.astuple(record)
+                rebuilt = type(record)(*values)
                 assert record == rebuilt and repr(record) == repr(rebuilt)
                 assert hash(record) == hash(rebuilt)
         assert rb.outcome is not Outcome.RUNNING

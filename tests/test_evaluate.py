@@ -8,9 +8,7 @@ must equal the reference's bits. The greedy policies' batched decision
 (``decide.batch``) is pinned against deciding one observation at a time.
 """
 
-import dataclasses
 import math
-import struct
 from unittest import mock
 
 import numpy as np
@@ -34,19 +32,9 @@ from loader_rl.seeding import substream_seed
 from loader_rl.sim import CONTROLS, BrakeModel
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
 from tests.test_cli import golden_checkpoint
+from tests.test_hold import bits, record_bits
 
 ORACLE = OracleConfig()
-
-
-def bits(value):
-    """A float by its bit pattern (tells -0.0 from 0.0, compares NaN), else the value."""
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    return value
-
-
-def record_bits(record) -> tuple:
-    return tuple(bits(getattr(record, f.name)) for f in dataclasses.fields(record))
 
 
 def trace_bits(trace: EpisodeTrace) -> tuple:

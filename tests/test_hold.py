@@ -4,7 +4,8 @@ The hold advances the plant over plain floats; the functional
 ``env.step`` (over ``sim.step_vehicle`` and ``env.compute_reward``) is
 the readable reference. Folding it ``k`` times must give exactly the
 records, return and hold total that ``hold(action, k)`` gives, and the
-same errors at the same plant step.
+same errors at the same plant step. A hold builds no record: the env
+builds its records only when they are read.
 """
 
 import dataclasses
@@ -12,12 +13,17 @@ import itertools
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from loader_rl import env as env_module
 from loader_rl.env import ApproachEnv, EnvConfig, LiftTermMode, step
+from loader_rl.evaluate import greedy_policy_fn, run_episodes
 from loader_rl.oracle import OracleConfig, scripted_policy
+from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.sim import BrakeModel, Controls, VehicleParams
+from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
 
 
 def bits(value):
@@ -28,7 +34,12 @@ def bits(value):
 
 
 def record_bits(record) -> tuple:
-    return tuple(bits(getattr(record, f.name)) for f in dataclasses.fields(record))
+    """The fields of a named tuple or a dataclass, in order, by their bits."""
+    if isinstance(record, tuple):
+        names = record._fields
+    else:
+        names = [f.name for f in dataclasses.fields(record)]
+    return tuple(bits(getattr(record, name)) for name in names)
 
 
 def env_bits(env) -> tuple:
@@ -204,3 +215,67 @@ def test_state_is_frozen_and_assigning_it_sets_the_episode():
     env.state = moved
     assert env.state is moved and env.x == 0.5
     assert env.obs.rel_x == abs(env.state.target_x - 0.5)
+
+
+class Counted:
+    """A record class standing in for itself, counting the records it
+    builds, by call or by ``_make``."""
+
+    def __init__(self, cls):
+        self.cls, self.n = cls, 0
+
+    def __call__(self, *args, **kwargs):
+        self.n += 1
+        return self.cls(*args, **kwargs)
+
+    def _make(self, values):
+        self.n += 1
+        return self.cls._make(values)
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Counts of the records ``loader_rl.env`` builds from now on."""
+    counted = {name: Counted(getattr(env_module, name))
+               for name in ("Observation", "RewardBreakdown", "VehicleState", "EnvState")}
+    for name, c in counted.items():
+        monkeypatch.setattr(env_module, name, c)
+    return lambda: {name: c.n for name, c in counted.items()}
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_hold_builds_no_record(built, trace):
+    env = ApproachEnv()
+    env.reset(4)
+    on_step = EpisodeTrace(BASE_COLUMNS).add_env_step if trace else None
+    before = built()
+    while not env.done:
+        env.hold(Controls(int(env.step_count >= 100), 1), 10, on_step)
+    assert built() == before
+    # the env's own records are built when read
+    assert env.obs is not None and env.breakdown.done
+    assert built() == {**before, "Observation": before["Observation"] + 1,
+                       "RewardBreakdown": before["RewardBreakdown"] + 1}
+
+
+def test_lockstep_episodes_build_one_observation_per_decision(built):
+    greedy = greedy_policy_fn(
+        init_policy(4, np.random.default_rng(3), ExplorationMode.CONTINUOUS_THRESHOLD))
+    decided = []
+
+    def decide(obs):
+        decided.append(obs)
+        return greedy(obs)
+
+    def batch(observations):
+        decided.extend(observations)
+        return greedy.batch(observations)
+
+    decide.batch = batch
+    n = 5
+    run_episodes([ApproachEnv() for _ in range(n)], decide, list(range(n)), decision_interval=10)
+    assert len(decided) > 2 * n
+    # each reset builds its state and its first observation, and each
+    # result reads the last reward once
+    assert built() == {"Observation": len(decided), "RewardBreakdown": n,
+                       "VehicleState": n, "EnvState": n}

@@ -19,7 +19,6 @@ from loader_rl.policy import (
     init_policy,
     policy_forward,
     sample_action,
-    threshold_greedy_action,
 )
 
 
@@ -201,7 +200,7 @@ class TestThresholdSampler:
         assert lp == pytest.approx(expect, abs=1e-12)
 
     def test_greedy_uses_mean_sign(self):
-        a = threshold_greedy_action(np.array([0.4, -0.1]))
+        a = greedy_action(np.array([0.4, -0.1]))
         assert (a.brake, a.lift_up) == (1, 0)
 
 
@@ -221,7 +220,7 @@ class TestSignWithoutTanh:
 
     def test_greedy_action_equals_tanh_sign(self):
         for mean in self.values():
-            a = threshold_greedy_action(mean)
+            a = greedy_action(mean)
             assert (a.brake, a.lift_up) == (int(math.tanh(mean[0]) > 0.0),
                                             int(math.tanh(mean[1]) > 0.0)), mean
 
