@@ -11,7 +11,6 @@ from .env import (
     ApproachEnv,
     EnvConfig,
     EnvState,
-    LiftTermMode,
     Observation,
     Outcome,
     RewardBreakdown,

@@ -4,14 +4,18 @@ Layout: 8-byte magic, little-endian u32 format version, u32 header
 length, a JSON header (configs, digests, rng state, array manifest),
 then the raw little-endian float64 array payload in manifest order.
 Weights round-trip bit-exactly because they never leave binary form.
-Only the current format version loads: version 1 checkpoints stored a
-vehicle setting that no longer exists, so their env digest cannot be
-reproduced.
+Only the current format version loads: versions 1 and 2 stored settings
+that no longer exist, so their env digest cannot be reproduced. A load
+rejects, with :class:`CheckpointFormatError`, any array that is not
+finite, normalizer statistics no run reaches (``norm.m2`` < 0, a
+``norm.count`` that is no whole number >= 0), and any config section
+that is not a dict of strings with exactly the keys of its class.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,7 +30,7 @@ from .ppo import TrainConfig
 from .sim import VehicleParams
 
 MAGIC = b"LOADERRL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointFormatError(Exception):
@@ -72,14 +76,8 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
         "manifest": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for name, _ in manifest:
-        blob += np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
-    return bytes(blob)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
 
 
 def write_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
@@ -102,15 +100,12 @@ def load_checkpoint(data: bytes) -> PolicyCheckpoint:
         raise CheckpointFormatError("truncated checkpoint: missing header")
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointFormatError("bad magic string; not a checkpoint file")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    version, header_len = struct.unpack_from("<II", data, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint format version {version} (expected {FORMAT_VERSION})"
         )
-    (header_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    offset = len(MAGIC) + 8
     if len(data) < offset + header_len:
         raise CheckpointFormatError("truncated checkpoint: incomplete header")
     try:
@@ -129,13 +124,29 @@ def _stored_net(arrays: dict[str, np.ndarray], name: str, sizes: list[int]) -> M
     return MLP.from_params(sizes, [arrays[f"{name}.{i}"] for i in range(2 * len(sizes) - 2)])
 
 
+def _section(header: dict, key: str, cls: type):
+    """The config ``cls`` stored as ``header[key]``, which must map exactly
+    the keys of ``flatcfg.flatten(cls())`` to strings: none defaults."""
+    flat = header[key]
+    if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
+        raise CheckpointFormatError(f"header section {key!r} is not a dict of strings")
+    expected = flatcfg.flatten(cls()).keys()
+    if flat.keys() != expected:
+        raise CheckpointFormatError(
+            f"header section {key!r}: missing keys {sorted(expected - flat.keys())}, "
+            f"unknown keys {sorted(flat.keys() - expected)}")
+    return flatcfg.unflatten(cls, flat)
+
+
 def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
-    """The checkpoint a parsed header describes; a header of the wrong
-    shape raises KeyError, TypeError or ValueError."""
+    """The checkpoint a parsed header describes. Content a run cannot
+    write raises CheckpointFormatError; a header of the wrong shape may
+    also raise KeyError, TypeError or ValueError."""
     arrays: dict[str, np.ndarray] = {}
     for name, shape in header["manifest"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointFormatError(f"array {name!r} has an invalid shape {shape!r}")
+        nbytes = math.prod(shape) * 8
         if len(data) < offset + nbytes:
             raise CheckpointFormatError(f"truncated checkpoint: array {name!r} incomplete")
         arr = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").astype(np.float64)
@@ -143,17 +154,32 @@ def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
         offset += nbytes
     if offset != len(data):
         raise CheckpointFormatError(f"{len(data) - offset} trailing bytes after arrays")
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise CheckpointFormatError(f"array {name!r} has non-finite values")
 
-    train_config = flatcfg.unflatten(TrainConfig, header["train_config"])
-    env_config = flatcfg.unflatten(EnvConfig, header["env_config"])
-    vehicle_params = flatcfg.unflatten(VehicleParams, header["vehicle_params"])
+    train_config = _section(header, "train_config", TrainConfig)
+    env_config = _section(header, "env_config", EnvConfig)
+    vehicle_params = _section(header, "vehicle_params", VehicleParams)
+    if header.get("env_digest") != env_digest(env_config, vehicle_params):
+        raise CheckpointFormatError("stored env digest does not match stored configs")
     mode = ExplorationMode(header["exploration_mode"])
+    timesteps = header["timesteps"]
+    if type(timesteps) is not int or timesteps < 0:
+        raise CheckpointFormatError(f"timesteps must be a whole number >= 0, got {timesteps!r}")
 
     actor = _stored_net(arrays, "actor", header["actor_sizes"])
     critic = _stored_net(arrays, "critic", header["critic_sizes"])
-    normalizer = ObsNormalizer.from_state_arrays(
-        {"mean": arrays["norm.mean"], "m2": arrays["norm.m2"], "count": arrays["norm.count"]}
-    )
+    mean, m2, count = arrays["norm.mean"], arrays["norm.m2"], arrays["norm.count"]
+    dim = actor.sizes[0]
+    if mean.shape != (dim,) or m2.shape != (dim,) or count.shape != (1,):
+        raise CheckpointFormatError(f"normalizer arrays do not fit input size {dim}")
+    if (m2 < 0.0).any():
+        raise CheckpointFormatError("array 'norm.m2' has negative values")
+    n = float(count[0])
+    if n < 0.0 or n != math.floor(n):
+        raise CheckpointFormatError(f"array 'norm.count' must hold one whole number >= 0, got {n!r}")
+    normalizer = ObsNormalizer.from_state_arrays({"mean": mean, "m2": m2, "count": count})
     params = PolicyParams(
         actor=actor,
         critic=critic,
@@ -161,17 +187,14 @@ def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
         exploration_mode=mode,
         log_std=arrays.get("log_std"),
     )
-    ckpt = PolicyCheckpoint(
+    return PolicyCheckpoint(
         params=params,
         train_config=train_config,
         env_config=env_config,
         vehicle_params=vehicle_params,
-        timesteps=int(header["timesteps"]),
+        timesteps=timesteps,
         rng_state=header.get("rng_state", {}),
     )
-    if header.get("env_digest") != env_digest(env_config, vehicle_params):
-        raise CheckpointFormatError("stored env digest does not match stored configs")
-    return ckpt
 
 
 def read_checkpoint(path) -> PolicyCheckpoint:

@@ -33,18 +33,6 @@ class Outcome(Enum):
     TIMEOUT = "Timeout"
 
 
-class LiftTermMode(Enum):
-    """Shape of the per-step lift reward term.
-
-    GOAL_PROGRESS pays the decrease in distance-to-lift-goal, capped at
-    the goal so post-goal lifting earns nothing. LITERAL evaluates
-    ``prev_lift - goal_frac * curr_lift`` verbatim for comparison runs.
-    """
-
-    GOAL_PROGRESS = "goal_progress"
-    LITERAL = "literal"
-
-
 @dataclass(frozen=True)
 class EnvConfig:
     target_distance: float = 5.0
@@ -60,8 +48,6 @@ class EnvConfig:
     dt: float = 1.0 / 50.0
     lift_start_mean: float = 0.5
     lift_start_jitter: float = 0.03
-    lift_term_mode: LiftTermMode = LiftTermMode.GOAL_PROGRESS
-    pad_obs_to_5d: bool = False
 
     def __post_init__(self) -> None:
         flatcfg.check_fields(
@@ -73,10 +59,6 @@ class EnvConfig:
         if not (0.0 < self.lift_goal_frac < 1.0):
             raise ValueError(f"lift_goal_frac must be in (0, 1), got {self.lift_goal_frac}")
 
-    @property
-    def obs_dim(self) -> int:
-        return 5 if self.pad_obs_to_5d else 4
-
 
 class Observation(NamedTuple):
     """Agent input: absolute target offsets, speed, normalized lift."""
@@ -86,9 +68,7 @@ class Observation(NamedTuple):
     speed: float
     lift: float
 
-    def to_array(self, pad_to_5d: bool = False) -> np.ndarray:
-        if pad_to_5d:
-            return np.array([self.rel_x, self.rel_y, self.speed, self.lift, 0.0])
+    def to_array(self) -> np.ndarray:
         return np.array([self.rel_x, self.rel_y, self.speed, self.lift])
 
 
@@ -164,8 +144,9 @@ def compute_reward(
 
     (1) either failure flag: -1 and done; (2) inside the vicinity, below
     the speed threshold, boom past the lift goal: +1 and done; (3)
-    otherwise shaped reward = distance progress + capped lift progress -
-    time penalty. Terminal totals are exactly +-1 with shaping zeroed.
+    otherwise shaped reward = distance progress + lift progress capped at
+    the goal - time penalty. Terminal totals are exactly +-1 with shaping
+    zeroed.
     """
     isfinite = math.isfinite
     if not (isfinite(prev_distance) and isfinite(curr_distance) and isfinite(prev_lift)
@@ -191,10 +172,7 @@ def compute_reward(
 
     progress = prev_distance - curr_distance
     goal = config.lift_goal_frac
-    if config.lift_term_mode is LiftTermMode.GOAL_PROGRESS:
-        lift_term = config.lift_reward_scale * (min(curr_lift, goal) - min(prev_lift, goal))
-    else:
-        lift_term = prev_lift - goal * curr_lift
+    lift_term = config.lift_reward_scale * (min(curr_lift, goal) - min(prev_lift, goal))
     time_term = -config.time_penalty_tc * step_count
     total = progress + lift_term + time_term
     return RewardBreakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
@@ -284,10 +262,7 @@ def step(
         vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
         step_count, curr_distance, vehicle.lift, done,
     )
-    obs = Observation(
-        abs(env.target_x - vehicle.x), abs(env.target_y - vehicle.y), vehicle.speed, vehicle.lift
-    )
-    return new_env, obs, breakdown, done
+    return new_env, build_observation(new_env), breakdown, done
 
 
 class _Plant(NamedTuple):
@@ -311,7 +286,6 @@ class _Plant(NamedTuple):
     speed_threshold: float
     lift_goal_frac: float
     lift_reward_scale: float
-    goal_progress: bool
     neg_time_penalty_tc: float
 
 
@@ -324,7 +298,7 @@ def _plant(config: EnvConfig, params: VehicleParams) -> _Plant:
         params.lift_rate * dt, params.lift_min, params.lift_max,
         config.out_of_range_radius, config.max_episode_time, config.vicinity,
         config.speed_threshold, config.lift_goal_frac, config.lift_reward_scale,
-        config.lift_term_mode is LiftTermMode.GOAL_PROGRESS, -config.time_penalty_tc,
+        -config.time_penalty_tc,
     )
 
 
@@ -467,7 +441,7 @@ class ApproachEnv:
             raise RuntimeError("cannot step a finished episode; reset first")
         (dt, dt_ok, cruise_speed, ideal_decel, ideal_dv, initial_pedal, pedal_decay, lift_dv,
          lift_min, lift_max, radius, max_time, vicinity, speed_threshold, goal, lift_scale,
-         goal_progress, neg_tc) = self._plant
+         neg_tc) = self._plant
         x, y, heading, speed, lift, elapsed, pedal = (
             self.x, self.y, self.heading, self.speed, self.lift, self.elapsed, self.brake_pedal)
         if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))):
@@ -523,10 +497,7 @@ class ApproachEnv:
                     terms = _SUCCESS
                 else:
                     progress = prev_distance - distance
-                    if goal_progress:
-                        lift_term = lift_scale * (min(new_lift, goal) - min(prev_lift, goal))
-                    else:
-                        lift_term = prev_lift - goal * new_lift
+                    lift_term = lift_scale * (min(new_lift, goal) - min(prev_lift, goal))
                     time_term = neg_tc * new_count
                     terms = (progress, lift_term, time_term, 0.0, progress + lift_term + time_term,
                              False, Outcome.RUNNING)

@@ -45,11 +45,10 @@ def greedy_policy_fn(params: PolicyParams) -> PolicyFn:
         return greedy_action(logits)
 
     def batch(observations: Sequence[Observation]) -> list[Controls]:
-        x = np.zeros((len(observations), params.obs_dim))
-        x[:, :4] = [(o.rel_x, o.rel_y, o.speed, o.lift) for o in observations]
-        if not np.isfinite(x).all():
+        x = np.array([(o.rel_x, o.rel_y, o.speed, o.lift) for o in observations])
+        if x.shape[1:] != (params.obs_dim,) or not np.isfinite(x).all():
             for obs in observations:
-                _as_obs_array(obs, params.obs_dim)  # raises for the first non-finite one
+                _as_obs_array(obs, params.obs_dim)  # raises the error of the first bad one
         fire = (params.actor(params.obs_normalizer.normalize(x)) > 0.0).tolist()
         return [CONTROLS[brake][lift_up] for brake, lift_up in fire]
 

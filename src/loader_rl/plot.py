@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .trace import read_text
 from .train import METRICS_COLUMNS
 
 
@@ -21,11 +22,7 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
     offending row number for malformed content, which includes a last data
     row without a line end: ``train`` writes whole lines, so such a row was
     cut off."""
-    if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file) as f:
-            text = f.read()
-    else:
-        text = path_or_file.read()
+    text = read_text(path_or_file)
     digest = ""
     lines = text.splitlines()
     header = None

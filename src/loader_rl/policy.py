@@ -141,7 +141,7 @@ def init_policy(
 
 def _as_obs_array(obs, dim: int) -> np.ndarray:
     if isinstance(obs, Observation):
-        x = obs.to_array(pad_to_5d=dim == 5)
+        x = obs.to_array()
         # four scalar tests cost a fraction of np.isfinite on the array
         isfinite = math.isfinite
         finite = (isfinite(obs.rel_x) and isfinite(obs.rel_y) and isfinite(obs.speed)
@@ -220,6 +220,7 @@ class ThresholdSampler:
     Keeps the standard-normal noise vector fixed for
     ``resample_every`` decisions, mimicking state-dependent-exploration
     style smoothness; the pre-squash sample is what the optimizer sees.
+    The held noise carries across episode ends.
     """
 
     def __init__(self, resample_every: int = 4):
@@ -227,10 +228,6 @@ class ThresholdSampler:
             raise ValueError(f"resample_every must be >= 1, got {resample_every}")
         self.resample_every = resample_every
         self._noise: np.ndarray | None = None
-        self._age = 0
-
-    def reset(self) -> None:
-        self._noise = None
         self._age = 0
 
     def sample(

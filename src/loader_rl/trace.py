@@ -17,6 +17,7 @@ pedal fraction.
 from __future__ import annotations
 
 import io
+import os
 from typing import Iterable, Optional
 
 from .env import Outcome
@@ -115,7 +116,7 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
              for name, col in zip(trace.columns, columns)]
     for line in map(",".join, zip(*cells)):
         out.write(line + "\n")
-    if isinstance(path_or_file, (str, bytes)):
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
         with open(path_or_file, "w") as f:
             f.write(out.getvalue())
     else:
@@ -128,15 +129,18 @@ def _min_max_scaled(column: tuple) -> list:
     return [(v - lo) / span if span > 0 else 0.0 for v in column]
 
 
+def read_text(path_or_file) -> str:
+    """The text of a path (str, bytes or ``os.PathLike``) or an open file."""
+    if isinstance(path_or_file, (str, bytes, os.PathLike)):
+        with open(path_or_file) as f:
+            return f.read()
+    return path_or_file.read()
+
+
 def read_trace_csv(path_or_file) -> EpisodeTrace:
     """Inverse of :func:`write_trace_csv`; normalized traces read back
     with every numeric column as float."""
-    if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file) as f:
-            text = f.read()
-    else:
-        text = path_or_file.read()
-    lines = text.splitlines()
+    lines = read_text(path_or_file).splitlines()
     meta = {}
     header = None
     data_start = 0

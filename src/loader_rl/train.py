@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .checkpoint import PolicyCheckpoint, write_checkpoint
-from .env import ApproachEnv, Outcome
+from .env import ApproachEnv, Observation, Outcome
 from .policy import ExplorationMode, ThresholdSampler, init_policy, sample_action
 from .ppo import PPOLearner, RolloutBuffer, TrainConfig, UpdateStats
 from .evaluate import evaluate_policy, greedy_policy_fn
@@ -85,7 +85,7 @@ def train(
     the error propagates.
     """
     env = env_factory()
-    obs_dim = env.config.obs_dim
+    obs_dim = len(Observation._fields)
     master = config.seed
 
     params = init_policy(obs_dim, substream(master, "policy_init"), config.exploration_mode)
@@ -128,7 +128,7 @@ def train(
         while timesteps() < config.total_timesteps:
             buffer.reset()
             for _ in range(config.n_steps):
-                raw = env.obs.to_array(pad_to_5d=obs_dim == 5)
+                raw = env.obs.to_array()
                 params.obs_normalizer.update(raw)
                 xn = params.obs_normalizer.normalize(raw)
                 logits = params.actor(xn)
@@ -151,7 +151,7 @@ def train(
                     env.reset(substream_seed(master, "env", episode_index))
                     finished_steps += length
 
-            raw = env.obs.to_array(pad_to_5d=obs_dim == 5)
+            raw = env.obs.to_array()
             xn = params.obs_normalizer.normalize(raw)
             buffer.bootstrap_value = float(params.critic(xn)[0])
 

@@ -6,12 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loader_rl import flatcfg
 from loader_rl.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointFormatError,
     PolicyCheckpoint,
+    _collect_arrays,
     load_checkpoint,
     save_checkpoint,
     write_checkpoint,
@@ -43,6 +46,44 @@ def make_checkpoint(mode=ExplorationMode.BERNOULLI, seed=0):
         timesteps=12345,
         rng_state={"episode_index": 7, "updates": 3},
     )
+
+
+def golden():
+    """A deterministic untrained checkpoint: seeded continuous-threshold
+    init at control_interval=10, normalizer fed a fixed observation grid."""
+    params = init_policy(4, np.random.default_rng(3), ExplorationMode.CONTINUOUS_THRESHOLD)
+    for rel_x in (0.0, 1.5, 3.0, 4.5):
+        for speed in (0.0, 1.0, 2.0):
+            params.obs_normalizer.update(np.array([rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed]))
+    config = TrainConfig(exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD, control_interval=10)
+    return PolicyCheckpoint(params=params, train_config=config, env_config=EnvConfig(),
+                            vehicle_params=VehicleParams())
+
+
+def golden_checkpoint(path):
+    """:func:`golden`, written to ``path``."""
+    write_checkpoint(golden(), path)
+    return path
+
+
+def split(blob):
+    """(the parsed JSON header, the array payload) of checkpoint bytes."""
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    return json.loads(blob[start:start + header_len]), blob[start + header_len:]
+
+
+def join(header, payload, version=FORMAT_VERSION):
+    header_bytes = json.dumps(header).encode()
+    return MAGIC + struct.pack("<II", version, len(header_bytes)) + header_bytes + payload
+
+
+def assert_cli_rejects(blob, tmp_path, capsys):
+    """``eval`` of the checkpoint exits 1 with no traceback."""
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRoundTrip:
@@ -137,12 +178,23 @@ class TestFormatErrors:
         blob = bytearray(save_checkpoint(make_checkpoint()))
         blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 1)
         with pytest.raises(CheckpointFormatError,
-                           match=r"^unsupported checkpoint format version 1 \(expected 2\)$"):
+                           match=r"^unsupported checkpoint format version 1 \(expected 3\)$"):
             load_checkpoint(bytes(blob))
         path = tmp_path / "v1.ckpt"
         path.write_bytes(blob)
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
         assert "format version 1" in capsys.readouterr().err
+
+    def test_version_2_rejected(self, tmp_path, capsys):
+        # version 2 stored env.lift_term_mode and env.pad_obs_to_5d, so its
+        # env digest cannot be reproduced either
+        header, payload = split(save_checkpoint(make_checkpoint()))
+        header["env_config"].update(lift_term_mode="goal_progress", pad_obs_to_5d="false")
+        blob = join(header, payload, version=2)
+        with pytest.raises(CheckpointFormatError,
+                           match=r"^unsupported checkpoint format version 2 \(expected 3\)$"):
+            load_checkpoint(blob)
+        assert_cli_rejects(blob, tmp_path, capsys)
 
     def test_trailing_garbage(self):
         blob = save_checkpoint(make_checkpoint())
@@ -155,16 +207,31 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bytes(blob))
 
-    @pytest.mark.parametrize("edit", ["list", "no_manifest", "array_shape", "net_sizes",
-                                      "one_size"])
+    # edit -> the message it raises
+    HEADER_EDITS = {
+        "list": "schema",
+        "no_manifest": "schema",
+        "array_shape": "schema",
+        "net_sizes": "schema",
+        "one_size": "schema",
+        "renamed_key": r"'train_config': missing keys \['control_interval'\], "
+                       r"unknown keys \['control_intervaX'\]",
+        "removed_key": r"'env_config': missing keys \[\], unknown keys \['pad_obs_to_5d'\]",
+        "unquoted_value": "'train_config' is not a dict of strings",
+        "section_list": "'vehicle_params' is not a dict of strings",
+        "negative_dim": r"array 'actor.0' has an invalid shape \[-1, 64\]",
+        "float_timesteps": r"timesteps must be a whole number >= 0, got 1e\+300",
+    }
+
+    @pytest.mark.parametrize("edit", HEADER_EDITS)
     def test_header_schema(self, edit, tmp_path, capsys):
         # valid JSON that is not a checkpoint header: a list, a dict without
-        # the array manifest, a transposed weight array, or net sizes that
-        # disagree with the stored arrays; the payload is kept as saved
-        blob = save_checkpoint(make_checkpoint())
-        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
-        start = len(MAGIC) + 8
-        header = json.loads(blob[start:start + header_len])
+        # the array manifest, a transposed weight array, net sizes that
+        # disagree with the stored arrays, a config section with a renamed,
+        # extra or unquoted value or of the wrong type, a negative array
+        # dimension, or a timestep count that is no whole number; the
+        # payload is kept as saved
+        header, payload = split(save_checkpoint(make_checkpoint()))
         if edit == "list":
             header = list(header.items())
         elif edit == "no_manifest":
@@ -174,15 +241,99 @@ class TestFormatErrors:
             header["manifest"][0][1] = [64, 4]
         elif edit == "net_sizes":
             header["critic_sizes"] = [4, 32, 32, 1]
-        else:
+        elif edit == "one_size":
             header["actor_sizes"] = [4]
-        header_bytes = json.dumps(header).encode()
-        bad = (blob[:len(MAGIC) + 4] + struct.pack("<I", len(header_bytes))
-               + header_bytes + blob[start + header_len:])
-        with pytest.raises(CheckpointFormatError, match="schema"):
+        elif edit == "renamed_key":
+            train = header["train_config"]
+            train["control_intervaX"] = train.pop("control_interval")
+        elif edit == "removed_key":
+            header["env_config"]["pad_obs_to_5d"] = "false"
+        elif edit == "unquoted_value":
+            header["train_config"]["eval_episodes"] = 20
+        elif edit == "section_list":
+            header["vehicle_params"] = list(header["vehicle_params"].items())
+        elif edit == "negative_dim":
+            header["manifest"][0][1] = [-1, 64]
+        else:
+            header["timesteps"] = 1e300
+        bad = join(header, payload)
+        with pytest.raises(CheckpointFormatError, match=self.HEADER_EDITS[edit]):
             load_checkpoint(bad)
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(bad)
-        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        assert_cli_rejects(bad, tmp_path, capsys)
+
+    PAYLOAD_EDITS = {
+        "nan_weight": "array 'actor.0' has non-finite values",
+        "inf_weight": "array 'critic.2' has non-finite values",
+        "inf_mean": "array 'norm.mean' has non-finite values",
+        "negative_m2": "array 'norm.m2' has negative values",
+        "fractional_count": r"array 'norm.count' must hold one whole number >= 0, got 2\.5",
+        "negative_count": r"array 'norm.count' must hold one whole number >= 0, got -3\.0",
+    }
+
+    @pytest.mark.parametrize("edit", PAYLOAD_EDITS)
+    def test_payload_values(self, edit, tmp_path, capsys):
+        # array values no training run writes: a non-finite weight or
+        # statistic, a negative sum of squares, a sample count that is no
+        # whole number >= 0
+        ckpt = make_checkpoint()
+        params, norm = ckpt.params, ckpt.params.obs_normalizer
+        if edit == "nan_weight":
+            params.actor.params[0][1, 2] = np.nan
+        elif edit == "inf_weight":
+            params.critic.params[2][0, 0] = -np.inf
+        elif edit == "inf_mean":
+            norm.mean[3] = np.inf
+        elif edit == "negative_m2":
+            norm.m2[1] = -1e-3
+        elif edit == "fractional_count":
+            norm.count = 2.5
+        else:
+            norm.count = -3
+        bad = save_checkpoint(ckpt)
+        with pytest.raises(CheckpointFormatError, match=f"^{self.PAYLOAD_EDITS[edit]}$"):
+            load_checkpoint(bad)
+        assert_cli_rejects(bad, tmp_path, capsys)
+
+
+GOLDEN = save_checkpoint(golden())
+HEADER_START = len(MAGIC) + 8
+PAYLOAD_START = HEADER_START + struct.unpack_from("<I", GOLDEN, len(MAGIC) + 4)[0]
+SECTIONS = {"train_config": TrainConfig, "env_config": EnvConfig, "vehicle_params": VehicleParams}
+
+# random bytes mostly break the UTF-8 or the JSON, so draw JSON characters as well
+header_edits = st.lists(
+    st.tuples(st.integers(HEADER_START, PAYLOAD_START - 1),
+              st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789-.eE+"{}[],: tfnul'))),
+    min_size=1, max_size=3)
+# random bytes are rarely a non-finite float64, so draw floats as well
+payload_edit = st.tuples(
+    st.integers(0, (len(GOLDEN) - PAYLOAD_START) // 8 - 1),
+    st.one_of(st.binary(min_size=8, max_size=8),
+              st.floats().map(lambda v: struct.pack("<d", v))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edit=st.one_of(header_edits, payload_edit))
+def test_mutated_golden_checkpoint_loads_clean_or_raises_format_error(edit):
+    # a byte-mutated checkpoint is rejected as such, or loads as one a run
+    # could have written: finite arrays, normalizer statistics in range and
+    # config sections with exactly their fields
+    blob = bytearray(GOLDEN)
+    if isinstance(edit, list):
+        for at, value in edit:
+            blob[at] = value
+    else:
+        at = PAYLOAD_START + 8 * edit[0]
+        blob[at:at + 8] = edit[1]
+    try:
+        ckpt = load_checkpoint(bytes(blob))
+    except CheckpointFormatError:
+        return
+    assert all(np.isfinite(a).all() for a in _collect_arrays(ckpt.params).values())
+    norm = ckpt.params.obs_normalizer
+    assert (norm.m2 >= 0.0).all() and norm.count >= 0
+    header, _ = split(bytes(blob))
+    for key, cls in SECTIONS.items():
+        assert header[key].keys() == flatcfg.flatten(cls()).keys()
+        assert getattr(ckpt, key) == flatcfg.unflatten(cls, header[key])
 

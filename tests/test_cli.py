@@ -6,17 +6,12 @@ plumbing (files, digests, determinism, exit codes), not learning.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from loader_rl.cli import main
-from loader_rl.checkpoint import PolicyCheckpoint, read_checkpoint, write_checkpoint
-from loader_rl.env import EnvConfig
-from loader_rl.policy import ExplorationMode, init_policy
-from loader_rl.ppo import TrainConfig
-from loader_rl.sim import VehicleParams
+from loader_rl.checkpoint import read_checkpoint
 from loader_rl.trace import read_trace_csv
-from tests.test_checkpoint import payload_sha
+from tests.test_checkpoint import golden_checkpoint, payload_sha
 
 TINY_TRAIN = "\n".join([
     "seed=5",
@@ -86,10 +81,11 @@ class TestTrain:
         assert "vicinty" in err and ":2" in err
 
     @pytest.mark.parametrize("key", ["train.n_envs=1", "vehicle.steering_limit=0.6545",
-                                     "emulation.rate_scale=0.1"])
+                                     "emulation.rate_scale=0.1", "env.lift_term_mode=literal",
+                                     "env.pad_obs_to_5d=true"])
     def test_removed_key_is_unknown(self, key, tmp_path, capsys):
-        # settings that only raised, were never read, or spelled the
-        # decision rate a second time
+        # settings that only raised, were never read, spelled the decision
+        # rate a second time, or selected an env variant no run used
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed=1\n{key}\n")
         assert main(["train", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -108,7 +104,7 @@ class TestTrain:
             assert read_checkpoint(tmp_path / name / "last.ckpt").train_config.seed == 5
         assert outs["plain"] == outs["explicit"]
         first = (tmp_path / "plain" / "metrics.csv").read_text().splitlines()[0]
-        assert first == "# config_digest=7cbe4cb0cf4d4ab6"
+        assert first == "# config_digest=0b8ccd8b8d5550d5"
 
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_conflicting_train_seed_exits_1(self, where, tmp_path, capsys):
@@ -346,7 +342,7 @@ class TestReplay:
 
 
 # config digest of the default run config at seed 0
-DEFAULT_DIGEST = "ce6eeec7b88eabf8"
+DEFAULT_DIGEST = "68dc7f225078d603"
 # body of the default scripted emulation trace at --seed 0 --delay 3
 EMULATION_BODY_DELAY_3 = "2a27bdc639fe0de806ed7ad7e476fa9db248e32c7a9ce5b2ec6b33fc49bd61bd"
 
@@ -372,7 +368,7 @@ class TestGoldenOutputs:
             (["--seed", "0"],
              (DEFAULT_DIGEST, "9957e639f9aac9aa33cf5127ae8b0721deb44a42120be5dacd88cb0097f27821")),
             # min-max scaling column by column, integer columns as floats
-            (["--seed", "5", "--normalized"], ("047e47f515dc3f42",
+            (["--seed", "5", "--normalized"], ("61f54a88827e7357",
              "9261470c6196da972b9f5991fe69d3ae974f0f01fe71ba9659cccd7dd62654ef")),
         ):
             assert main(["replay", "--scripted", *flags, "--trace", str(p)]) == 0
@@ -380,7 +376,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("delay, digest, body", [
         # the digest covers the --delay flag; 3 s is the default delay
-        ("0", "0d89c3b7ffe2a755",
+        ("0", "5025052d6ab41fce",
          "ef60137d87760d6051964defaddb8e002dee3ce96cf831a89cf728a0f0d3ac39"),
         ("3", DEFAULT_DIGEST, EMULATION_BODY_DELAY_3),
     ], ids=["0", "3"])
@@ -390,19 +386,6 @@ class TestGoldenOutputs:
         assert main(["emulate", "--scripted", "--seed", "0", "--delay", delay,
                      "--trace", str(p)]) == 0
         assert digest_and_body(p) == (digest, body)
-
-
-def golden_checkpoint(path):
-    """A deterministic untrained checkpoint: seeded continuous-threshold
-    init at control_interval=10, normalizer fed a fixed observation grid."""
-    params = init_policy(4, np.random.default_rng(3), ExplorationMode.CONTINUOUS_THRESHOLD)
-    for rel_x in (0.0, 1.5, 3.0, 4.5):
-        for speed in (0.0, 1.0, 2.0):
-            params.obs_normalizer.update(np.array([rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed]))
-    config = TrainConfig(exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD, control_interval=10)
-    write_checkpoint(PolicyCheckpoint(params=params, train_config=config, env_config=EnvConfig(),
-                                      vehicle_params=VehicleParams()), path)
-    return path
 
 
 class TestCheckpointGoldenOutputs:
@@ -417,7 +400,7 @@ class TestCheckpointGoldenOutputs:
     @pytest.fixture()
     def ckpt(self, tmp_path):
         path = golden_checkpoint(tmp_path / "golden.ckpt")
-        assert sha(path) == "7d0cf4d1b5cb0ba7117911c8690a9df57ee68d22450c4d53875c120dcf3dfedf"
+        assert sha(path) == "5c288cf0e9b1bb6c13480ed03ea4913cc52ff242e716b1d64eb42e8f6f3de82d"
         assert payload_sha(path) == \
             "cdd8c16c45a8677b72dd681f5090b2ebf120616f313d77a01721577e90f8a82b"
         return str(path)
@@ -427,13 +410,13 @@ class TestCheckpointGoldenOutputs:
         assert main(["eval", "--checkpoint", ckpt, "--episodes", "20", "--seed", "0",
                      "--report", str(p)]) == 0
         assert digest_and_body(p) == (
-            "781c21ddb81394cd", "b3f85b5783b8a1b45de7e4bf96f34521cfd384b1c168552d5df3ffbb98197f03")
+            "74c6f3abd20484de", "b3f85b5783b8a1b45de7e4bf96f34521cfd384b1c168552d5df3ffbb98197f03")
 
     def test_replay_trace(self, ckpt, tmp_path):
         p = tmp_path / "trace.csv"
         assert main(["replay", "--checkpoint", ckpt, "--seed", "3", "--trace", str(p)]) == 0
         assert digest_and_body(p) == (
-            "4c75e4820e915c47", "de5ea663f5dfef0bc9f04b1564d541d88a762b5f4f8e032422da913e306b7255")
+            "1fcdca4a9aa71456", "de5ea663f5dfef0bc9f04b1564d541d88a762b5f4f8e032422da913e306b7255")
         # the greedy decisions really switch the brake both ways
         assert {row["brake_action"] for row in read_trace_csv(str(p)).rows} == {0, 1}
 
@@ -456,7 +439,7 @@ class TestCheckpointGoldenOutputs:
         assert main(["emulate", "--checkpoint", ckpt, "--seed", "0", "--delay", "3",
                      "--trace", str(p)]) == 0
         assert digest_and_body(p) == (
-            "781c21ddb81394cd", "f2f4d9f84c1a3e6cd67892f2940d7713746dd623a473dba2feafc6027d342fd3")
+            "74c6f3abd20484de", "f2f4d9f84c1a3e6cd67892f2940d7713746dd623a473dba2feafc6027d342fd3")
 
 
 class TestEmulate:
@@ -538,6 +521,15 @@ class TestPlot:
             assert main(["plot", "--metrics", str(out / "metrics.csv"), "--out", str(p)]) == 0
             hashes.append(sha(p))
         assert hashes[0] == hashes[1]
+
+    def test_metrics_read_from_a_path_object(self, train_run):
+        from loader_rl.plot import read_metrics_csv
+
+        _, out = train_run
+        path = out / "metrics.csv"
+        rows, digest = read_metrics_csv(path)
+        assert len(rows) == 2 and digest == path.read_text().splitlines()[0].rpartition("=")[2]
+        assert read_metrics_csv(str(path)) == (rows, digest)
 
     def test_empty_metrics_is_format_error(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"

@@ -4,7 +4,7 @@ import pytest
 
 from loader_rl.config import ConfigError, RunConfig, build_run_config, load_run_config, parse_config_text
 from loader_rl.emulator import EmulationConfig
-from loader_rl.env import EnvConfig, LiftTermMode, env_digest
+from loader_rl.env import EnvConfig, env_digest
 from loader_rl.policy import ExplorationMode
 from loader_rl.ppo import TrainConfig
 from loader_rl.sim import BrakeModel, VehicleParams
@@ -21,7 +21,7 @@ class TestFlatEncoding:
 
     def test_round_trip_non_defaults(self):
         run = RunConfig(
-            env=EnvConfig(vicinity=2.0, lift_term_mode=LiftTermMode.LITERAL, pad_obs_to_5d=True),
+            env=EnvConfig(vicinity=2.0, lift_start_jitter=0.01),
             vehicle=VehicleParams(cruise_speed=1.5),
             train=TrainConfig(learning_rate=1e-3, exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD),
             emulation=EmulationConfig(position_delay=1.5, brake_model=BrakeModel.IDEAL,

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from loader_rl import evaluate
 from loader_rl.checkpoint import read_checkpoint
 from loader_rl.emulator import EmulatedEnv, EmulationConfig
-from loader_rl.env import ApproachEnv, EnvConfig, LiftTermMode, Observation
+from loader_rl.env import ApproachEnv, Observation
 from loader_rl.evaluate import (
     BucketStats,
     EpisodeResult,
@@ -31,7 +31,7 @@ from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.seeding import substream_seed
 from loader_rl.sim import CONTROLS, BrakeModel
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
-from tests.test_cli import golden_checkpoint
+from tests.test_checkpoint import golden_checkpoint
 from tests.test_hold import bits, record_bits
 
 ORACLE = OracleConfig()
@@ -47,14 +47,13 @@ def report_bits(report) -> tuple:
             record_bits(report.degenerate))
 
 
-def greedy_params(mode: ExplorationMode, dim: int):
-    """The parameters of ``golden_checkpoint`` (for dim 4 and the threshold
-    mode), in the given mode and input size."""
-    params = init_policy(dim, np.random.default_rng(3), mode)
+def greedy_params(mode: ExplorationMode):
+    """The parameters of ``golden_checkpoint`` (for the threshold mode), in
+    the given mode."""
+    params = init_policy(4, np.random.default_rng(3), mode)
     for rel_x in (0.0, 1.5, 3.0, 4.5):
         for speed in (0.0, 1.0, 2.0):
-            row = [rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed, 0.0][:dim]
-            params.obs_normalizer.update(np.array(row))
+            params.obs_normalizer.update(np.array([rel_x, 5.0 - rel_x, speed, 0.5 + 0.1 * speed]))
     return params
 
 
@@ -75,7 +74,7 @@ class PulsedBrakePolicy:
         return CONTROLS[int(self.calls % 7 == 0)][1]
 
 
-def make_policy(kind: str, dim: int):
+def make_policy(kind: str):
     if kind == "scripted":
         return lambda obs: scripted_policy(obs, ORACLE)
     if kind == "latched":
@@ -84,7 +83,7 @@ def make_policy(kind: str, dim: int):
         return PulsedBrakePolicy()
     mode = {"threshold": ExplorationMode.CONTINUOUS_THRESHOLD,
             "bernoulli": ExplorationMode.BERNOULLI}[kind]
-    return greedy_policy_fn(greedy_params(mode, dim))
+    return greedy_policy_fn(greedy_params(mode))
 
 
 def env_factory(kind: str, interval: int):
@@ -93,9 +92,7 @@ def env_factory(kind: str, interval: int):
         emu = EmulationConfig(position_delay=0.0, control_interval=interval,
                               brake_model=BrakeModel.IDEAL, start_from_standstill=False)
         return lambda: EmulatedEnv(emu)
-    config = {"plain": EnvConfig(), "pad5": EnvConfig(pad_obs_to_5d=True),
-              "literal": EnvConfig(lift_term_mode=LiftTermMode.LITERAL)}[kind]
-    return lambda: ApproachEnv(config)
+    return ApproachEnv
 
 
 def reference(make_env, decide, seeds, headings, interval, collect_trace):
@@ -144,7 +141,7 @@ def assert_evaluation_matches(make_env, decide, n, seed, interval) -> None:
 @settings(max_examples=40, deadline=None)
 @given(
     policy=st.sampled_from(["threshold", "bernoulli", "scripted", "latched", "pulsed"]),
-    env_kind=st.sampled_from(["plain", "pad5", "literal", "emulated"]),
+    env_kind=st.sampled_from(["plain", "emulated"]),
     interval=st.sampled_from([1, 10]),
     n=st.integers(1, 4),
     seed=st.integers(0, 2**31 - 1),
@@ -152,37 +149,36 @@ def assert_evaluation_matches(make_env, decide, n, seed, interval) -> None:
     data=st.data(),
 )
 def test_lockstep_matches_sequential_reference(policy, env_kind, interval, n, seed, block, data):
-    dim = 5 if env_kind == "pad5" else 4
     make_env = env_factory(env_kind, interval)
     headings = data.draw(st.lists(
         st.one_of(st.none(), st.floats(0.0, 2 * math.pi, exclude_max=True)),
         min_size=n, max_size=n))
     seeds = [seed + i for i in range(n)]
-    want = reference(make_env, make_policy(policy, dim), seeds, headings, interval, True)
-    got = run_episodes([make_env() for _ in range(n)], make_policy(policy, dim), seeds,
+    want = reference(make_env, make_policy(policy), seeds, headings, interval, True)
+    got = run_episodes([make_env() for _ in range(n)], make_policy(policy), seeds,
                        headings=headings, collect_trace=True, config_digest="d",
                        decision_interval=interval)
     assert_same_episodes(got, want)
     with mock.patch.object(evaluate, "_BLOCK", block or evaluate._BLOCK):
-        assert_evaluation_matches(make_env, make_policy(policy, dim), n, seed, interval)
+        assert_evaluation_matches(make_env, make_policy(policy), n, seed, interval)
 
 
 @pytest.mark.parametrize("policy", ["threshold", "scripted"])
 def test_evaluation_across_a_block_boundary(policy):
     interval = 10 if policy == "threshold" else 1
-    assert_evaluation_matches(env_factory("plain", interval), make_policy(policy, 4),
+    assert_evaluation_matches(env_factory("plain", interval), make_policy(policy),
                               evaluate._BLOCK + 1, 7, interval)
 
 
 def test_evaluation_leaves_the_given_env_alone():
     env = ApproachEnv()
-    evaluate_policy(env, make_policy("scripted", 4), 3, 0)
+    evaluate_policy(env, make_policy("scripted"), 3, 0)
     assert env.done is None
 
 
 def test_lanes_must_be_distinct_and_seeded():
     env = ApproachEnv()
-    decide = make_policy("scripted", 4)
+    decide = make_policy("scripted")
     with pytest.raises(ValueError, match="distinct envs"):
         run_episodes([env, env], decide, [0, 1])
     with pytest.raises(ValueError, match="distinct envs"):
@@ -199,7 +195,7 @@ class TestBatchedDecision:
         if request.param == "golden":
             params = read_checkpoint(str(golden_checkpoint(tmp_path / "golden.ckpt"))).params
         else:
-            params = greedy_params(ExplorationMode.BERNOULLI, 4)
+            params = greedy_params(ExplorationMode.BERNOULLI)
         return greedy_policy_fn(params)
 
     @staticmethod
@@ -215,6 +211,16 @@ class TestBatchedDecision:
         assert decide.batch(obs) == single
         for n in (1, 2, 257):
             assert decide.batch(obs[:n]) == single[:n]
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_other_input_size_raises_like_one_at_a_time(self, dim):
+        decide = greedy_policy_fn(init_policy(dim, np.random.default_rng(0)))
+        obs = self.observations(3)
+        with pytest.raises(ValueError, match="does not match policy input") as single:
+            decide(obs[0])
+        with pytest.raises(ValueError, match="does not match policy input") as batched:
+            decide.batch(obs)
+        assert str(batched.value) == str(single.value)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("index", range(4))

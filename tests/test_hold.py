@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from loader_rl import env as env_module
-from loader_rl.env import ApproachEnv, EnvConfig, LiftTermMode, step
+from loader_rl.env import ApproachEnv, EnvConfig, step
 from loader_rl.evaluate import greedy_policy_fn, run_episodes
 from loader_rl.oracle import OracleConfig, scripted_policy
 from loader_rl.policy import ExplorationMode, init_policy
@@ -87,8 +87,6 @@ holds = st.lists(
     heading=st.one_of(st.none(), st.floats(0.0, 2 * math.pi, exclude_max=True)),
     start_speed=st.sampled_from([None, 0.0, 0.7]),
     max_episode_time=st.sampled_from([0.3, 2.0, 15.0, 15.0]),
-    lift_term_mode=st.sampled_from(list(LiftTermMode)),
-    pad_obs_to_5d=st.booleans(),
     brake_model=st.sampled_from(list(BrakeModel)),
     throttle_accel=st.one_of(st.none(), st.floats(-5.0, 5.0)),
     scripted=st.booleans(),
@@ -97,10 +95,9 @@ holds = st.lists(
     plan=holds,
 )
 def test_hold_equals_folded_functional_step(seed, heading, start_speed, max_episode_time,
-                                            lift_term_mode, pad_obs_to_5d, brake_model,
-                                            throttle_accel, scripted, callback, use_step, plan):
-    config = EnvConfig(max_episode_time=max_episode_time, lift_term_mode=lift_term_mode,
-                       pad_obs_to_5d=pad_obs_to_5d)
+                                            brake_model, throttle_accel, scripted, callback,
+                                            use_step, plan):
+    config = EnvConfig(max_episode_time=max_episode_time)
     params = VehicleParams()
     oracle = OracleConfig(env=config, vehicle=params)
     kwargs = {"brake_model": brake_model, "throttle_accel": throttle_accel}

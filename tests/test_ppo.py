@@ -591,7 +591,7 @@ class TestTrainingGoldenOutputs:
         assert _sha(tmp_path / "metrics.csv") == \
             "3a33e2b837a2a445cd78d2ea3d00fe35964b6c7efc7d228e4e90f355339eb309"
         _assert_checkpoints(
-            tmp_path, "547a32f1dd7802d5375de047732358e0374ef6b94116b003c836ee9fc2ae7c26",
+            tmp_path, "9661e8131071372dc3215c25bc984c972e1691e392a866f71ec44675a157e50e",
             "df57fd2b08c2bc519d3b95b5bb760abaa3d7dd33bf4c343b010ab8e5fea964d3")
 
     def test_bernoulli_every_plant_step(self, tmp_path):
@@ -600,5 +600,5 @@ class TestTrainingGoldenOutputs:
         assert _sha(tmp_path / "metrics.csv") == \
             "d4a63f87dbeb9b091aacb694b1b9bc91ebb994142f631232207cc46099d57807"
         _assert_checkpoints(
-            tmp_path, "e8ebf8889283e6b6e67f577225ed25f479225712d8568b40be8f31140c67842f",
+            tmp_path, "3b30d1bcea82b68fe36395417ce898a3e31022f810d1b0951ce06dfd0d797e98",
             "a874b5ce8a32799ba7369ca980b1ac6a4aa635acec2741d3a84ea3804211a1fc")
