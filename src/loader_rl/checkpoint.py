@@ -1,15 +1,21 @@
 """Versioned single-file binary checkpoints.
 
 Layout: 8-byte magic, little-endian u32 format version, u32 header
-length, a JSON header (configs, digests, rng state, array manifest),
-then the raw little-endian float64 array payload in manifest order.
-Weights round-trip bit-exactly because they never leave binary form.
+length, a JSON header of exactly the keys ``HEADER_KEYS`` (configs, env
+digest, timesteps, array manifest), then the raw little-endian float64
+array payload in manifest order. Weights round-trip bit-exactly because
+they never leave binary form. Each fact is stored once: the net sizes
+are the shapes of the ``actor.i``/``critic.i`` arrays, and
+``train_config.exploration_mode`` says whether a ``log_std`` is stored.
 Only the current format version loads: versions 1 and 2 stored settings
-that no longer exist, so their env digest cannot be reproduced. A load
-rejects, with :class:`CheckpointFormatError`, any array that is not
-finite, normalizer statistics no run reaches (``norm.m2`` < 0, a
-``norm.count`` that is no whole number >= 0), and any config section
-that is not a dict of strings with exactly the keys of its class.
+that no longer exist, and version 3 stored the net sizes and the mode
+twice. A load rejects, with :class:`CheckpointFormatError`, any other
+header keys, any array that is not finite, weight shapes that do not
+chain into an actor and a critic over one input, normalizer statistics
+no run reaches (``norm.m2`` < 0, a ``norm.count`` that is no whole
+number >= 0), any config section that is not a dict of strings with
+exactly the keys of its class, and manifest names other than, in
+order, those the rebuilt policy is saved under.
 """
 
 from __future__ import annotations
@@ -18,19 +24,20 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flatcfg
 from .env import EnvConfig, env_digest
 from .nets import MLP
-from .policy import ExplorationMode, ObsNormalizer, PolicyParams
+from .policy import N_ACTIONS, ExplorationMode, ObsNormalizer, PolicyParams
 from .ppo import TrainConfig
 from .sim import VehicleParams
 
 MAGIC = b"LOADERRL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+HEADER_KEYS = {"env_digest", "timesteps", "train_config", "env_config", "vehicle_params", "manifest"}
 
 
 class CheckpointFormatError(Exception):
@@ -44,7 +51,6 @@ class PolicyCheckpoint:
     env_config: EnvConfig
     vehicle_params: VehicleParams
     timesteps: int = 0
-    rng_state: dict = field(default_factory=dict)
 
 
 def _collect_arrays(params: PolicyParams) -> dict[str, np.ndarray]:
@@ -66,13 +72,9 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     header = {
         "env_digest": env_digest(ckpt.env_config, ckpt.vehicle_params),
         "timesteps": ckpt.timesteps,
-        "rng_state": ckpt.rng_state,
         "train_config": flatcfg.flatten(ckpt.train_config),
         "env_config": flatcfg.flatten(ckpt.env_config),
         "vehicle_params": flatcfg.flatten(ckpt.vehicle_params),
-        "actor_sizes": ckpt.params.actor.sizes,
-        "critic_sizes": ckpt.params.critic.sizes,
-        "exploration_mode": ckpt.params.exploration_mode.value,
         "manifest": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -118,10 +120,14 @@ def load_checkpoint(data: bytes) -> PolicyCheckpoint:
         raise CheckpointFormatError(f"header does not follow the checkpoint schema: {e!r}") from e
 
 
-def _stored_net(arrays: dict[str, np.ndarray], name: str, sizes: list[int]) -> MLP:
-    """The net stored as ``name.0``, ``name.1``, ...; the arrays are fresh
-    copies of the payload, so the net takes them as they are."""
-    return MLP.from_params(sizes, [arrays[f"{name}.{i}"] for i in range(2 * len(sizes) - 2)])
+def _stored_net(arrays: dict[str, np.ndarray], name: str) -> MLP:
+    """The net stored as ``name.0``, ``name.1``, ... up to the first missing
+    index; the arrays are fresh copies of the payload, so the net takes them
+    as they are."""
+    params = []
+    while f"{name}.{len(params)}" in arrays:
+        params.append(arrays[f"{name}.{len(params)}"])
+    return MLP.from_params(params)
 
 
 def _section(header: dict, key: str, cls: type):
@@ -142,6 +148,9 @@ def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
     """The checkpoint a parsed header describes. Content a run cannot
     write raises CheckpointFormatError; a header of the wrong shape may
     also raise KeyError, TypeError or ValueError."""
+    if not isinstance(header, dict) or header.keys() != HEADER_KEYS:
+        raise CheckpointFormatError(
+            f"header does not follow the checkpoint schema: keys must be {sorted(HEADER_KEYS)}")
     arrays: dict[str, np.ndarray] = {}
     for name, shape in header["manifest"]:
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
@@ -161,17 +170,21 @@ def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
     train_config = _section(header, "train_config", TrainConfig)
     env_config = _section(header, "env_config", EnvConfig)
     vehicle_params = _section(header, "vehicle_params", VehicleParams)
-    if header.get("env_digest") != env_digest(env_config, vehicle_params):
+    if header["env_digest"] != env_digest(env_config, vehicle_params):
         raise CheckpointFormatError("stored env digest does not match stored configs")
-    mode = ExplorationMode(header["exploration_mode"])
     timesteps = header["timesteps"]
     if type(timesteps) is not int or timesteps < 0:
         raise CheckpointFormatError(f"timesteps must be a whole number >= 0, got {timesteps!r}")
 
-    actor = _stored_net(arrays, "actor", header["actor_sizes"])
-    critic = _stored_net(arrays, "critic", header["critic_sizes"])
-    mean, m2, count = arrays["norm.mean"], arrays["norm.m2"], arrays["norm.count"]
+    actor, critic = _stored_net(arrays, "actor"), _stored_net(arrays, "critic")
     dim = actor.sizes[0]
+    continuous = train_config.exploration_mode is ExplorationMode.CONTINUOUS_THRESHOLD
+    log_std = arrays["log_std"] if continuous else None
+    if (actor.sizes[-1] != N_ACTIONS or critic.sizes[0] != dim or critic.sizes[-1] != 1
+            or continuous and log_std.shape != (N_ACTIONS,)):
+        raise CheckpointFormatError(f"arrays {header['manifest']} are no actor and critic "
+                                    f"over one input with {N_ACTIONS} action heads")
+    mean, m2, count = arrays["norm.mean"], arrays["norm.m2"], arrays["norm.count"]
     if mean.shape != (dim,) or m2.shape != (dim,) or count.shape != (1,):
         raise CheckpointFormatError(f"normalizer arrays do not fit input size {dim}")
     if (m2 < 0.0).any():
@@ -180,21 +193,12 @@ def _from_header(header: dict, data: bytes, offset: int) -> PolicyCheckpoint:
     if n < 0.0 or n != math.floor(n):
         raise CheckpointFormatError(f"array 'norm.count' must hold one whole number >= 0, got {n!r}")
     normalizer = ObsNormalizer.from_state_arrays({"mean": mean, "m2": m2, "count": count})
-    params = PolicyParams(
-        actor=actor,
-        critic=critic,
-        obs_normalizer=normalizer,
-        exploration_mode=mode,
-        log_std=arrays.get("log_std"),
-    )
-    return PolicyCheckpoint(
-        params=params,
-        train_config=train_config,
-        env_config=env_config,
-        vehicle_params=vehicle_params,
-        timesteps=timesteps,
-        rng_state=header.get("rng_state", {}),
-    )
+    params = PolicyParams(actor=actor, critic=critic, obs_normalizer=normalizer, log_std=log_std)
+    names = [name for name, _ in header["manifest"]]
+    if names != list(_collect_arrays(params)):
+        raise CheckpointFormatError(f"manifest names {names} are not those of a "
+                                    f"{train_config.exploration_mode.value} policy")
+    return PolicyCheckpoint(params, train_config, env_config, vehicle_params, timesteps)
 
 
 def read_checkpoint(path) -> PolicyCheckpoint:

@@ -26,8 +26,6 @@ def encode_value(v: Any) -> str:
         return repr(v)
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, str):
-        return v
     if isinstance(v, tuple):
         return ",".join(encode_value(x) for x in v)
     raise TypeError(f"cannot encode config value {v!r} of type {type(v).__name__}")
@@ -51,8 +49,6 @@ def decode_value(text: str, target_type: Any) -> Any:
         return float(text)
     if target_type is int:
         return int(text)
-    if target_type is str:
-        return text
     if target_type == tuple[float, float]:
         parts = text.split(",")
         if len(parts) != 2:

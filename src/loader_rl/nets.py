@@ -31,7 +31,6 @@ class MLP:
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator, final_gain: float = 1.0):
-        self.sizes = list(sizes)
         self.params: list[np.ndarray] = []
         n_layers = len(sizes) - 1
         for i in range(n_layers):
@@ -41,28 +40,31 @@ class MLP:
             self.params.extend([w, b])
 
     @classmethod
-    def from_params(cls, sizes: list[int], params: list[np.ndarray]) -> "MLP":
+    def from_params(cls, params: list[np.ndarray]) -> "MLP":
         """A net over existing arrays [W1, b1, W2, b2, ...], kept as given,
-        with no initial draw. Raises ValueError when their count or
-        shapes do not fit ``sizes``."""
+        with no initial draw; its sizes are read off the weight shapes.
+        Raises ValueError unless the arrays are weight (fan_in, fan_out) and
+        bias (fan_out,) pairs, each fan_in the fan_out before it."""
+        if not params or len(params) % 2:
+            raise ValueError(f"a net needs weight/bias pairs, got {len(params)} arrays")
+        fan_in = None
+        for i in range(0, len(params), 2):
+            w, b = params[i], params[i + 1]
+            if w.ndim != 2 or fan_in not in (None, w.shape[0]) or b.shape != (w.shape[1],):
+                raise ValueError(f"layer {i // 2}: shapes {w.shape} and {b.shape} do not chain")
+            fan_in = w.shape[1]
         net = cls.__new__(cls)
-        net.sizes = list(sizes)
-        if len(net.sizes) < 2:
-            raise ValueError(f"a net needs an input and an output size, got {net.sizes}")
-        shapes = []
-        for fan_in, fan_out in zip(net.sizes[:-1], net.sizes[1:]):
-            shapes.extend([(fan_in, fan_out), (fan_out,)])
-        if len(params) != len(shapes):
-            raise ValueError("parameter list length mismatch")
-        for shape, p in zip(shapes, params):
-            if p.shape != shape:
-                raise ValueError(f"parameter shape mismatch: {shape} vs {p.shape}")
         net.params = list(params)
         return net
 
     @property
+    def sizes(self) -> list[int]:
+        """[input, hidden..., output], read off the parameter shapes."""
+        return [self.params[0].shape[0]] + [b.shape[0] for b in self.params[1::2]]
+
+    @property
     def n_layers(self) -> int:
-        return len(self.sizes) - 1
+        return len(self.params) // 2
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """x has shape (batch, in) or (in,); returns (out, cache)."""

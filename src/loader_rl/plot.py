@@ -20,8 +20,9 @@ class MetricsFormatError(Exception):
 def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
     """Returns (rows, config_digest). Raises MetricsFormatError with the
     offending row number for malformed content, which includes a last data
-    row without a line end: ``train`` writes whole lines, so such a row was
-    cut off."""
+    row without a line end (``train`` writes whole lines, so such a row was
+    cut off) and a ``timestep`` or ``updates`` that is no whole number >= 0
+    (``train`` writes counts there)."""
     text = read_text(path_or_file)
     digest = ""
     lines = text.splitlines()
@@ -49,9 +50,14 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
                 f"row {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         try:
-            rows.append({k: float(v) for k, v in zip(header, cells)})
+            row = {k: float(v) for k, v in zip(header, cells)}
         except ValueError as e:
             raise MetricsFormatError(f"row {lineno}: {e}") from e
+        for key in ("timestep", "updates"):
+            if not (row[key] >= 0.0 and row[key].is_integer()):
+                raise MetricsFormatError(
+                    f"row {lineno}: {key} must be a whole number >= 0, got {row[key]!r}")
+        rows.append(row)
         if lineno == len(lines) and not text.endswith(("\n", "\r")):
             raise MetricsFormatError(f"row {lineno}: no line end, the row was cut off")
     if header is None:

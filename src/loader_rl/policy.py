@@ -17,7 +17,7 @@ and travel with the parameters in checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -100,18 +100,18 @@ class ObsNormalizer:
 class PolicyParams:
     """Actor and critic networks plus observation statistics.
 
-    ``log_std`` is only present in continuous-threshold mode.
+    ``log_std`` is present exactly in continuous-threshold mode, so it is
+    what tells the modes apart: the parameters store no mode of their own.
     """
 
     actor: MLP
     critic: MLP
     obs_normalizer: ObsNormalizer
-    exploration_mode: ExplorationMode = ExplorationMode.BERNOULLI
     log_std: np.ndarray | None = None
 
     @property
     def obs_dim(self) -> int:
-        return self.actor.sizes[0]
+        return self.actor.params[0].shape[0]
 
     def trainable_arrays(self) -> list[np.ndarray]:
         arrays = self.actor.params + self.critic.params
@@ -134,7 +134,6 @@ def init_policy(
         actor=actor,
         critic=critic,
         obs_normalizer=ObsNormalizer(obs_dim),
-        exploration_mode=mode,
         log_std=log_std,
     )
 

@@ -227,7 +227,7 @@ def _minibatch_loss(
     logits, actor_cache = params.actor.forward(obs)
     values, critic_cache = params.critic.forward(obs)
     v = values[:, 0]
-    if params.exploration_mode is ExplorationMode.BERNOULLI:
+    if params.log_std is None:  # Bernoulli heads
         log_probs_new = bernoulli_log_prob(logits, actions)
         entropy = float(np.mean(bernoulli_entropy(logits)))
     else:
@@ -278,13 +278,12 @@ def _minibatch_grads(
     active = (pieces.unclipped <= pieces.clipped) & (np.abs(log_diff) < RATIO_EXP_CLAMP)
     g_logprob = np.where(active, -pieces.unclipped, 0.0) / b
 
-    if params.exploration_mode is ExplorationMode.BERNOULLI:
+    if params.log_std is None:  # Bernoulli heads
         p = sigmoid(logits)
         d_logits = g_logprob[:, None] * (actions - p)
         if config.ent_coef != 0.0:
             # -ent_coef * mean(H); dH/dz = -z * p * (1 - p)
             d_logits += config.ent_coef * logits * p * (1.0 - p) / b
-        log_std_grad = None
     else:
         std = np.exp(params.log_std)
         zscore = (actions - logits) / std
@@ -292,6 +291,7 @@ def _minibatch_grads(
         log_std_grad = (g_logprob[:, None] * (zscore * zscore - 1.0)).sum(axis=0)
         if config.ent_coef != 0.0:
             log_std_grad = log_std_grad - config.ent_coef * np.ones_like(log_std_grad)
+        out[-1][...] = log_std_grad  # log_std is the last trainable array
 
     n_actor = len(params.actor.params)
     params.actor.backward(pieces.actor_cache, d_logits, out[:n_actor])
@@ -299,9 +299,6 @@ def _minibatch_grads(
     v = pieces.values[:, 0]
     d_values = (config.vf_coef * 2.0 * (v - returns) / b)[:, None]
     params.critic.backward(pieces.critic_cache, d_values, out[n_actor:])  # log_std stays last
-
-    if params.log_std is not None:
-        out[-1][...] = 0.0 if log_std_grad is None else log_std_grad
     return out
 
 

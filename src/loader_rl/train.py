@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -51,21 +52,6 @@ class TrainResult:
     metrics: list[dict]
     best_eval: Optional[tuple[float, float]] = None  # (success_rate, reward_mean)
     aborted_updates: int = 0
-
-
-def _snapshot_checkpoint(
-    params, config: TrainConfig, env: ApproachEnv, timesteps: int, extra_rng: dict
-) -> PolicyCheckpoint:
-    from copy import deepcopy
-
-    return PolicyCheckpoint(
-        params=deepcopy(params),
-        train_config=config,
-        env_config=env.config,
-        vehicle_params=env.params,
-        timesteps=timesteps,
-        rng_state=extra_rng,
-    )
 
 
 def train(
@@ -111,18 +97,13 @@ def train(
     updates = aborted = 0
     best: Optional[PolicyCheckpoint] = None
     best_key: Optional[tuple[float, float]] = None
-    result = TrainResult(last=None, best=None, metrics=metrics)  # type: ignore[arg-type]
 
     def timesteps() -> int:
         # read off the env, so it stays right when the env raises mid-hold
         return finished_steps + env.step_count
 
     def make_ckpt() -> PolicyCheckpoint:
-        return _snapshot_checkpoint(
-            params, config, env,
-            timesteps(),
-            {"episode_index": episode_index, "updates": updates},
-        )
+        return PolicyCheckpoint(deepcopy(params), config, env.config, env.params, timesteps())
 
     try:
         while timesteps() < config.total_timesteps:
@@ -178,9 +159,8 @@ def train(
                     best = make_ckpt()
                     if out_dir is not None:
                         write_checkpoint(best, out_dir / "best.ckpt")
-                result = TrainResult(last=make_ckpt(), best=best, metrics=metrics,
-                                     best_eval=best_key, aborted_updates=aborted)
-                if stop_when is not None and stop_when(result):
+                if stop_when is not None and stop_when(
+                        TrainResult(make_ckpt(), best, metrics, best_key, aborted)):
                     logger.info("early stop requested at %d timesteps", timesteps())
                     break
 
@@ -197,8 +177,6 @@ def train(
     last = make_ckpt()
     if out_dir is not None:
         write_checkpoint(last, out_dir / "last.ckpt")
-        if best is not None:
-            write_checkpoint(best, out_dir / "best.ckpt")
     return TrainResult(last=last, best=best, metrics=metrics, best_eval=best_key,
                        aborted_updates=aborted)
 

@@ -40,11 +40,10 @@ def make_checkpoint(mode=ExplorationMode.BERNOULLI, seed=0):
         params.obs_normalizer.update(rng.normal(size=4))
     return PolicyCheckpoint(
         params=params,
-        train_config=TrainConfig(seed=seed),
+        train_config=TrainConfig(seed=seed, exploration_mode=mode),
         env_config=EnvConfig(),
         vehicle_params=VehicleParams(),
         timesteps=12345,
-        rng_state={"episode_index": 7, "updates": 3},
     )
 
 
@@ -102,7 +101,6 @@ class TestRoundTrip:
         assert np.array_equal(norm_a.m2, norm_b.m2)
         assert norm_a.count == norm_b.count
         assert back.timesteps == ckpt.timesteps
-        assert back.rng_state == ckpt.rng_state
         assert back.train_config == ckpt.train_config
         assert back.env_config == ckpt.env_config
         assert back.vehicle_params == ckpt.vehicle_params
@@ -178,7 +176,7 @@ class TestFormatErrors:
         blob = bytearray(save_checkpoint(make_checkpoint()))
         blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 1)
         with pytest.raises(CheckpointFormatError,
-                           match=r"^unsupported checkpoint format version 1 \(expected 3\)$"):
+                           match=r"^unsupported checkpoint format version 1 \(expected 4\)$"):
             load_checkpoint(bytes(blob))
         path = tmp_path / "v1.ckpt"
         path.write_bytes(blob)
@@ -192,7 +190,19 @@ class TestFormatErrors:
         header["env_config"].update(lift_term_mode="goal_progress", pad_obs_to_5d="false")
         blob = join(header, payload, version=2)
         with pytest.raises(CheckpointFormatError,
-                           match=r"^unsupported checkpoint format version 2 \(expected 3\)$"):
+                           match=r"^unsupported checkpoint format version 2 \(expected 4\)$"):
+            load_checkpoint(blob)
+        assert_cli_rejects(blob, tmp_path, capsys)
+
+    def test_version_3_rejected(self, tmp_path, capsys):
+        # version 3 stored the net sizes, the exploration mode and an unread
+        # rng state beside the arrays and the train config that hold them
+        header, payload = split(save_checkpoint(make_checkpoint()))
+        header.update(actor_sizes=[4, 64, 64, 2], critic_sizes=[4, 64, 64, 1],
+                      exploration_mode="bernoulli", rng_state={"episode_index": 7, "updates": 3})
+        blob = join(header, payload, version=3)
+        with pytest.raises(CheckpointFormatError,
+                           match=r"^unsupported checkpoint format version 3 \(expected 4\)$"):
             load_checkpoint(blob)
         assert_cli_rejects(blob, tmp_path, capsys)
 
@@ -212,8 +222,12 @@ class TestFormatErrors:
         "list": "schema",
         "no_manifest": "schema",
         "array_shape": "schema",
-        "net_sizes": "schema",
-        "one_size": "schema",
+        "unknown_key": r"schema: keys must be \['env_config', 'env_digest', 'manifest', "
+                       r"'timesteps', 'train_config', 'vehicle_params'\]",
+        "extra_array": r"manifest names \[.*'norm.count', 'extra'\] are not those of a "
+                       r"bernoulli policy",
+        "stray_actor_array": "a net needs weight/bias pairs, got 7 arrays",
+        "unchained": r"layer 1: shapes \(32, 128\) and \(64,\) do not chain",
         "renamed_key": r"'train_config': missing keys \['control_interval'\], "
                        r"unknown keys \['control_intervaX'\]",
         "removed_key": r"'env_config': missing keys \[\], unknown keys \['pad_obs_to_5d'\]",
@@ -226,11 +240,12 @@ class TestFormatErrors:
     @pytest.mark.parametrize("edit", HEADER_EDITS)
     def test_header_schema(self, edit, tmp_path, capsys):
         # valid JSON that is not a checkpoint header: a list, a dict without
-        # the array manifest, a transposed weight array, net sizes that
-        # disagree with the stored arrays, a config section with a renamed,
-        # extra or unquoted value or of the wrong type, a negative array
-        # dimension, or a timestep count that is no whole number; the
-        # payload is kept as saved
+        # the array manifest, a transposed weight array, a key of the old
+        # format, an array no policy has (at the end, or a seventh actor
+        # array), weight shapes that do not chain, a config section with a
+        # renamed, extra or unquoted value or of the wrong type, a negative
+        # array dimension, or a timestep count that is no whole number; the
+        # payload is kept as saved, but for the bytes of an added array
         header, payload = split(save_checkpoint(make_checkpoint()))
         if edit == "list":
             header = list(header.items())
@@ -239,10 +254,14 @@ class TestFormatErrors:
         elif edit == "array_shape":
             assert header["manifest"][0] == ["actor.0", [4, 64]]
             header["manifest"][0][1] = [64, 4]
-        elif edit == "net_sizes":
-            header["critic_sizes"] = [4, 32, 32, 1]
-        elif edit == "one_size":
-            header["actor_sizes"] = [4]
+        elif edit == "unknown_key":
+            header["exploration_mode"] = "bernoulli"
+        elif edit in ("extra_array", "stray_actor_array"):
+            header["manifest"].append(["extra" if edit == "extra_array" else "actor.6", [2]])
+            payload += struct.pack("<2d", 0.5, -0.5)
+        elif edit == "unchained":
+            assert header["manifest"][2] == ["actor.2", [64, 64]]
+            header["manifest"][2][1] = [32, 128]
         elif edit == "renamed_key":
             train = header["train_config"]
             train["control_intervaX"] = train.pop("control_interval")
@@ -261,6 +280,7 @@ class TestFormatErrors:
             load_checkpoint(bad)
         assert_cli_rejects(bad, tmp_path, capsys)
 
+    NO_POLICY = r"arrays \[\[.*\]\] are no actor and critic over one input with 2 action heads"
     PAYLOAD_EDITS = {
         "nan_weight": "array 'actor.0' has non-finite values",
         "inf_weight": "array 'critic.2' has non-finite values",
@@ -268,14 +288,19 @@ class TestFormatErrors:
         "negative_m2": "array 'norm.m2' has negative values",
         "fractional_count": r"array 'norm.count' must hold one whole number >= 0, got 2\.5",
         "negative_count": r"array 'norm.count' must hold one whole number >= 0, got -3\.0",
+        "one_action_head": NO_POLICY,
+        "critic_input": NO_POLICY,
+        "log_std_shape": NO_POLICY,
     }
 
     @pytest.mark.parametrize("edit", PAYLOAD_EDITS)
     def test_payload_values(self, edit, tmp_path, capsys):
-        # array values no training run writes: a non-finite weight or
-        # statistic, a negative sum of squares, a sample count that is no
-        # whole number >= 0
-        ckpt = make_checkpoint()
+        # arrays no training run writes: a non-finite weight or statistic, a
+        # negative sum of squares, a sample count that is no whole number
+        # >= 0, an actor with one output, a critic over another input than
+        # the actor's, a log_std of three values
+        ckpt = make_checkpoint(ExplorationMode.CONTINUOUS_THRESHOLD if edit == "log_std_shape"
+                               else ExplorationMode.BERNOULLI)
         params, norm = ckpt.params, ckpt.params.obs_normalizer
         if edit == "nan_weight":
             params.actor.params[0][1, 2] = np.nan
@@ -287,10 +312,37 @@ class TestFormatErrors:
             norm.m2[1] = -1e-3
         elif edit == "fractional_count":
             norm.count = 2.5
-        else:
+        elif edit == "negative_count":
             norm.count = -3
+        elif edit == "one_action_head":
+            params.actor.params[-2:] = [params.actor.params[-2][:, :1], np.zeros(1)]
+        elif edit == "critic_input":
+            params.critic.params[0] = np.vstack([params.critic.params[0], np.ones((1, 64))])
+        else:
+            params.log_std = np.zeros(3)
         bad = save_checkpoint(ckpt)
         with pytest.raises(CheckpointFormatError, match=f"^{self.PAYLOAD_EDITS[edit]}$"):
+            load_checkpoint(bad)
+        assert_cli_rejects(bad, tmp_path, capsys)
+
+
+    LOG_STD_EDITS = {
+        ExplorationMode.CONTINUOUS_THRESHOLD: r"schema: KeyError\('log_std'\)",
+        ExplorationMode.BERNOULLI:
+            r"manifest names \[.*'critic.5', 'log_std', 'norm.mean'.*\] are not those of "
+            r"a bernoulli policy",
+    }
+
+    @pytest.mark.parametrize("mode", LOG_STD_EDITS)
+    def test_log_std_follows_the_mode(self, mode, tmp_path, capsys):
+        # the train config's exploration mode says whether a log_std is
+        # stored: a continuous_threshold policy without one, or a Bernoulli
+        # policy with one, is no policy a run writes
+        ckpt = make_checkpoint(mode)
+        other = make_checkpoint(next(m for m in ExplorationMode if m is not mode))
+        ckpt.params.log_std = other.params.log_std
+        bad = save_checkpoint(ckpt)
+        with pytest.raises(CheckpointFormatError, match=self.LOG_STD_EDITS[mode]):
             load_checkpoint(bad)
         assert_cli_rejects(bad, tmp_path, capsys)
 
@@ -316,8 +368,9 @@ payload_edit = st.tuples(
 @given(edit=st.one_of(header_edits, payload_edit))
 def test_mutated_golden_checkpoint_loads_clean_or_raises_format_error(edit):
     # a byte-mutated checkpoint is rejected as such, or loads as one a run
-    # could have written: finite arrays, normalizer statistics in range and
-    # config sections with exactly their fields
+    # could have written: finite arrays, normalizer statistics in range,
+    # config sections with exactly their fields, the arrays its policy is
+    # saved under, and a log_std exactly in continuous-threshold mode
     blob = bytearray(GOLDEN)
     if isinstance(edit, list):
         for at, value in edit:
@@ -336,4 +389,7 @@ def test_mutated_golden_checkpoint_loads_clean_or_raises_format_error(edit):
     for key, cls in SECTIONS.items():
         assert header[key].keys() == flatcfg.flatten(cls()).keys()
         assert getattr(ckpt, key) == flatcfg.unflatten(cls, header[key])
+    assert [name for name, _ in header["manifest"]] == list(_collect_arrays(ckpt.params))
+    continuous = ckpt.train_config.exploration_mode is ExplorationMode.CONTINUOUS_THRESHOLD
+    assert (ckpt.params.log_std is not None) == continuous
 

@@ -7,6 +7,7 @@ plumbing (files, digests, determinism, exit codes), not learning.
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loader_rl.cli import main
 from loader_rl.checkpoint import read_checkpoint
@@ -400,7 +401,7 @@ class TestCheckpointGoldenOutputs:
     @pytest.fixture()
     def ckpt(self, tmp_path):
         path = golden_checkpoint(tmp_path / "golden.ckpt")
-        assert sha(path) == "5c288cf0e9b1bb6c13480ed03ea4913cc52ff242e716b1d64eb42e8f6f3de82d"
+        assert sha(path) == "e8aa96ef6db1aac5fd1fe55b492a9ea80719348cb8eb03f1e1a0673794b69f06"
         assert payload_sha(path) == \
             "cdd8c16c45a8677b72dd681f5090b2ebf120616f313d77a01721577e90f8a82b"
         return str(path)
@@ -543,6 +544,52 @@ class TestPlot:
         p.write_text(header + "\n512,1,0.5\n")
         assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["timestep", "updates"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+    def test_count_that_is_no_whole_number_is_format_error(self, column, value, tmp_path,
+                                                           capsys):
+        # train writes counts in these columns; another value would reach the
+        # SVG as a coordinate or a tick label such as x="nan"
+        header = ("timestep,updates,ep_reward_mean,ep_len_mean,success_rate,"
+                  "policy_loss,value_loss,entropy,clip_fraction,ratio_mean")
+        cells = dict(timestep="1024", updates="2")
+        cells[column] = value
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{header}\n512,1,0.5,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n"
+                     f"{cells['timestep']},{cells['updates']},0.7,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n")
+        assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        err = capsys.readouterr().err
+        assert f"row 3: {column} must be a whole number >= 0, got {float(value)!r}" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_mutated_metrics_exit_1_or_plot_finite_coordinates(self, train_run, tmp_path):
+        # byte overwrites of a real metrics.csv: each is rejected with exit 1
+        # or plots an SVG with no nan or inf in it; nothing ends in a traceback
+        _, out = train_run
+        text = (out / "metrics.csv").read_bytes()
+        metrics, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(st.tuples(st.integers(0, len(text) - 1),
+                                  st.one_of(st.integers(0, 255),
+                                            st.sampled_from(b"0123456789-+.eEnaifNI,\n#"))),
+                        min_size=1, max_size=3))
+        def check(edits):
+            blob = bytearray(text)
+            for at, value in edits:
+                blob[at] = value
+            metrics.write_bytes(bytes(blob))
+            svg.unlink(missing_ok=True)
+            code = main(["plot", "--metrics", str(metrics), "--out", str(svg)])
+            assert code in (0, 1)
+            if code == 0:
+                # the comment line repeats the file's digest text as it is
+                body = [line for line in svg.read_text().splitlines()
+                        if not line.startswith("<!--")]
+                assert not any("nan" in line or "inf" in line for line in body)
+
+        check()
 
     def test_row_cut_off_inside_its_last_number(self, train_run, tmp_path, capsys):
         _, out = train_run

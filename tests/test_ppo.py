@@ -434,13 +434,24 @@ class TestFlatLayout:
         assert learner.optimizer.t == moments[2]
 
     def test_checkpoint_shares_no_memory(self):
-        from loader_rl.train import _snapshot_checkpoint
+        # the last checkpoint handed to stop_when after update 1 keeps its
+        # arrays while update 2 moves the learner's
+        seen = []
 
-        learner, _, _ = self.learner()
-        ckpt = _snapshot_checkpoint(learner.params, learner.config, small_env(), 0, {})
-        for a in ckpt.params.trainable_arrays():
-            for owned in (learner.theta, learner.grad, learner.optimizer.m, learner.optimizer.v):
-                assert not np.shares_memory(a, owned)
+        def stop_when(result):
+            arrays = result.last.params.trainable_arrays()
+            seen.append((arrays, [a.copy() for a in arrays]))
+            return False
+
+        config = quick_config(eval_every_updates=1,
+                              exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD)
+        final = train(small_env, config, stop_when=stop_when)
+        assert len(seen) == 2
+        (arrays, copies), _ = seen
+        for a, b in zip(arrays, copies):
+            assert np.array_equal(a, b)
+        assert any(not np.array_equal(a, b)
+                   for a, b in zip(arrays, final.last.params.trainable_arrays()))
 
 
 class TestTrainConfigValidation:
@@ -548,6 +559,18 @@ class TestTrainLoop:
                 assert math.isnan(row[name]) and cells[name] == "nan", name
             assert cells["timestep"] == str(row["timestep"])
 
+    def test_each_best_checkpoint_written_once(self, tmp_path, monkeypatch):
+        import loader_rl.train as T
+
+        writes = []
+        monkeypatch.setattr(T, "write_checkpoint",
+                            lambda ckpt, path: writes.append((ckpt, path.name)))
+        train(small_env, quick_config(total_timesteps=512, eval_every_updates=1),
+              out_dir=tmp_path)
+        bests = [ckpt for ckpt, name in writes if name == "best.ckpt"]
+        assert bests and len({id(ckpt) for ckpt in bests}) == len(bests)
+        assert [name for _, name in writes].count("last.ckpt") == 1
+
     def test_control_interval_holds_actions(self):
         # a held policy gets one decision per interval: with interval 4 the
         # rollout covers ~4x the plant steps of the same-size buffer
@@ -591,7 +614,7 @@ class TestTrainingGoldenOutputs:
         assert _sha(tmp_path / "metrics.csv") == \
             "3a33e2b837a2a445cd78d2ea3d00fe35964b6c7efc7d228e4e90f355339eb309"
         _assert_checkpoints(
-            tmp_path, "9661e8131071372dc3215c25bc984c972e1691e392a866f71ec44675a157e50e",
+            tmp_path, "d292be84173eabfe6f0994cdf4e8a292fecf0a417bebc77d8f21c939f9f3f7ec",
             "df57fd2b08c2bc519d3b95b5bb760abaa3d7dd33bf4c343b010ab8e5fea964d3")
 
     def test_bernoulli_every_plant_step(self, tmp_path):
@@ -600,5 +623,5 @@ class TestTrainingGoldenOutputs:
         assert _sha(tmp_path / "metrics.csv") == \
             "d4a63f87dbeb9b091aacb694b1b9bc91ebb994142f631232207cc46099d57807"
         _assert_checkpoints(
-            tmp_path, "3b30d1bcea82b68fe36395417ce898a3e31022f810d1b0951ce06dfd0d797e98",
+            tmp_path, "d558db2ff808973d83c967b2e492109d2622861d61d302e48ec8da259741e8d7",
             "a874b5ce8a32799ba7369ca980b1ac6a4aa635acec2741d3a84ea3804211a1fc")
