@@ -26,7 +26,6 @@ from .env import ApproachEnv, env_digest
 from .evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from .plot import MetricsFormatError, read_metrics_csv, render_reward_curve_svg
-from .sim import BrakeModel
 from .trace import write_trace_csv
 from .train import train
 
@@ -65,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("config", help="key=value config file")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default="runs/latest", help="output directory")
-    p_train.add_argument("--total-timesteps", type=int, default=None)
+    p_train.add_argument("--total-timesteps", dest="train.total_timesteps", type=int)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     _policy_args(p_eval)
@@ -85,13 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _policy_args(p_emu)
     p_emu.add_argument("--seed", type=int, default=None)
     p_emu.add_argument("--trace", required=True)
-    p_emu.add_argument("--delay", type=float, default=None, help="position sensing delay, s")
-    p_emu.add_argument("--control-interval", type=int, default=None,
+    p_emu.add_argument("--delay", dest="emulation.position_delay", type=float,
+                       help="position sensing delay, s")
+    p_emu.add_argument("--control-interval", dest="emulation.control_interval", type=int,
                        help="plant steps per policy decision")
-    p_emu.add_argument("--brake-model", choices=["ideal", "tapered"], default=None)
-    p_emu.add_argument("--standstill", dest="standstill", action="store_true", default=None,
+    p_emu.add_argument("--brake-model", dest="emulation.brake_model",
+                       choices=["ideal", "tapered"])
+    p_emu.add_argument("--standstill", dest="emulation.start_from_standstill",
+                       action="store_true", default=None,
                        help="start from zero speed (deployment-like)")
-    p_emu.add_argument("--no-standstill", dest="standstill", action="store_false")
+    p_emu.add_argument("--no-standstill", dest="emulation.start_from_standstill",
+                       action="store_false")
     p_emu.add_argument("--heading", type=float, default=None)
 
     p_plot = sub.add_parser("plot", help="render the reward curve SVG from metrics.csv")
@@ -108,18 +111,23 @@ def _policy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value config file")
 
 
+def _overrides(args) -> dict[str, str]:
+    """The config overrides of the command line: ``--seed`` and every flag
+    whose dest is a dotted config key, where given."""
+    return {key: str(value) for key, value in vars(args).items()
+            if (key == "seed" or "." in key) and value is not None}
+
+
 def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None]:
     """Settings come from --config when given, otherwise from the defaults;
-    --seed, when given, replaces the config's seed. A checkpoint's env,
+    the flags override their config keys. A checkpoint's env,
     vehicle and train settings replace them, so it is judged where it was
     trained and decides at its training-time control rate; an explicit
     config must match the checkpoint's environment."""
     ckpt = None
     if args.checkpoint is not None:
         ckpt = read_checkpoint(args.checkpoint)
-    overrides = {"seed": str(args.seed)} if args.seed is not None else {}
-    run = load_run_config(args.config, overrides,
-                          require_seed=args.config is not None and args.seed is None)
+    run = load_run_config(args.config, _overrides(args))
     if ckpt is not None:
         if args.config is not None:
             ckpt_digest = env_digest(ckpt.env_config, ckpt.vehicle_params)
@@ -153,12 +161,7 @@ def _greedy_setup(args):
 
 
 def cmd_train(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.total_timesteps is not None:
-        overrides["train.total_timesteps"] = str(args.total_timesteps)
-    run = load_run_config(args.config, overrides, seed_trains=True)
+    run = load_run_config(args.config, _overrides(args), seed_trains=True)
     result = train(
         lambda: ApproachEnv(run.env, run.vehicle),
         run.train,
@@ -208,19 +211,9 @@ def cmd_replay(args) -> int:
 
 def cmd_emulate(args) -> int:
     run, ckpt = _resolve_policy_and_config(args)
-    emu = run.emulation
-    if args.delay is not None:
-        emu = dataclasses.replace(emu, position_delay=args.delay)
-    if args.control_interval is not None:
-        emu = dataclasses.replace(emu, control_interval=args.control_interval)
-    if args.brake_model is not None:
-        emu = dataclasses.replace(emu, brake_model=BrakeModel(args.brake_model))
-    if args.standstill is not None:
-        emu = dataclasses.replace(emu, start_from_standstill=args.standstill)
-    run = dataclasses.replace(run, emulation=emu)  # so the digest covers the flags
     trace = run_emulated_episode(
-        _decide_fn(run, ckpt, args.scripted, latched=True), emu, run.seed, run.env, run.vehicle,
-        heading=args.heading, config_digest=run.digest,
+        _decide_fn(run, ckpt, args.scripted, latched=True), run.emulation, run.seed, run.env,
+        run.vehicle, heading=args.heading, config_digest=run.digest,
     )
     write_trace_csv(trace, args.trace)
     print(f"wrote {len(trace.values)}-step emulation trace ({trace.outcome.value}) to {args.trace}")

@@ -152,13 +152,14 @@ def build_run_config(
 def load_run_config(
     path: str | None,
     overrides: dict[str, str] | None = None,
-    require_seed: bool = True,
     seed_trains: bool = False,
 ) -> RunConfig:
+    """The run config of the file at ``path`` with ``overrides`` applied.
+    The file must set the seed unless an override does; with no file the
+    settings are the defaults and the seed is 0."""
     if path is None:
-        return build_run_config({}, overrides, require_seed=require_seed, seed_trains=seed_trains)
+        return build_run_config({}, overrides, require_seed=False, seed_trains=seed_trains)
     with open(path) as f:
         text = f.read()
     entries = parse_config_text(text, source=str(path))
-    return build_run_config(entries, overrides, source=str(path), require_seed=require_seed,
-                            seed_trains=seed_trains)
+    return build_run_config(entries, overrides, source=str(path), seed_trains=seed_trains)

@@ -160,8 +160,6 @@ class EmulatedEnv(ApproachEnv):
         if self.emu.start_from_standstill:
             state = self.state
             self.state = replace(state, vehicle=replace(state.vehicle, speed=0.0))
-        origin = self.emu.utm_origin
-        self._start_utm = (origin[0] + self.start_x, origin[1] + self.start_y)
         self._buffer = DelayBuffer(self.emu.position_delay)
         self._sense()
         self._pid = PidState()
@@ -200,7 +198,7 @@ class EmulatedEnv(ApproachEnv):
         self._buffer.append(self.elapsed, self._true_position)
 
     def _delayed_observation(self) -> Observation:
-        return utm_relative_observation(self._buffer.read(self.elapsed), self._start_utm,
+        return utm_relative_observation(self._buffer.read(self.elapsed), self.emu.utm_origin,
                                         self.heading, self.config, self.speed, self.lift)
 
 

@@ -90,14 +90,14 @@ _SUCCESS = RewardBreakdown(0.0, 0.0, 0.0, 1.0, 1.0, True, Outcome.SUCCESS)
 
 @dataclass(frozen=True)
 class EnvState:
+    """One episode. The loader starts at the origin, and the lift before a
+    step is ``vehicle.lift``, so neither is stored."""
+
     vehicle: VehicleState
     target_x: float
     target_y: float
-    start_x: float
-    start_y: float
     step_count: int
     prev_distance: float
-    prev_lift: float
     done: bool
 
 
@@ -207,11 +207,8 @@ def reset(
         vehicle=vehicle,
         target_x=tx,
         target_y=ty,
-        start_x=0.0,
-        start_y=0.0,
         step_count=0,
         prev_distance=config.target_distance,
-        prev_lift=lift0,
         done=False,
     )
     return env, build_observation(env)
@@ -238,8 +235,7 @@ def step(
 
     vehicle = step_vehicle(env.vehicle, action, config.dt, params, brake_model, throttle_accel)
     curr_distance = math.hypot(env.target_x - vehicle.x, env.target_y - vehicle.y)
-    from_start = math.hypot(vehicle.x - env.start_x, vehicle.y - env.start_y)
-    out_of_range = from_start > config.out_of_range_radius
+    out_of_range = math.hypot(vehicle.x, vehicle.y) > config.out_of_range_radius
     step_count = env.step_count + 1
     # nominal step_count * dt rather than the accumulated elapsed, so the
     # step at which the limit fires does not drift with float summation
@@ -248,7 +244,7 @@ def step(
     breakdown = compute_reward(
         env.prev_distance,
         curr_distance,
-        env.prev_lift,
+        env.vehicle.lift,
         vehicle.lift,
         vehicle.speed,
         step_count,
@@ -258,10 +254,7 @@ def step(
     )
 
     done = breakdown.done
-    new_env = EnvState(
-        vehicle, env.target_x, env.target_y, env.start_x, env.start_y,
-        step_count, curr_distance, vehicle.lift, done,
-    )
+    new_env = EnvState(vehicle, env.target_x, env.target_y, step_count, curr_distance, done)
     return new_env, build_observation(new_env), breakdown, done
 
 
@@ -316,15 +309,15 @@ class ApproachEnv:
     The running episode lives in plain attributes named like the fields of
     :class:`EnvState` and :class:`VehicleState`: ``x``, ``y``, ``heading``,
     ``speed``, ``lift``, ``elapsed``, ``brake_pedal``, ``target_x``,
-    ``target_y``, ``start_x``, ``start_y``, ``step_count``,
-    ``prev_distance``, ``prev_lift`` and ``done`` (None before the first
-    reset); ``sin_heading`` and ``cos_heading``, computed once per episode;
-    ``reward_terms``, the latest step's :class:`RewardBreakdown` fields in
-    order (None before the first step); and ``episode_reward``, the
-    running return. Read them freely, but change the episode only by
-    assigning ``state``. The records ``state``, ``obs`` and ``breakdown``
-    are built from these attributes when read: ``state`` and ``obs`` are
-    kept until the next plant step, ``breakdown`` is built on each read.
+    ``target_y``, ``step_count``, ``prev_distance`` and ``done`` (None
+    before the first reset); ``sin_heading`` and ``cos_heading``, computed
+    once per episode; ``reward_terms``, the latest step's
+    :class:`RewardBreakdown` fields in order (None before the first step);
+    and ``episode_reward``, the running return. Read them freely, but
+    change the episode only by assigning ``state``. The records ``state``,
+    ``obs`` and ``breakdown`` are built from these attributes when read:
+    ``state`` and ``obs`` are kept until the next plant step,
+    ``breakdown`` is built on each read.
     :class:`Observation` and :class:`RewardBreakdown` are named tuples,
     equal to the tuple of their values; :class:`EnvState` and
     :class:`VehicleState` are frozen dataclasses.
@@ -353,8 +346,7 @@ class ApproachEnv:
             state = self._state = EnvState(
                 VehicleState(self.x, self.y, self.heading, self.speed, self.lift, self.elapsed,
                              self.brake_pedal),
-                self.target_x, self.target_y, self.start_x, self.start_y, self.step_count,
-                self.prev_distance, self.prev_lift, self.done,
+                self.target_x, self.target_y, self.step_count, self.prev_distance, self.done,
             )
         return state
 
@@ -364,9 +356,8 @@ class ApproachEnv:
         self.x, self.y, self.heading, self.speed = v.x, v.y, v.heading, v.speed
         self.lift, self.elapsed, self.brake_pedal = v.lift, v.elapsed, v.brake_pedal
         self.target_x, self.target_y = state.target_x, state.target_y
-        self.start_x, self.start_y = state.start_x, state.start_y
-        self.step_count, self.done = state.step_count, state.done
-        self.prev_distance, self.prev_lift = state.prev_distance, state.prev_lift
+        self.step_count, self.prev_distance, self.done = (
+            state.step_count, state.prev_distance, state.done)
         # an infinite heading is reported by the state check, not by math.sin
         finite = math.isfinite(v.heading)
         self.sin_heading = math.sin(v.heading) if finite else math.nan
@@ -451,9 +442,9 @@ class ApproachEnv:
         tapered = brake_model is BrakeModel.TAPERED
         brake, lift_up = action.brake, action.lift_up
         sin_h, cos_h = self.sin_heading, self.cos_heading
-        tx, ty, sx, sy = self.target_x, self.target_y, self.start_x, self.start_y
+        tx, ty = self.target_x, self.target_y
         start_count = step_count = self.step_count
-        prev_distance, prev_lift = self.prev_distance, self.prev_lift
+        prev_distance = self.prev_distance
         hypot, isfinite = math.hypot, math.isfinite
         episode_reward = self.episode_reward
         total = 0.0
@@ -482,12 +473,11 @@ class ApproachEnv:
                 new_lift = min(lift_max, max(lift_min, new_lift))
 
                 distance = hypot(tx - new_x, ty - new_y)
-                out_of_range = hypot(new_x - sx, new_y - sy) > radius
+                out_of_range = hypot(new_x, new_y) > radius
                 new_count = step_count + 1
                 timed_out = new_count * dt >= max_time
-                if not isfinite(prev_distance + distance + prev_lift + new_lift + new_speed) \
-                        or new_count < 1:
-                    compute_reward(prev_distance, distance, prev_lift, new_lift, new_speed,
+                if not isfinite(prev_distance + distance + new_lift + new_speed) or new_count < 1:
+                    compute_reward(prev_distance, distance, lift, new_lift, new_speed,
                                    new_count, out_of_range, timed_out, self.config)
                 if out_of_range:
                     terms = _OUT_OF_RANGE
@@ -497,7 +487,7 @@ class ApproachEnv:
                     terms = _SUCCESS
                 else:
                     progress = prev_distance - distance
-                    lift_term = lift_scale * (min(new_lift, goal) - min(prev_lift, goal))
+                    lift_term = lift_scale * (min(new_lift, goal) - min(lift, goal))
                     time_term = neg_tc * new_count
                     terms = (progress, lift_term, time_term, 0.0, progress + lift_term + time_term,
                              False, Outcome.RUNNING)
@@ -505,13 +495,13 @@ class ApproachEnv:
 
                 x, y, speed, lift, pedal = new_x, new_y, new_speed, new_lift, new_pedal
                 elapsed += dt
-                step_count, prev_distance, prev_lift = new_count, distance, new_lift
+                step_count, prev_distance = new_count, distance
                 episode_reward += reward
                 total += reward
                 if on_step is not None:
                     self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
                     self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
-                    self.prev_distance, self.prev_lift = prev_distance, prev_lift
+                    self.prev_distance = prev_distance
                     self.reward_terms, self.episode_reward = terms, episode_reward
                     self._state = self._obs = None
                     on_step(self, action)
@@ -522,7 +512,7 @@ class ApproachEnv:
             if on_step is None and step_count != start_count:
                 self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
                 self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
-                self.prev_distance, self.prev_lift = prev_distance, prev_lift
+                self.prev_distance = prev_distance
                 self.reward_terms, self.episode_reward = terms, episode_reward
                 self._state = self._obs = None
         return total

@@ -118,7 +118,7 @@ def run_episodes(
         if collect_trace:
             trace = EpisodeTrace(columns=BASE_COLUMNS + list(env.extra_columns),
                                  initial_distance=env.prev_distance,
-                                 initial_lift=env.prev_lift, config_digest=config_digest)
+                                 initial_lift=env.lift, config_digest=config_digest)
             on_step = trace.add_env_step
         traces.append(trace)
         lanes.append((env, lane_decide, on_step))
@@ -179,7 +179,6 @@ class BucketStats:
 
 @dataclass
 class EvalReport:
-    n_episodes: int
     overall: BucketStats
     main: BucketStats
     degenerate: BucketStats
@@ -187,7 +186,7 @@ class EvalReport:
     notes: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"config_digest={self.config_digest}", f"n_episodes={self.n_episodes}"]
+        lines = [f"config_digest={self.config_digest}", f"n_episodes={self.overall.n}"]
         for key, value in sorted(self.notes.items()):
             lines.append(f"note.{key}={value}")
         for name, bucket in (("overall", self.overall), ("main", self.main),
@@ -229,7 +228,6 @@ def evaluate_policy(
     main = [r for r in results if not r.degenerate]
     degenerate = [r for r in results if r.degenerate]
     return EvalReport(
-        n_episodes=n_episodes,
         overall=BucketStats.from_results(results),
         main=BucketStats.from_results(main),
         degenerate=BucketStats.from_results(degenerate),

@@ -8,6 +8,7 @@ files.
 from __future__ import annotations
 
 import math
+import re
 
 from .trace import read_text
 from .train import METRICS_COLUMNS
@@ -22,7 +23,8 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
     offending row number for malformed content, which includes a last data
     row without a line end (``train`` writes whole lines, so such a row was
     cut off) and a ``timestep`` or ``updates`` that is no whole number >= 0
-    (``train`` writes counts there)."""
+    (``train`` writes counts there), and a config digest that is neither
+    empty nor the 16 lowercase hex digits of a run config digest."""
     text = read_text(path_or_file)
     digest = ""
     lines = text.splitlines()
@@ -34,6 +36,10 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
             key, _, value = line[1:].strip().partition("=")
             if key.strip() == "config_digest":
                 digest = value.strip()
+                if not re.fullmatch(r"([0-9a-f]{16})?", digest):
+                    raise MetricsFormatError(
+                        f"row {lineno}: config_digest must be empty or 16 lowercase hex "
+                        f"digits, got {digest!r}")
             continue
         if not line.strip():
             continue
@@ -87,6 +93,11 @@ def render_reward_curve_svg(rows: list[dict], digest: str = "") -> str:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    for name, lo, hi in (("timestep", x_lo, x_hi), ("ep_reward_mean", y_lo, y_hi)):
+        # the width overflows for values far apart, and stays 0 when adding
+        # 1.0 leaves a lone huge value where it was
+        if not 0.0 < hi - lo < math.inf:
+            raise MetricsFormatError(f"row 0: cannot scale {name} from {lo!r} to {hi!r}")
 
     def px(x: float) -> float:
         return ml + (x - x_lo) / (x_hi - x_lo) * pw

@@ -5,6 +5,7 @@ plumbing (files, digests, determinism, exit codes), not learning.
 """
 
 import hashlib
+import xml.dom.minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,6 +505,10 @@ class TestEmulate:
         assert code == 1
 
 
+METRICS_HEADER = ("timestep,updates,ep_reward_mean,ep_len_mean,success_rate,"
+                  "policy_loss,value_loss,entropy,clip_fraction,ratio_mean\n")
+
+
 class TestPlot:
     def test_two_row_metrics_gives_two_point_polyline(self, train_run, tmp_path):
         _, out = train_run
@@ -539,9 +544,7 @@ class TestPlot:
 
     def test_malformed_row_reports_row_number(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
-        header = ("timestep,updates,ep_reward_mean,ep_len_mean,success_rate,"
-                  "policy_loss,value_loss,entropy,clip_fraction,ratio_mean")
-        p.write_text(header + "\n512,1,0.5\n")
+        p.write_text(METRICS_HEADER + "512,1,0.5\n")
         assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         assert "row 2" in capsys.readouterr().err
 
@@ -551,21 +554,46 @@ class TestPlot:
                                                            capsys):
         # train writes counts in these columns; another value would reach the
         # SVG as a coordinate or a tick label such as x="nan"
-        header = ("timestep,updates,ep_reward_mean,ep_len_mean,success_rate,"
-                  "policy_loss,value_loss,entropy,clip_fraction,ratio_mean")
         cells = dict(timestep="1024", updates="2")
         cells[column] = value
         p = tmp_path / "bad.csv"
-        p.write_text(f"{header}\n512,1,0.5,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n"
+        p.write_text(f"{METRICS_HEADER}512,1,0.5,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n"
                      f"{cells['timestep']},{cells['updates']},0.7,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n")
         assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         err = capsys.readouterr().err
         assert f"row 3: {column} must be a whole number >= 0, got {float(value)!r}" in err
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("rows, axis", [
+        (["512,1,1e308", "1024,2,-1e308"], "ep_reward_mean"),  # the span overflows
+        (["512,1,1e308"], "ep_reward_mean"),  # adding 1.0 leaves the span 0
+        (["1e308,1,0.5"], "timestep"),
+    ])
+    def test_range_that_cannot_be_scaled_is_format_error(self, rows, axis, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        p.write_text(METRICS_HEADER + "".join(f"{row},200.0,0.0,0.1,0.2,1.3,0.0,1.0\n"
+                                              for row in rows))
+        assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        err = capsys.readouterr().err
+        assert f"row 0: cannot scale {axis}" in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("digest", ["a--b<x", "ab-->cd"])
+    def test_digest_that_would_break_the_svg_is_format_error(self, digest, tmp_path, capsys):
+        # the digest is copied into an XML comment
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# config_digest={digest}\n" + METRICS_HEADER
+                     + "512,1,0.5,200.0,0.0,0.1,0.2,1.3,0.0,1.0\n")
+        assert main(["plot", "--metrics", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        err = capsys.readouterr().err
+        assert f"row 1: config_digest must be empty or 16 lowercase hex digits, got {digest!r}" \
+            in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
     def test_mutated_metrics_exit_1_or_plot_finite_coordinates(self, train_run, tmp_path):
         # byte overwrites of a real metrics.csv: each is rejected with exit 1
-        # or plots an SVG with no nan or inf in it; nothing ends in a traceback
+        # or plots a well-formed SVG with no nan or inf in it; nothing ends in
+        # a traceback
         _, out = train_run
         text = (out / "metrics.csv").read_bytes()
         metrics, svg = tmp_path / "m.csv", tmp_path / "m.svg"
@@ -584,10 +612,9 @@ class TestPlot:
             code = main(["plot", "--metrics", str(metrics), "--out", str(svg)])
             assert code in (0, 1)
             if code == 0:
-                # the comment line repeats the file's digest text as it is
-                body = [line for line in svg.read_text().splitlines()
-                        if not line.startswith("<!--")]
-                assert not any("nan" in line or "inf" in line for line in body)
+                drawn = svg.read_text()
+                xml.dom.minidom.parseString(drawn)
+                assert "nan" not in drawn and "inf" not in drawn
 
         check()
 

@@ -93,7 +93,7 @@ class TestLoadRunConfig:
         assert load_run_config(str(p)) == run
 
     def test_none_path_gives_defaults(self):
-        run = load_run_config(None, require_seed=False)
+        run = load_run_config(None)
         assert run == RunConfig()
 
 

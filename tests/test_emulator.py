@@ -253,4 +253,4 @@ class TestEmulatedEnv:
         with pytest.raises(ValueError, match=r"control_interval=10 plant steps, got steps=1"):
             evaluate_policy(env, scripted, 1, 0)
         report = evaluate_policy(env, scripted, 1, 0, decision_interval=10)
-        assert report.n_episodes == 1
+        assert report.overall.n == 1

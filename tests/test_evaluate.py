@@ -43,7 +43,7 @@ def trace_bits(trace: EpisodeTrace) -> tuple:
 
 
 def report_bits(report) -> tuple:
-    return (report.n_episodes, record_bits(report.overall), record_bits(report.main),
+    return (report.overall.n, record_bits(report.overall), record_bits(report.main),
             record_bits(report.degenerate))
 
 
@@ -108,7 +108,7 @@ def reference(make_env, decide, seeds, headings, interval, collect_trace):
         if collect_trace:
             trace = EpisodeTrace(columns=BASE_COLUMNS + list(env.extra_columns),
                                  initial_distance=env.prev_distance,
-                                 initial_lift=env.prev_lift, config_digest="d")
+                                 initial_lift=env.lift, config_digest="d")
             on_step = trace.add_env_step
         while not env.done:
             env.hold(decide(env.obs), interval, on_step)

@@ -158,7 +158,7 @@ INVALID = [
     ("pedal nan", _corrupt_vehicle(brake_pedal=math.nan), {}),
     ("far away", _corrupt_vehicle(x=1.5e308, y=1.5e308), {}),
     ("prev_distance nan", _corrupt_env(prev_distance=math.nan), {}),
-    ("prev_lift inf", _corrupt_env(prev_lift=math.inf), {}),
+    ("lift inf", _corrupt_vehicle(lift=math.inf), {}),
     ("step_count negative", _corrupt_env(step_count=-3), {}),
     ("episode finished", _corrupt_env(done=True), {}),
     ("throttle nan", None, {"throttle_accel": math.nan}),
