@@ -417,12 +417,16 @@ class ApproachEnv:
         returns the reward summed over the steps taken. Each step is the
         functional :func:`step` (``brake_model`` and ``throttle_accel`` as
         there), computed over plain floats with the same operations in the
-        same order and the same checks, so it gives the same bits. The
-        episode attributes are written back once, at the end of the hold,
-        or after every plant step when ``on_step`` is given:
-        ``on_step(env, action)`` then runs after each step. It may read the
-        env but must not change its episode. A hold builds no record; the
-        records are built when read.
+        same order and the same checks, so it gives the same bits. Each
+        ``max(a, b)`` there is spelt ``b if b > a else a`` and each
+        ``min(a, b)`` ``b if b < a else a``, the rule by which the builtins
+        pick, so ``-0.0`` and NaN come out as there too. The episode
+        attributes are written back once, at the end of the hold, or after
+        every plant step when ``on_step`` is given: ``on_step(env, action)``
+        then runs after each step. It may read the env but must not change
+        its episode. A running step keeps its reward terms in locals, and
+        the ``reward_terms`` tuple is built only at write-back. A hold builds
+        no record; the records are built when read.
         """
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
@@ -461,16 +465,23 @@ class ApproachEnv:
                 if brake:
                     if tapered:
                         new_pedal = initial_pedal if pedal <= 0.0 else pedal * pedal_decay
-                        new_speed = max(0.0, speed - new_pedal * ideal_decel * dt)
+                        new_speed = speed - new_pedal * ideal_decel * dt
                     else:
                         new_pedal = 0.0
-                        new_speed = max(0.0, speed - ideal_dv)
+                        new_speed = speed - ideal_dv
                 else:
                     new_pedal = 0.0
                     new_speed = cruise_speed if throttle_dv is None else speed + throttle_dv
-                new_speed = min(cruise_speed, max(0.0, new_speed))
-                new_lift = min(lift_max, lift + lift_dv) if lift_up else lift
-                new_lift = min(lift_max, max(lift_min, new_lift))
+                # min(cruise_speed, max(0.0, new_speed)), spelt as the builtins decide
+                new_speed = new_speed if new_speed > 0.0 else 0.0
+                new_speed = new_speed if new_speed < cruise_speed else cruise_speed
+                if lift_up:
+                    new_lift = lift + lift_dv
+                    new_lift = new_lift if new_lift < lift_max else lift_max
+                else:
+                    new_lift = lift
+                new_lift = new_lift if new_lift > lift_min else lift_min
+                new_lift = new_lift if new_lift < lift_max else lift_max
 
                 distance = hypot(tx - new_x, ty - new_y)
                 out_of_range = hypot(new_x, new_y) > radius
@@ -479,19 +490,18 @@ class ApproachEnv:
                 if not isfinite(prev_distance + distance + new_lift + new_speed) or new_count < 1:
                     compute_reward(prev_distance, distance, lift, new_lift, new_speed,
                                    new_count, out_of_range, timed_out, self.config)
-                if out_of_range:
-                    terms = _OUT_OF_RANGE
-                elif timed_out:
-                    terms = _TIMEOUT
-                elif distance < vicinity and new_speed < speed_threshold and new_lift > goal:
-                    terms = _SUCCESS
+                if out_of_range or timed_out or (
+                        distance < vicinity and new_speed < speed_threshold and new_lift > goal):
+                    ending = _OUT_OF_RANGE if out_of_range else _TIMEOUT if timed_out else _SUCCESS
+                    reward = ending[4]
                 else:
+                    # the running reward stays in locals until it is written back
+                    ending = None
                     progress = prev_distance - distance
-                    lift_term = lift_scale * (min(new_lift, goal) - min(lift, goal))
+                    lift_term = lift_scale * ((goal if goal < new_lift else new_lift)
+                                              - (goal if goal < lift else lift))
                     time_term = neg_tc * new_count
-                    terms = (progress, lift_term, time_term, 0.0, progress + lift_term + time_term,
-                             False, Outcome.RUNNING)
-                reward = terms[4]
+                    reward = progress + lift_term + time_term
 
                 x, y, speed, lift, pedal = new_x, new_y, new_speed, new_lift, new_pedal
                 elapsed += dt
@@ -500,19 +510,23 @@ class ApproachEnv:
                 total += reward
                 if on_step is not None:
                     self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
-                    self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
-                    self.prev_distance = prev_distance
-                    self.reward_terms, self.episode_reward = terms, episode_reward
+                    self.brake_pedal, self.step_count = pedal, step_count
+                    self.prev_distance, self.done = prev_distance, ending is not None
+                    self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
+                                                   False, Outcome.RUNNING)
+                    self.episode_reward = episode_reward
                     self._state = self._obs = None
                     on_step(self, action)
-                if terms[5]:
+                if ending is not None:
                     break
         finally:
             # also when a check raises mid-hold: the steps taken stand
             if on_step is None and step_count != start_count:
                 self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
-                self.brake_pedal, self.step_count, self.done = pedal, step_count, terms[5]
-                self.prev_distance = prev_distance
-                self.reward_terms, self.episode_reward = terms, episode_reward
+                self.brake_pedal, self.step_count = pedal, step_count
+                self.prev_distance, self.done = prev_distance, ending is not None
+                self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
+                                               False, Outcome.RUNNING)
+                self.episode_reward = episode_reward
                 self._state = self._obs = None
         return total

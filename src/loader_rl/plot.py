@@ -18,6 +18,14 @@ class MetricsFormatError(Exception):
     """Malformed metrics CSV; message carries the row number."""
 
 
+def _check_digest(digest: str, row: int) -> None:
+    """A config digest is empty or the 16 lowercase hex digits of a run
+    config digest; anything else could break the SVG comment it goes in."""
+    if not re.fullmatch(r"([0-9a-f]{16})?", digest):
+        raise MetricsFormatError(
+            f"row {row}: config_digest must be empty or 16 lowercase hex digits, got {digest!r}")
+
+
 def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
     """Returns (rows, config_digest). Raises MetricsFormatError with the
     offending row number for malformed content, which includes a last data
@@ -36,10 +44,7 @@ def read_metrics_csv(path_or_file) -> tuple[list[dict], str]:
             key, _, value = line[1:].strip().partition("=")
             if key.strip() == "config_digest":
                 digest = value.strip()
-                if not re.fullmatch(r"([0-9a-f]{16})?", digest):
-                    raise MetricsFormatError(
-                        f"row {lineno}: config_digest must be empty or 16 lowercase hex "
-                        f"digits, got {digest!r}")
+                _check_digest(digest, lineno)
             continue
         if not line.strip():
             continue
@@ -76,9 +81,12 @@ def _fmt(v: float) -> str:
 
 
 def render_reward_curve_svg(rows: list[dict], digest: str = "") -> str:
-    """Line chart of ep_reward_mean against timestep."""
+    """Line chart of ep_reward_mean against timestep. Raises
+    MetricsFormatError for no rows, a range it cannot scale, or a digest
+    that :func:`read_metrics_csv` would reject."""
     if not rows:
         raise MetricsFormatError("row 0: no data rows to plot")
+    _check_digest(digest, 0)
     width, height = 800.0, 480.0
     ml, mr, mt, mb = 70.0, 20.0, 30.0, 50.0
     pw, ph = width - ml - mr, height - mt - mb

@@ -5,6 +5,7 @@ plumbing (files, digests, determinism, exit codes), not learning.
 """
 
 import hashlib
+import re
 import xml.dom.minidom
 
 import pytest
@@ -589,6 +590,16 @@ class TestPlot:
         assert f"row 1: config_digest must be empty or 16 lowercase hex digits, got {digest!r}" \
             in err and "Traceback" not in err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("digest", ["a--b<x", "ab-->cd", "0123456789ABCDEF"])
+    def test_render_rejects_the_digests_the_reader_rejects(self, digest):
+        from loader_rl.plot import MetricsFormatError, render_reward_curve_svg
+
+        rows = [{"timestep": 512.0, "ep_reward_mean": 0.5}]
+        xml.dom.minidom.parseString(render_reward_curve_svg(rows, "0123456789abcdef"))
+        with pytest.raises(MetricsFormatError, match=f"row 0: config_digest must be empty or "
+                           f"16 lowercase hex digits, got {re.escape(repr(digest))}"):
+            render_reward_curve_svg(rows, digest)
 
     def test_mutated_metrics_exit_1_or_plot_finite_coordinates(self, train_run, tmp_path):
         # byte overwrites of a real metrics.csv: each is rejected with exit 1

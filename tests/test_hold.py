@@ -4,8 +4,13 @@ The hold advances the plant over plain floats; the functional
 ``env.step`` (over ``sim.step_vehicle`` and ``env.compute_reward``) is
 the readable reference. Folding it ``k`` times must give exactly the
 records, return and hold total that ``hold(action, k)`` gives, and the
-same errors at the same plant step. A hold builds no record: the env
-builds its records only when they are read.
+same errors at the same plant step. The hold spells each ``max(a, b)``
+of the reference as ``b if b > a else a`` and each ``min(a, b)`` as
+``b if b < a else a``, so the property draws the clamps' bounds and
+``-0.0``, where a comparison spelt the other way round gives other bits.
+A hold calls neither builtin and builds no record: it builds its
+``reward_terms`` tuple only at write-back, and the env builds its
+records only when they are read.
 """
 
 import dataclasses
@@ -15,7 +20,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from loader_rl import env as env_module
 from loader_rl.env import ApproachEnv, EnvConfig, step
@@ -85,27 +90,36 @@ holds = st.lists(
 @given(
     seed=st.integers(0, 2**31 - 1),
     heading=st.one_of(st.none(), st.floats(0.0, 2 * math.pi, exclude_max=True)),
-    start_speed=st.sampled_from([None, 0.0, 0.7]),
+    # the clamps' bounds and -0.0, which tell min/max from a comparison
+    # spelt the other way round
+    start_speed=st.sampled_from([None, 0.0, -0.0, 0.7, VehicleParams().cruise_speed]),
+    start_lift=st.sampled_from([None, -0.0, "lift_min", "lift_goal_frac", "lift_max"]),
+    params=st.sampled_from([VehicleParams(), VehicleParams(lift_min=-0.0)]),
     max_episode_time=st.sampled_from([0.3, 2.0, 15.0, 15.0]),
     brake_model=st.sampled_from(list(BrakeModel)),
-    throttle_accel=st.one_of(st.none(), st.floats(-5.0, 5.0)),
+    throttle_accel=st.one_of(st.none(), st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)),
     scripted=st.booleans(),
     callback=st.booleans(),
     use_step=st.booleans(),
     plan=holds,
 )
-def test_hold_equals_folded_functional_step(seed, heading, start_speed, max_episode_time,
-                                            brake_model, throttle_accel, scripted, callback,
-                                            use_step, plan):
+@example(seed=0, heading=None, start_speed=-0.0, start_lift=None, params=VehicleParams(),
+         max_episode_time=2.0, brake_model=BrakeModel.IDEAL, throttle_accel=-0.0,
+         scripted=False, callback=False, use_step=False, plan=[(0, 1, 10)])
+def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_lift, params,
+                                            max_episode_time, brake_model, throttle_accel,
+                                            scripted, callback, use_step, plan):
     config = EnvConfig(max_episode_time=max_episode_time)
-    params = VehicleParams()
     oracle = OracleConfig(env=config, vehicle=params)
     kwargs = {"brake_model": brake_model, "throttle_accel": throttle_accel}
     env = ApproachEnv(config, params)
     env.reset(seed, heading=heading)
-    if start_speed is not None:
-        env.state = dataclasses.replace(
-            env.state, vehicle=dataclasses.replace(env.state.vehicle, speed=start_speed))
+    if isinstance(start_lift, str):
+        start_lift = getattr(config if start_lift == "lift_goal_frac" else params, start_lift)
+    start = {"speed": start_speed, "lift": start_lift}
+    start = {name: value for name, value in start.items() if value is not None}
+    env.state = dataclasses.replace(env.state,
+                                    vehicle=dataclasses.replace(env.state.vehicle, **start))
     state, obs, breakdown, episode_reward = env.state, env.obs, None, 0.0
 
     # the plan repeats until the episode ends (at most 15 s of plant time)
@@ -253,6 +267,40 @@ def test_a_hold_builds_no_record(built, trace):
     assert env.obs is not None and env.breakdown.done
     assert built() == {**before, "Observation": before["Observation"] + 1,
                        "RewardBreakdown": before["RewardBreakdown"] + 1}
+
+
+ENDINGS = [
+    ("OutOfRange", lambda env: Controls(0, 0)),
+    ("Timeout", lambda env: Controls(1, 0)),
+    ("Success", lambda env: Controls(int(env.step_count >= 75), 1)),
+]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("outcome, policy", ENDINGS, ids=[e[0] for e in ENDINGS])
+def test_a_hold_calls_no_min_or_max(monkeypatch, outcome, policy, trace):
+    calls = []
+
+    def counted(builtin):
+        def call(*args, **kwargs):
+            calls.append(builtin.__name__)
+            return builtin(*args, **kwargs)
+        return call
+
+    env = ApproachEnv()
+    env.reset(4)
+    on_step = EpisodeTrace(BASE_COLUMNS).add_env_step if trace else None
+    # module globals shadow the builtins for the code of loader_rl.env
+    monkeypatch.setattr(env_module, "min", counted(min), raising=False)
+    monkeypatch.setattr(env_module, "max", counted(max), raising=False)
+    while not env.done:
+        env.hold(policy(env), 10, on_step)
+    assert calls == []
+    assert env.breakdown.outcome.value == outcome
+    # the counters see the reference reward's calls
+    env.reset(4)
+    step(env.state, Controls(0, 1), env.config, env.params)
+    assert calls == ["min", "min"]
 
 
 def test_lockstep_episodes_build_one_observation_per_decision(built):
