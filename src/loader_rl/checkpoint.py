@@ -132,11 +132,11 @@ def _stored_net(arrays: dict[str, np.ndarray], name: str) -> MLP:
 
 def _section(header: dict, key: str, cls: type):
     """The config ``cls`` stored as ``header[key]``, which must map exactly
-    the keys of ``flatcfg.flatten(cls())`` to strings: none defaults."""
+    the keys of ``flatcfg.field_types(cls)`` to strings: none defaults."""
     flat = header[key]
     if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
         raise CheckpointFormatError(f"header section {key!r} is not a dict of strings")
-    expected = flatcfg.flatten(cls()).keys()
+    expected = flatcfg.field_types(cls).keys()
     if flat.keys() != expected:
         raise CheckpointFormatError(
             f"header section {key!r}: missing keys {sorted(expected - flat.keys())}, "

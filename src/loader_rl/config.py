@@ -40,9 +40,8 @@ class RunConfig:
 
     def flat(self) -> dict[str, str]:
         out = {"seed": str(self.seed)}
-        for section, value in (("env", self.env), ("vehicle", self.vehicle),
-                               ("train", self.train), ("emulation", self.emulation)):
-            out.update({f"{section}.{k}": v for k, v in flatcfg.flatten(value).items()})
+        for section in _SECTIONS:
+            out.update(flatcfg.flatten(getattr(self, section), f"{section}."))
         return out
 
     @property
@@ -56,8 +55,7 @@ class RunConfig:
 def _known_keys() -> dict[str, object]:
     keys: dict[str, object] = {"seed": int}
     for section, cls in _SECTIONS.items():
-        for key, typ in flatcfg.field_types(cls).items():
-            keys[f"{section}.{key}"] = typ
+        keys.update(flatcfg.field_types(cls, f"{section}."))
     return keys
 
 
@@ -114,24 +112,18 @@ def build_run_config(
         where = f"{source}:{lines[key]}: " if key in lines else ""
         return ConfigError(f"{where}invalid value for {key!r}: {err}")
 
-    seed = 0
-    if "seed" in flat:
+    values = {}
+    for key, text in flat.items():
         try:
-            seed = flatcfg.decode_value(flat["seed"], int)
+            values[key] = flatcfg.decode_value(text, known[key])
         except (TypeError, ValueError) as e:
-            raise fail("seed", e) from e
+            raise fail(key, e) from e
+    seed = values.get("seed", 0)
 
     sections = {}
     for section, cls in _SECTIONS.items():
-        types = flatcfg.field_types(cls)
-        sub = {k[len(section) + 1:]: v for k, v in flat.items() if k.startswith(section + ".")}
-        for k, v in sub.items():
-            try:
-                flatcfg.decode_value(v, types[k])
-            except (TypeError, ValueError) as e:
-                raise fail(f"{section}.{k}", e) from e
         try:
-            sections[section] = flatcfg.unflatten(cls, sub)
+            sections[section] = flatcfg.unflatten(cls, values, f"{section}.", decode=False)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{source}: invalid {section} configuration: {e}") from e
     train = sections["train"]

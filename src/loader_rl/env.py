@@ -114,9 +114,7 @@ def target_from_heading(start: tuple[float, float], heading: float, distance: fl
 def env_digest(config: EnvConfig, params: VehicleParams) -> str:
     """Digest of the environment a policy acts in: the ``env.`` and
     ``vehicle.`` entries of the flat run configuration."""
-    flat = {f"env.{k}": v for k, v in flatcfg.flatten(config).items()}
-    flat.update({f"vehicle.{k}": v for k, v in flatcfg.flatten(params).items()})
-    return flatcfg.digest(flat)
+    return flatcfg.digest({**flatcfg.flatten(config, "env."), **flatcfg.flatten(params, "vehicle.")})
 
 
 def build_observation(env: EnvState) -> Observation:

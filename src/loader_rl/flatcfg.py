@@ -5,12 +5,15 @@ Every config dataclass in the package serializes to sorted
 ``section.key=value`` lines; the sha256 of those lines is the config
 digest embedded in artifacts. Keeping the encoding in one place
 guarantees a checkpoint and a config file hash identically when they
-agree.
+agree. Each config class has one schema, ``_schema``, read once from its
+defaults; flattening, listing keys and rebuilding all walk it, and a
+rebuild builds each settings object once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from enum import Enum
@@ -78,51 +81,57 @@ def check_fields(obj: Any, positive: tuple[str, ...] = (), nonnegative: tuple[st
             raise ValueError(f"{name} must be >= 0, got {getattr(obj, name)!r}")
 
 
-def flatten(obj: Any, prefix: str = "") -> dict[str, str]:
-    """Dataclass instance -> {dotted.key: encoded value}."""
-    out: dict[str, str] = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        key = f"{prefix}{f.name}"
-        if dataclasses.is_dataclass(value):
-            out.update(flatten(value, prefix=f"{key}."))
-        else:
-            out[key] = encode_value(value)
-    return out
-
-
-def _leaf_type(value: Any) -> Any:
-    """The type a leaf field decodes as: ``tuple[float, float]`` for a
-    tuple default, otherwise the default's own type (an enum's class)."""
-    return tuple[float, float] if isinstance(value, tuple) else type(value)
-
-
-def field_types(cls: Any, prefix: str = "") -> dict[str, Any]:
-    """Dotted key -> leaf python type, for decoding."""
-    out: dict[str, Any] = {}
-    defaults = cls() if isinstance(cls, type) else cls
-    for f in dataclasses.fields(defaults):
-        value = getattr(defaults, f.name)
-        key = f"{prefix}{f.name}"
-        if dataclasses.is_dataclass(value):
-            out.update(field_types(type(value), prefix=f"{key}."))
-        else:
-            out[key] = _leaf_type(value)
-    return out
-
-
-def unflatten(cls: Any, flat: dict[str, str], prefix: str = "") -> Any:
-    """Rebuild a dataclass from dotted keys; missing keys keep defaults."""
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, nested) per field of config class ``cls``, read once
+    from its defaults: a nested field's type is its config class, a
+    leaf's is the type it decodes as (``tuple[float, float]`` for a tuple
+    default, otherwise the default's own type, an enum's class)."""
     defaults = cls()
-    kwargs = {}
-    for f in dataclasses.fields(defaults):
+    schema = []
+    for f in dataclasses.fields(cls):
         value = getattr(defaults, f.name)
-        key = f"{prefix}{f.name}"
-        if dataclasses.is_dataclass(value):
-            kwargs[f.name] = unflatten(type(value), flat, prefix=f"{key}.")
+        nested = dataclasses.is_dataclass(value)
+        typ = type(value) if nested or not isinstance(value, tuple) else tuple[float, float]
+        schema.append((f.name, typ, nested))
+    return tuple(schema)
+
+
+def flatten(obj: Any, prefix: str = "") -> dict[str, str]:
+    """Dataclass instance -> {prefixed dotted.key: encoded value}."""
+    out: dict[str, str] = {}
+    for name, _, nested in _schema(type(obj)):
+        value = getattr(obj, name)
+        if nested:
+            out.update(flatten(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = encode_value(value)
+    return out
+
+
+def field_types(cls: type, prefix: str = "") -> dict[str, Any]:
+    """Prefixed dotted key -> leaf python type, for decoding."""
+    out: dict[str, Any] = {}
+    for name, typ, nested in _schema(cls):
+        if nested:
+            out.update(field_types(typ, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = typ
+    return out
+
+
+def unflatten(cls: type, flat: dict[str, Any], prefix: str = "", decode: bool = True) -> Any:
+    """Build ``cls`` once from prefixed dotted keys; missing keys keep
+    their defaults. The values are encoded strings, or with ``decode``
+    false values of the leaf types already."""
+    kwargs = {}
+    for name, typ, nested in _schema(cls):
+        key = prefix + name
+        if nested:
+            kwargs[name] = unflatten(typ, flat, f"{key}.", decode)
         elif key in flat:
-            kwargs[f.name] = decode_value(flat[key], _leaf_type(value))
-    return dataclasses.replace(defaults, **kwargs)
+            kwargs[name] = decode_value(flat[key], typ) if decode else flat[key]
+    return cls(**kwargs)
 
 
 def canonical_lines(flat: dict[str, str]) -> str:

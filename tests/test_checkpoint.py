@@ -16,6 +16,7 @@ from loader_rl.checkpoint import (
     PolicyCheckpoint,
     _collect_arrays,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
     write_checkpoint,
 )
@@ -24,6 +25,7 @@ from loader_rl.env import EnvConfig, env_digest
 from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.ppo import TrainConfig
 from loader_rl.sim import VehicleParams
+from tests.test_config import checks_per_call
 
 
 def payload_sha(path):
@@ -150,6 +152,13 @@ class TestAtomicWrite:
         write_checkpoint(new, path)
         assert path.read_bytes() == save_checkpoint(new)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+class TestRead:
+    def test_validates_each_settings_object_once(self, tmp_path, monkeypatch):
+        path = golden_checkpoint(tmp_path / "golden.ckpt")
+        assert checks_per_call(monkeypatch, lambda: read_checkpoint(path)) == [
+            "EnvConfig", "TaperParams", "TrainConfig", "VehicleParams"]
 
 
 class TestFormatErrors:

@@ -97,6 +97,32 @@ class TestLoadRunConfig:
         assert run == RunConfig()
 
 
+def checks_per_call(monkeypatch, call):
+    """The classes ``flatcfg.check_fields`` validates, one entry per call,
+    during ``call()``, after one warm-up call has read the schemas."""
+    call()
+    checked = []
+    real = flatcfg.check_fields
+
+    def counting(obj, *args, **kwargs):
+        checked.append(type(obj).__name__)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(flatcfg, "check_fields", counting)
+    call()
+    return sorted(checked)
+
+
+class TestOneBuildPerSettingsObject:
+    def test_load_run_config_validates_each_object_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed=3\nenv.vicinity=1.4\nvehicle.taper.initial_pedal=0.5\n"
+                     "emulation.pid.kp=0.7\ntrain.n_epochs=2\n")
+        assert checks_per_call(monkeypatch, lambda: load_run_config(str(p))) == [
+            "EmulationConfig", "EnvConfig", "PidGains", "TaperParams", "TrainConfig",
+            "VehicleParams"]
+
+
 class TestEnumAndTupleCodec:
     def test_enum_values(self):
         assert flatcfg.encode_value(BrakeModel.TAPERED) == "tapered"
