@@ -82,17 +82,22 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
     return MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
 
 
-def write_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
-    """Write a temp file beside ``path``, then rename it over ``path``: an
-    interrupted write leaves the previous file whole and no temp file."""
-    tmp = f"{os.fspath(path)}.tmp"
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: an interrupted write leaves the previous file whole and no
+    temp file. Every artifact a command writes whole goes through here."""
+    tmp = os.fsdecode(path) + ".tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(save_checkpoint(ckpt))
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
+    write_atomic(path, save_checkpoint(ckpt))
 
 
 def load_checkpoint(data: bytes) -> PolicyCheckpoint:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointFormatError, PolicyCheckpoint, read_checkpoint
+from .checkpoint import CheckpointFormatError, PolicyCheckpoint, read_checkpoint, write_atomic
 from .config import ConfigError, RunConfig, load_run_config
 from .emulator import run_emulated_episode
 from .env import ApproachEnv, env_digest
@@ -191,8 +191,7 @@ def cmd_eval(args) -> int:
     )
     text = report.to_text()
     if args.report:
-        with open(args.report, "w") as f:
-            f.write(text)
+        write_atomic(args.report, text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -222,9 +221,7 @@ def cmd_emulate(args) -> int:
 
 def cmd_plot(args) -> int:
     rows, digest = read_metrics_csv(args.metrics)
-    svg = render_reward_curve_svg(rows, digest)
-    with open(args.out, "w") as f:
-        f.write(svg)
+    write_atomic(args.out, render_reward_curve_svg(rows, digest))
     print(f"wrote {args.out}")
     return EXIT_OK
 

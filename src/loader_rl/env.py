@@ -33,6 +33,11 @@ class Outcome(Enum):
     TIMEOUT = "Timeout"
 
 
+# the most plant steps an episode may last (the default episode lasts 750):
+# an episode of max_episode_time / dt steps must end in bounded time
+MAX_EPISODE_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     target_distance: float = 5.0
@@ -58,6 +63,10 @@ class EnvConfig:
             raise ValueError("need vicinity < target_distance < out_of_range_radius")
         if not (0.0 < self.lift_goal_frac < 1.0):
             raise ValueError(f"lift_goal_frac must be in (0, 1), got {self.lift_goal_frac}")
+        steps = self.max_episode_time / self.dt
+        if not 1.0 <= steps <= MAX_EPISODE_STEPS:
+            raise ValueError(f"max_episode_time / dt must be 1 to {MAX_EPISODE_STEPS} plant "
+                             f"steps, got {steps!r}")
 
 
 class Observation(NamedTuple):
@@ -326,6 +335,17 @@ class ApproachEnv:
     def __init__(self, config: Optional[EnvConfig] = None, params: Optional[VehicleParams] = None):
         self.config = config or EnvConfig()
         self.params = params or VehicleParams()
+        config, params = self.config, self.params
+        first_step = params.cruise_speed * config.dt
+        if not first_step <= config.out_of_range_radius:
+            raise ValueError(f"one plant step at vehicle.cruise_speed * env.dt = {first_step!r} m "
+                             f"leaves env.out_of_range_radius = {config.out_of_range_radius!r} m")
+        low = config.lift_start_mean - config.lift_start_jitter
+        high = config.lift_start_mean + config.lift_start_jitter
+        if not (params.lift_min <= low and high <= params.lift_max and math.isfinite(high - low)):
+            raise ValueError(f"the start lift env.lift_start_mean +- env.lift_start_jitter = "
+                             f"[{low!r}, {high!r}] leaves [vehicle.lift_min, vehicle.lift_max] = "
+                             f"[{params.lift_min!r}, {params.lift_max!r}]")
         self._plant = _plant(self.config, self.params)
         self.done = None
         self.reward_terms = None
@@ -473,11 +493,7 @@ class ApproachEnv:
                 # min(cruise_speed, max(0.0, new_speed)), spelt as the builtins decide
                 new_speed = new_speed if new_speed > 0.0 else 0.0
                 new_speed = new_speed if new_speed < cruise_speed else cruise_speed
-                if lift_up:
-                    new_lift = lift + lift_dv
-                    new_lift = new_lift if new_lift < lift_max else lift_max
-                else:
-                    new_lift = lift
+                new_lift = lift + lift_dv if lift_up else lift
                 new_lift = new_lift if new_lift > lift_min else lift_min
                 new_lift = new_lift if new_lift < lift_max else lift_max
 

@@ -76,22 +76,32 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
     Works purely from per-row (x, y, rel_x, rel_y, speed, lift, step, t)
     plus the trace's initial distance/lift metadata; termination flags
     are re-derived, not read from the reward columns. Raises ValueError
-    for rows that are malformed or missing.
+    for rows that are malformed or missing, for a value it reads that is
+    not finite, and for a distance too large to compute.
     """
     rows = trace.rows
     if not rows:
         raise ValueError("empty trace")
-    needed = {"step", "t", "x", "y", "rel_x", "rel_y", "speed", "lift"}
-    if not needed.issubset(trace.columns):
-        raise ValueError(f"trace lacks columns {sorted(needed - set(trace.columns))}")
+    needed = ("step", "t", "x", "y", "rel_x", "rel_y", "speed", "lift")
+    if not set(needed).issubset(trace.columns):
+        raise ValueError(f"trace lacks columns {sorted(set(needed) - set(trace.columns))}")
 
     goal = config.lift_goal_frac
     prev_distance = trace.initial_distance
     prev_lift = trace.initial_lift
+    if not (math.isfinite(prev_distance) and math.isfinite(prev_lift)):
+        raise ValueError(f"initial distance and lift must be finite, got "
+                         f"{prev_distance!r} and {prev_lift!r}")
     total = 0.0
-    for row in rows:
-        distance = math.sqrt(row["rel_x"] ** 2 + row["rel_y"] ** 2)
-        from_start = math.sqrt(row["x"] ** 2 + row["y"] ** 2)
+    for i, row in enumerate(rows):
+        if not all(math.isfinite(row[name]) for name in needed):
+            bad = {name: row[name] for name in needed if not math.isfinite(row[name])}
+            raise ValueError(f"row {i}: values must be finite, got {bad}")
+        try:
+            distance = math.sqrt(row["rel_x"] ** 2 + row["rel_y"] ** 2)
+            from_start = math.sqrt(row["x"] ** 2 + row["y"] ** 2)
+        except OverflowError as e:
+            raise ValueError(f"row {i}: distance out of range: {e}") from e
         out_of_range = from_start > config.out_of_range_radius
         timed_out = row["step"] * config.dt >= config.max_episode_time
         if out_of_range or timed_out:

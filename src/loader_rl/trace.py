@@ -17,9 +17,11 @@ pedal fraction.
 from __future__ import annotations
 
 import io
+import math
 import os
 from typing import Iterable, Optional
 
+from .checkpoint import write_atomic
 from .env import Outcome
 
 BASE_COLUMNS = [
@@ -97,8 +99,9 @@ def _cell_type(name: str, normalized: bool = False) -> type:
 
 
 def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False) -> None:
-    """Write the trace; ``normalized`` min-max scales each numeric column
-    to [0, 1] (constant columns become 0) and writes every one as float."""
+    """Write the trace, to a path atomically; ``normalized`` min-max scales
+    each numeric column to [0, 1] (constant columns become 0) and writes
+    every one as float."""
     columns = list(zip(*trace.values))
     if normalized:
         columns = [col if name == "outcome" else _min_max_scaled(col)
@@ -117,8 +120,7 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
     for line in map(",".join, zip(*cells)):
         out.write(line + "\n")
     if isinstance(path_or_file, (str, bytes, os.PathLike)):
-        with open(path_or_file, "w") as f:
-            f.write(out.getvalue())
+        write_atomic(path_or_file, out.getvalue())
     else:
         path_or_file.write(out.getvalue())
 
@@ -137,9 +139,17 @@ def read_text(path_or_file) -> str:
     return path_or_file.read()
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def read_trace_csv(path_or_file) -> EpisodeTrace:
     """Inverse of :func:`write_trace_csv`; normalized traces read back
-    with every numeric column as float."""
+    with every numeric column as float. A cell that is no number, or a
+    float cell that is not finite, raises ValueError naming its line."""
     lines = read_text(path_or_file).splitlines()
     meta = {}
     header = None
@@ -160,12 +170,16 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         initial_lift=float(meta.get("initial_lift", "0.0")),
         config_digest=meta.get("config_digest", ""),
     )
-    types = [_cell_type(name, "normalized" in meta) for name in header]
+    types = [_finite if typ is float else typ
+             for typ in (_cell_type(name, "normalized" in meta) for name in header)]
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        trace.values.append(tuple(typ(cell) for typ, cell in zip(types, cells)))
+        try:
+            trace.values.append(tuple(typ(cell) for typ, cell in zip(types, cells)))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from e
     return trace

@@ -5,16 +5,24 @@ plumbing (files, digests, determinism, exit codes), not learning.
 """
 
 import hashlib
+import os
 import re
+import signal
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loader_rl.cli import main
 from loader_rl.checkpoint import read_checkpoint
+from loader_rl.config import _known_keys
 from loader_rl.trace import read_trace_csv
 from tests.test_checkpoint import golden_checkpoint, payload_sha
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_TRAIN = "\n".join([
     "seed=5",
@@ -188,6 +196,10 @@ class TestInvalidValues:
         "train.clip_range=nan",
         "train.vf_coef=nan",
         "train.max_grad_norm=nan",
+        # episodes that could never end, or that end before they start
+        "env.dt = 1e-320",
+        "env.dt = 1e300",
+        "vehicle.cruise_speed = 1e308",
     ])
     def test_exits_1(self, setting, tmp_path, capsys):
         if setting.startswith("--"):
@@ -200,6 +212,64 @@ class TestInvalidValues:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestEpisodeGeometry:
+    """Settings under which no episode can run exit 1 before any episode
+    starts: an episode of no plant step or of unbounded length, a first
+    step at cruise speed that leaves the valid range, and a start lift
+    outside the boom's range."""
+
+    @pytest.mark.parametrize("setting, keys", [
+        ("env.dt = 1e-320", "max_episode_time / dt"),
+        ("env.dt = 1e300", "max_episode_time / dt"),
+        ("env.max_episode_time = 1e300", "max_episode_time / dt"),
+        ("vehicle.cruise_speed = 1e308", "vehicle.cruise_speed * env.dt"),
+        ("env.out_of_range_radius = 1e300\nvehicle.cruise_speed = 1e303",
+         "vehicle.cruise_speed * env.dt"),
+        # numpy cannot draw over a range wider than the largest float
+        ("env.lift_start_jitter = 1e308", "env.lift_start_mean +- env.lift_start_jitter"),
+        ("env.lift_start_mean = 1e308", "env.lift_start_mean +- env.lift_start_jitter"),
+    ])
+    def test_scripted_eval_exits_1(self, setting, keys, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{setting}\n")
+        assert main(["eval", "--scripted", "--episodes", "2", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and keys in err
+
+    def test_one_random_line_exits_0_or_1(self, tmp_path):
+        # one ``key = value`` line of any known key: eval ends with exit 0
+        # or 1, never a traceback, another code or an episode with no end
+        cfg = tmp_path / "run.cfg"
+        numbers = st.one_of(st.floats(), st.integers(-2**70, 2**70))
+        values = st.one_of(
+            numbers.map(str),
+            st.tuples(numbers, numbers).map(lambda xy: f"{xy[0]},{xy[1]}"),
+            st.sampled_from(["true", "false", "ideal", "tapered", "bernoulli",
+                             "continuous_threshold", "", ","]),
+            st.text("0123456789-+.eEnaifNI,x ", max_size=8),
+        )
+
+        def time_out(signum, frame):
+            raise TimeoutError("eval of one episode ran past 10 s")  # an OSError: exit 2
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.sampled_from(sorted(_known_keys())), values)
+        def check(key, value):
+            cfg.write_text(f"seed=1\n{key} = {value}\n")
+            signal.setitimer(signal.ITIMER_REAL, 10.0)
+            try:
+                code = main(["eval", "--scripted", "--episodes", "1", "--config", str(cfg)])
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            assert code in (0, 1), (key, value)
+
+        previous = signal.signal(signal.SIGALRM, time_out)
+        try:
+            check()
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCommandLineErrors:
@@ -643,6 +713,79 @@ class TestPlot:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["plot", "--metrics", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "x.svg")]) == 2
+
+
+class TestAtomicArtifacts:
+    """The trace, the eval report and the SVG are written like checkpoints:
+    a write that fails part-way leaves the previous file whole and no temp
+    file, and the command exits 2."""
+
+    class HalfWriter:
+        # writes half of the data, then fails like a full disk
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    @pytest.mark.parametrize("command", ["replay", "emulate", "eval", "plot"])
+    def test_failed_write_keeps_previous_file(self, command, request, tmp_path, monkeypatch):
+        import loader_rl.checkpoint as checkpoint_mod
+
+        target = tmp_path / "artifacts" / "artifact"
+        target.parent.mkdir()
+        target.write_text("previous\n")
+        if command == "plot":
+            metrics = request.getfixturevalue("train_run")[1] / "metrics.csv"
+            argv = ["plot", "--metrics", str(metrics), "--out", str(target)]
+        else:
+            argv = {"replay": ["replay", "--scripted", "--trace", str(target)],
+                    "emulate": ["emulate", "--scripted", "--trace", str(target)],
+                    "eval": ["eval", "--scripted", "--episodes", "2", "--report", str(target)],
+                    }[command]
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_mod, "open",
+                          lambda p, mode: self.HalfWriter(open(p, mode)), raising=False)
+            assert main(argv) == 2
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in target.parent.iterdir()] == ["artifact"]
+        assert main(argv) == 0
+        assert target.read_text() != "previous\n"
+        assert [p.name for p in target.parent.iterdir()] == ["artifact"]
+
+
+class TestBlasThreads:
+    """Importing the package defaults BLAS to one thread; a thread count
+    the user sets wins, and neither moves an output bit."""
+
+    def run(self, tmp_path, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        script = ("import os, sys\nfrom loader_rl.cli import main\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        ckpt = golden_checkpoint(tmp_path / "golden.ckpt")
+        proc = subprocess.run([sys.executable, "-c", script, "eval", "--checkpoint", str(ckpt),
+                               "--episodes", "20"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        threads, _, report = proc.stdout.partition("\n")
+        return threads, report
+
+    def test_one_thread_unless_set(self, tmp_path):
+        threads, report = self.run(tmp_path, {})
+        assert threads == "1 1"
+        assert self.run(tmp_path, {"OPENBLAS_NUM_THREADS": "2"}) == ("2 1", report)
+        assert self.run(tmp_path, {"OMP_NUM_THREADS": "2"}) == ("1 2", report)
 
 
 class TestLogEnvVar:

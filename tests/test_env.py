@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,6 +424,25 @@ class TestTraceCsv:
             assert min(values) >= 0.0 and max(values) <= 1.0
         # cruise speed is reached, so the speed column peaks at exactly 1
         assert max(back.column("speed")) == 1.0
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("x", "nan", "expected a finite number, got 'nan'"),
+        ("lift", "inf", "expected a finite number, got 'inf'"),
+        ("reward_total", "-inf", "expected a finite number, got '-inf'"),
+        ("speed", "abc", "could not convert string to float: 'abc'"),
+        ("step", "1.5", "invalid literal for int"),
+    ])
+    def test_bad_cell_names_its_line(self, column, cell, message):
+        _, trace = self._trace()
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        lines = buf.getvalue().splitlines()
+        # line 4 is the header row, line 5 the first step, line 7 the third
+        cells = lines[6].split(",")
+        cells[trace.columns.index(column)] = cell
+        lines[6] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"^line 7: {re.escape(message)}"):
+            read_trace_csv(io.StringIO("\n".join(lines)))
 
     def test_deterministic_bytes(self):
         _, trace = self._trace()

@@ -135,6 +135,22 @@ class TestRewardOracle:
         with pytest.raises(ValueError):
             reward_oracle(bad, EnvConfig())
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("x", math.nan, r"row 2: values must be finite, got \{'x': nan\}"),
+        ("speed", math.inf, r"row 2: values must be finite, got \{'speed': inf\}"),
+        ("rel_x", -1e308, "row 2: distance out of range"),
+    ])
+    def test_rejects_values_it_cannot_use(self, column, value, message):
+        # a NaN position once summed to a finite total, and a huge offset
+        # raised OverflowError
+        trace = collect_trace(ApproachEnv(), lambda o: scripted_policy(o, ORACLE), 5)
+        rows = trace.rows
+        rows[2][column] = value
+        bad = EpisodeTrace(columns=trace.columns, rows=rows,
+                           initial_distance=trace.initial_distance, initial_lift=trace.initial_lift)
+        with pytest.raises(ValueError, match=message):
+            reward_oracle(bad, EnvConfig())
+
 
 class TestMaxRewardBound:
     def test_default_bound(self):
