@@ -94,8 +94,8 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
                          f"{prev_distance!r} and {prev_lift!r}")
     total = 0.0
     for i, row in enumerate(rows):
-        if not all(math.isfinite(row[name]) for name in needed):
-            bad = {name: row[name] for name in needed if not math.isfinite(row[name])}
+        bad = {name: row[name] for name in needed if not math.isfinite(row[name])}
+        if bad:
             raise ValueError(f"row {i}: values must be finite, got {bad}")
         try:
             distance = math.sqrt(row["rel_x"] ** 2 + row["rel_y"] ** 2)

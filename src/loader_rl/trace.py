@@ -170,8 +170,8 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         initial_lift=float(meta.get("initial_lift", "0.0")),
         config_digest=meta.get("config_digest", ""),
     )
-    types = [_finite if typ is float else typ
-             for typ in (_cell_type(name, "normalized" in meta) for name in header)]
+    types = [_cell_type(name, "normalized" in meta) for name in header]
+    types = [_finite if typ is float else typ for typ in types]
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue
