@@ -7,10 +7,9 @@ conditions (sensor delay, decimated control rate, PID throttle,
 tapered braking).
 
 Importing the package sets ``OPENBLAS_NUM_THREADS`` and
-``OMP_NUM_THREADS`` to 1 where they are unset, before numpy loads: the
-update's small matrix products gain nothing from BLAS threads, and runs
-side by side slow each other down through them. A value the user sets
-wins, and a process that imported numpy first keeps its thread count.
+``OMP_NUM_THREADS`` to 1 where unset, before numpy loads: the update's
+small matrix products gain nothing from BLAS threads, and runs side by
+side slow each other down through them.
 """
 
 import os

@@ -173,7 +173,10 @@ def step_vehicle(
             speed = state.speed + throttle_accel * dt
     speed = min(params.cruise_speed, max(0.0, speed))
 
-    lift = state.lift + params.lift_rate * dt if controls.lift_up else state.lift
+    if controls.lift_up:
+        lift = min(params.lift_max, state.lift + params.lift_rate * dt)
+    else:
+        lift = state.lift
     lift = min(params.lift_max, max(params.lift_min, lift))
 
     return VehicleState(x, y, state.heading, speed, lift, state.elapsed + dt, pedal)
