@@ -114,6 +114,8 @@ def build_run_config(
 
     values = {}
     for key, text in flat.items():
+        if key not in known:
+            raise ConfigError(f"{source}: unknown key {key!r}")
         try:
             values[key] = flatcfg.decode_value(text, known[key])
         except (TypeError, ValueError) as e:

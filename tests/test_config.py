@@ -84,6 +84,12 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="override"):
             build_run_config({}, overrides={"nope": "1"})
 
+    @pytest.mark.parametrize("key", ["env.bogus", "bogus"])
+    def test_unknown_entry_rejected(self, key):
+        # parse_config_text never returns one, but a direct caller may pass it
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            build_run_config({"seed": ("1", 1), key: ("1", 2)})
+
 
 class TestLoadRunConfig:
     def test_file_round_trip(self, tmp_path):
