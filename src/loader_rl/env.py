@@ -57,7 +57,7 @@ class EnvConfig:
     def __post_init__(self) -> None:
         flatcfg.check_fields(
             self, positive=("speed_threshold", "dt", "max_episode_time"),
-            nonnegative=("lift_start_jitter",),
+            nonnegative=("lift_start_jitter", "time_penalty_tc", "lift_reward_scale"),
         )
         if not (self.vicinity < self.target_distance < self.out_of_range_radius):
             raise ValueError("need vicinity < target_distance < out_of_range_radius")
@@ -67,6 +67,13 @@ class EnvConfig:
         if not 1.0 <= steps <= MAX_EPISODE_STEPS:
             raise ValueError(f"max_episode_time / dt must be 1 to {MAX_EPISODE_STEPS} plant "
                              f"steps, got {steps!r}")
+        # the time penalty of step k is time_penalty_tc * k, summed over the
+        # longest episode; the lift shaping is checked with the boom's range
+        longest = math.floor(steps) + 1
+        penalty = self.time_penalty_tc * (longest * (longest + 1) / 2)
+        if not math.isfinite(penalty):
+            raise ValueError(f"time_penalty_tc = {self.time_penalty_tc!r} sums to {penalty!r} "
+                             f"over an episode of {longest} plant steps")
 
 
 class Observation(NamedTuple):
@@ -346,6 +353,10 @@ class ApproachEnv:
             raise ValueError(f"the start lift env.lift_start_mean +- env.lift_start_jitter = "
                              f"[{low!r}, {high!r}] leaves [vehicle.lift_min, vehicle.lift_max] = "
                              f"[{params.lift_min!r}, {params.lift_max!r}]")
+        shaping = config.lift_reward_scale * (params.lift_max - params.lift_min)
+        if not math.isfinite(shaping):
+            raise ValueError(f"the lift shaping over the boom's range, env.lift_reward_scale * "
+                             f"(vehicle.lift_max - vehicle.lift_min) = {shaping!r}, is not finite")
         self._plant = _plant(self.config, self.params)
         self.done = None
         self.reward_terms = None

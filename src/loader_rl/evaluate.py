@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .env import ApproachEnv, Observation, Outcome
-from .policy import PolicyParams, _as_obs_array, greedy_action, policy_forward
+from .policy import PolicyParams, _as_obs_array, finite_output, greedy_action, policy_forward
 from .seeding import substream_seed
 from .sim import CONTROLS, Controls
 from .trace import BASE_COLUMNS, EpisodeTrace
@@ -37,19 +37,21 @@ def greedy_policy_fn(params: PolicyParams) -> PolicyFn:
 
     ``decide.batch(observations)`` decides a list of observations at once,
     with one stacked actor pass, and returns the controls that deciding
-    them one by one returns.
+    them one by one returns. Both raise FloatingPointError if the actor
+    output is not finite.
     """
 
     def decide(obs: Observation) -> Controls:
         logits, _ = policy_forward(params, obs, value=False)
-        return greedy_action(logits)
+        return greedy_action(finite_output(logits))
 
     def batch(observations: Sequence[Observation]) -> list[Controls]:
         x = np.array([(o.rel_x, o.rel_y, o.speed, o.lift) for o in observations])
         if x.shape[1:] != (params.obs_dim,) or not np.isfinite(x).all():
             for obs in observations:
                 _as_obs_array(obs, params.obs_dim)  # raises the error of the first bad one
-        fire = (params.actor(params.obs_normalizer.normalize(x)) > 0.0).tolist()
+        out = finite_output(params.actor(params.obs_normalizer.normalize(x)))
+        fire = (out > 0.0).tolist()
         return [CONTROLS[brake][lift_up] for brake, lift_up in fire]
 
     decide.batch = batch

@@ -96,7 +96,10 @@ class MLP:
         for i in reversed(range(self.n_layers)):
             h_in, h_out = cache[i], cache[i + 1]
             if i < self.n_layers - 1:
-                d = d * (1.0 - h_out * h_out)  # tanh'
+                # d * (1 - h_out * h_out), tanh', in place: here d is the
+                # product of the layer above, so no caller holds it
+                tanh_grad = np.multiply(h_out, h_out)
+                d *= np.subtract(1.0, tanh_grad, out=tanh_grad)
             np.matmul(h_in.T, d, out=out[2 * i])
             d.sum(axis=0, out=out[2 * i + 1])
             if i > 0:

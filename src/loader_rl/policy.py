@@ -58,12 +58,23 @@ class ObsNormalizer:
         self.m2 = np.zeros(dim)
         self._refresh_std()
 
-    def update(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (x - self.mean)
-        self._refresh_std()
+    def update(self, x) -> None:
+        """One Welford step over the elements of ``x``, an :class:`Observation`
+        or any sequence of ``dim`` floats, as plain floats with the operations
+        and order of the array formulas ``delta = x - mean``, ``mean += delta /
+        count``, ``m2 += delta * (x - mean)`` and ``std = sqrt(var + eps)``, so
+        with their bits; ``mean``, ``m2`` and the std are stored as arrays."""
+        self.count = count = self.count + 1
+        eps = self.eps
+        mean, m2, std = [], [], []
+        for xi, mi, m2i in zip(x, self.mean.tolist(), self.m2.tolist(), strict=True):
+            delta = xi - mi
+            mi = mi + delta / count
+            m2i = m2i + delta * (xi - mi)
+            mean.append(mi)
+            m2.append(m2i)
+            std.append(math.sqrt((m2i / count if count >= 2 else 1.0) + eps))
+        self.mean, self.m2, self._std = np.array(mean), np.array(m2), np.array(std)
 
     @property
     def var(self) -> np.ndarray:
@@ -195,10 +206,20 @@ def bernoulli_entropy(logits: np.ndarray) -> np.ndarray:
     return h.sum(axis=-1)
 
 
+def finite_output(out: np.ndarray) -> np.ndarray:
+    """The actor output ``out``, one row or a batch, if all of it is finite;
+    otherwise raises FloatingPointError naming it: such an output picks no
+    action, and its sign tests would pick one silently."""
+    finite = all(map(math.isfinite, out.tolist())) if out.ndim == 1 else np.isfinite(out).all()
+    if not finite:
+        raise FloatingPointError(f"actor output is not finite: {out}")
+    return out
+
+
 def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[Controls, float]:
-    """Draw the two binary commands independently from their heads."""
-    if not np.all(np.isfinite(logits)):
-        raise ValueError(f"non-finite logits: {logits}")
+    """Draw the two binary commands independently from their heads; raises
+    FloatingPointError if a logit is not finite."""
+    finite_output(logits)
     p = sigmoid(np.asarray(logits, dtype=np.float64))
     u = rng.random(N_ACTIONS)
     a = (u < p).astype(np.float64)
@@ -232,25 +253,47 @@ class ThresholdSampler:
     def sample(
         self, mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
     ) -> tuple[Controls, float, np.ndarray]:
-        """Returns (binary action, log_prob, pre-squash sample u)."""
+        """Returns (binary action, log_prob, pre-squash sample u). Raises
+        FloatingPointError if the mean, the actor output, is not finite.
+
+        The log-probability is :func:`gaussian_tanh_log_prob` of the two
+        heads, computed over plain floats with its operations in its order,
+        so with its bits; ``np.tanh`` and ``np.log1p`` stay, as ``np.tanh``
+        and ``math.tanh`` differ in the last bit on some inputs."""
+        m0, m1 = finite_output(mean).tolist()
         if self._noise is None or self._age >= self.resample_every:
             self._noise = rng.standard_normal(N_ACTIONS)
             self._age = 0
         self._age += 1
         std = np.exp(log_std)
         u = mean + std * self._noise
-        log_prob = float(gaussian_tanh_log_prob(u, mean, log_std))
+        (u0, u1), (l0, l1), (s0, s1) = u.tolist(), log_std.tolist(), std.tolist()
+        z0, z1 = (u0 - m0) / s0, (u1 - m1) / s1
+        t0, t1 = float(np.tanh(u0)), float(np.tanh(u1))
+        corr0 = float(np.log1p(-(t0 * t0) + 1e-12))
+        corr1 = float(np.log1p(-(t1 * t1) + 1e-12))
+        log_prob = ((-0.5 * z0 * z0 - l0 - 0.5 * LOG2PI - corr0)
+                    + (-0.5 * z1 * z1 - l1 - 0.5 * LOG2PI - corr1))
         # a head fires iff tanh(u) > 0, which is u > 0: tanh is odd and monotone
         # and rounds no nonzero value to zero
-        return CONTROLS[int(u[0] > 0.0)][int(u[1] > 0.0)], log_prob, u
+        return CONTROLS[u0 > 0.0][u1 > 0.0], log_prob, u
 
 
-def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
+def tanh_correction(u: np.ndarray) -> np.ndarray:
+    """The tanh change-of-variables term of each pre-squash sample u,
+    ``log(1 - tanh(u)^2)`` with a small floor; it depends on u alone."""
+    return np.log1p(-np.tanh(u) ** 2 + 1e-12)
+
+
+def gaussian_tanh_log_prob(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray,
+                           corr: np.ndarray | None = None) -> np.ndarray:
     """log-density of pre-squash sample u under N(mean, std), with the
-    tanh change-of-variables correction; sums over action dims."""
+    tanh change-of-variables correction; sums over action dims. ``corr``
+    is ``tanh_correction(u)`` when the caller has it already."""
     u = np.asarray(u, dtype=np.float64)
     std = np.exp(log_std)
     z = (u - mean) / std
     base = -0.5 * z * z - log_std - 0.5 * LOG2PI
-    corr = np.log1p(-np.tanh(u) ** 2 + 1e-12)
+    if corr is None:
+        corr = tanh_correction(u)
     return (base - corr).sum(axis=-1)

@@ -25,6 +25,7 @@ from .policy import (
     bernoulli_log_prob,
     gaussian_tanh_log_prob,
     sigmoid,
+    tanh_correction,
 )
 
 RATIO_EXP_CLAMP = 30.0
@@ -150,9 +151,8 @@ def compute_gae(
 
 def ppo_ratio(log_prob_new, log_prob_old):
     """exp(new - old) with the exponent clamped to +-30."""
-    diff = np.clip(np.asarray(log_prob_new) - np.asarray(log_prob_old),
-                   -RATIO_EXP_CLAMP, RATIO_EXP_CLAMP)
-    out = np.exp(diff)
+    diff = np.asarray(log_prob_new) - np.asarray(log_prob_old)
+    out = np.exp(np.minimum(np.maximum(diff, -RATIO_EXP_CLAMP), RATIO_EXP_CLAMP))  # np.clip's bits
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,12 +176,18 @@ def clipped_policy_loss(ratios: np.ndarray, advantages: np.ndarray, clip_range: 
 def _clipped_surrogate(ratios, advantages, clip_range):
     """(loss, r*A, clip(r, 1-eps, 1+eps)*A): the loss and its two branches."""
     unclipped = ratios * advantages
-    clipped = np.clip(ratios, 1.0 - clip_range, 1.0 + clip_range) * advantages
-    return float(-np.mean(np.minimum(unclipped, clipped))), unclipped, clipped
+    # np.clip's and np.mean's bits, without their Python-level wrappers
+    clipped = np.minimum(np.maximum(ratios, 1.0 - clip_range), 1.0 + clip_range) * advantages
+    return -float(np.minimum(unclipped, clipped).sum() / len(ratios)), unclipped, clipped
 
 
 def normalize_advantages(advantages: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    return (advantages - advantages.mean()) / (advantages.std() + eps)
+    """``(a - a.mean()) / (a.std() + eps)``, spelt out as the reductions and
+    operations numpy's ``mean`` and ``std`` run, in their order, so with
+    their bits; the centred values are computed once."""
+    n = len(advantages)
+    centred = advantages - advantages.sum() / n
+    return centred / (math.sqrt((centred * centred).sum() / n) + eps)
 
 
 @dataclass
@@ -223,19 +229,26 @@ def _minibatch_loss(
     advantages: np.ndarray,
     returns: np.ndarray,
     config: TrainConfig,
+    tanh_corr: np.ndarray | None = None,
 ) -> _LossPieces:
+    """The loss of one minibatch and what its gradient needs. ``tanh_corr``
+    is ``tanh_correction(actions)`` in continuous-threshold mode, which the
+    update computes once for its whole buffer; None computes it here."""
     logits, actor_cache = params.actor.forward(obs)
     values, critic_cache = params.critic.forward(obs)
     v = values[:, 0]
+    b = len(advantages)
+    # each mean is np.mean's sum / count, without its Python-level wrapper
     if params.log_std is None:  # Bernoulli heads
         log_probs_new = bernoulli_log_prob(logits, actions)
-        entropy = float(np.mean(bernoulli_entropy(logits)))
+        entropy = float(bernoulli_entropy(logits).sum() / b)
     else:
-        log_probs_new = gaussian_tanh_log_prob(actions, logits, params.log_std)
-        entropy = float(np.sum(params.log_std + 0.5 * (1.0 + math.log(2.0 * math.pi))))
+        log_probs_new = gaussian_tanh_log_prob(actions, logits, params.log_std, tanh_corr)
+        entropy = float((params.log_std + 0.5 * (1.0 + math.log(2.0 * math.pi))).sum())
     ratios = ppo_ratio(log_probs_new, log_probs_old)
     policy_loss, unclipped, clipped = _clipped_surrogate(ratios, advantages, config.clip_range)
-    value_loss = float(np.mean((v - returns) ** 2))
+    err = v - returns
+    value_loss = float((err * err).sum() / b)
     total = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
     return _LossPieces(total, policy_loss, value_loss, entropy, ratios, unclipped, clipped,
                        logits, values, actor_cache, critic_cache)
@@ -333,6 +346,7 @@ class PPOLearner:
         to their pre-update snapshot and ``stats.aborted`` is set.
         """
         params, config, optimizer = self.params, self.config, self.optimizer
+        batch_size = config.batch_size
         if not buffer.full:
             raise ValueError(f"rollout buffer not full ({buffer.pos}/{buffer.n_steps})")
         advantages, returns = compute_gae(
@@ -346,17 +360,21 @@ class PPOLearner:
                 "ratio_mean": 0.0, "clip_fraction": 0.0, "grad_norm": 0.0}
         n_mb = 0
         n = buffer.n_steps
+        # the stored actions' tanh correction depends on nothing the update moves
+        tanh_corr = None if params.log_std is None else tanh_correction(buffer.actions)
+        rows = (buffer.observations, buffer.actions, buffer.log_probs, advantages, returns)
         for _ in range(config.n_epochs):
             perm = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = perm[start:start + config.batch_size]
-                obs = buffer.observations[idx]
-                acts = buffer.actions[idx]
-                lp_old = buffer.log_probs[idx]
-                adv = normalize_advantages(advantages[idx])
-                ret = returns[idx]
+            # one gather per array and epoch; each minibatch is a slice of it
+            obs_e, acts_e, lp_e, adv_e, ret_e = (a[perm] for a in rows)
+            corr_e = None if tanh_corr is None else tanh_corr[perm]
+            for start in range(0, n, batch_size):
+                mb = slice(start, start + batch_size)
+                acts, lp_old, ret = acts_e[mb], lp_e[mb], ret_e[mb]
+                adv = normalize_advantages(adv_e[mb])
 
-                pieces = _minibatch_loss(params, obs, acts, lp_old, adv, ret, config)
+                pieces = _minibatch_loss(params, obs_e[mb], acts, lp_old, adv, ret, config,
+                                         None if corr_e is None else corr_e[mb])
                 if not math.isfinite(pieces.total):
                     self.theta[:] = snapshot[0]
                     optimizer.m, optimizer.v, optimizer.t = snapshot[1:]
@@ -377,9 +395,9 @@ class PPOLearner:
                 sums["policy_loss"] += pieces.policy_loss
                 sums["value_loss"] += pieces.value_loss
                 sums["entropy"] += pieces.entropy
-                sums["ratio_mean"] += float(np.mean(pieces.ratios))
+                sums["ratio_mean"] += float(pieces.ratios.sum() / batch_size)
                 clipped = np.abs(pieces.ratios - 1.0) > config.clip_range
-                sums["clip_fraction"] += float(np.mean(clipped))
+                sums["clip_fraction"] += int(np.count_nonzero(clipped)) / batch_size
                 sums["grad_norm"] += min(norm, config.max_grad_norm)
                 n_mb += 1
 

@@ -109,9 +109,9 @@ def train(
         while timesteps() < config.total_timesteps:
             buffer.reset()
             for _ in range(config.n_steps):
-                raw = env.obs.to_array()
-                params.obs_normalizer.update(raw)
-                xn = params.obs_normalizer.normalize(raw)
+                obs = env.obs
+                params.obs_normalizer.update(obs)
+                xn = params.obs_normalizer.normalize(obs.to_array())
                 logits = params.actor(xn)
                 value = float(params.critic(xn)[0])
                 if config.exploration_mode is ExplorationMode.BERNOULLI:

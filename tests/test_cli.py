@@ -4,7 +4,10 @@ Training commands here use a deliberately tiny budget; they exercise the
 plumbing (files, digests, determinism, exit codes), not learning.
 """
 
+import contextlib
 import hashlib
+import io
+import math
 import os
 import re
 import signal
@@ -13,14 +16,15 @@ import sys
 import xml.dom.minidom
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loader_rl.cli import main
-from loader_rl.checkpoint import read_checkpoint
+from loader_rl.checkpoint import read_checkpoint, write_checkpoint
 from loader_rl.config import _known_keys
 from loader_rl.trace import read_trace_csv
-from tests.test_checkpoint import golden_checkpoint, payload_sha
+from tests.test_checkpoint import golden, golden_checkpoint, payload_sha
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -217,8 +221,9 @@ class TestInvalidValues:
 class TestEpisodeGeometry:
     """Settings under which no episode can run exit 1 before any episode
     starts: an episode of no plant step or of unbounded length, a first
-    step at cruise speed that leaves the valid range, and a start lift
-    outside the boom's range."""
+    step at cruise speed that leaves the valid range, a start lift
+    outside the boom's range, and reward terms that are negative or whose
+    largest episode total is not finite."""
 
     @pytest.mark.parametrize("setting, keys", [
         ("env.dt = 1e-320", "max_episode_time / dt"),
@@ -230,6 +235,14 @@ class TestEpisodeGeometry:
         # numpy cannot draw over a range wider than the largest float
         ("env.lift_start_jitter = 1e308", "env.lift_start_mean +- env.lift_start_jitter"),
         ("env.lift_start_mean = 1e308", "env.lift_start_mean +- env.lift_start_jitter"),
+        # the time penalty summed over the longest episode, and the lift shaping
+        # over the boom's range, must be finite; neither term may be negative
+        ("env.time_penalty_tc = 1e308", "time_penalty_tc"),
+        ("env.time_penalty_tc = 1e303\nenv.max_episode_time = 1000", "time_penalty_tc"),
+        ("env.time_penalty_tc = -1", "time_penalty_tc"),
+        ("env.lift_reward_scale = -1e308", "lift_reward_scale"),
+        ("vehicle.lift_min = -1e308\nvehicle.lift_max = 1e308",
+         "env.lift_reward_scale * (vehicle.lift_max - vehicle.lift_min)"),
     ])
     def test_scripted_eval_exits_1(self, setting, keys, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -240,7 +253,8 @@ class TestEpisodeGeometry:
 
     def test_one_random_line_exits_0_or_1(self, tmp_path):
         # one ``key = value`` line of any known key: eval ends with exit 0
-        # or 1, never a traceback, another code or an episode with no end
+        # or 1, never a traceback, another code or an episode with no end;
+        # on exit 0 every value of a non-empty bucket is finite
         cfg = tmp_path / "run.cfg"
         numbers = st.one_of(st.floats(), st.integers(-2**70, 2**70))
         values = st.one_of(
@@ -260,16 +274,56 @@ class TestEpisodeGeometry:
             cfg.write_text(f"seed=1\n{key} = {value}\n")
             signal.setitimer(signal.ITIMER_REAL, 10.0)
             try:
-                code = main(["eval", "--scripted", "--episodes", "1", "--config", str(cfg)])
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = main(["eval", "--scripted", "--episodes", "1", "--config", str(cfg)])
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
             assert code in (0, 1), (key, value)
+            if code == 0:
+                report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+                for bucket in ("overall", "main", "degenerate"):
+                    if int(report[f"{bucket}.n"]) > 0:
+                        for stat in ("success_rate", "reward_mean", "reward_variance",
+                                     "mean_stop_error"):
+                            value_read = float(report[f"{bucket}.{stat}"])
+                            assert math.isfinite(value_read), (key, value, bucket, stat)
 
         previous = signal.signal(signal.SIGALRM, time_out)
         try:
             check()
         finally:
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonFiniteActorOutput:
+    """A checkpoint with finite weights whose actor output is not finite
+    (final-layer weights of alternating sign near the largest float) is a
+    numerical failure, exit 3, in every command that decides with it; such
+    an output's sign tests would otherwise pick an action silently."""
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        ckpt = golden()
+        w = ckpt.params.actor.params[-2]
+        w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, -1.7e308, 1.7e308)
+        path = tmp_path / "nan.ckpt"
+        write_checkpoint(ckpt, path)
+        read_checkpoint(path)  # every stored number is finite
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--episodes", "1"],  # one lane: decide
+        ["eval", "--episodes", "3"],  # lanes in lockstep: decide.batch
+        ["replay", "--trace", "{tmp}/t.csv"],
+        ["emulate", "--trace", "{tmp}/t.csv"],
+    ])
+    def test_exits_3(self, ckpt, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([*argv, "--checkpoint", ckpt, "--seed", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: actor output is not finite")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestCommandLineErrors:

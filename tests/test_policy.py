@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loader_rl.env import Observation
 from loader_rl.nets import MLP
@@ -14,6 +15,7 @@ from loader_rl.policy import (
     PolicyParams,
     ThresholdSampler,
     bernoulli_log_prob,
+    finite_output,
     gaussian_tanh_log_prob,
     greedy_action,
     init_policy,
@@ -165,6 +167,119 @@ class TestObsNormalizer:
             norm.update(x)
 
 
+# floats whose Welford sums and squares stay finite
+MODERATE = st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=True)
+
+
+class ArrayWelford:
+    """The normalizer's array formulas, as they stood before its update ran
+    over plain floats: the reference its bits are checked against."""
+
+    def __init__(self, dim):
+        self.count, self.mean, self.m2 = 0, np.zeros(dim), np.zeros(dim)
+
+    def update(self, x):
+        self.count += 1
+        delta = x - self.mean
+        self.mean = self.mean + delta / self.count
+        self.m2 = self.m2 + delta * (x - self.mean)
+
+    def normalize(self, x):
+        var = np.ones(len(self.mean)) if self.count < 2 else self.m2 / self.count
+        return np.clip((x - self.mean) / np.sqrt(var + ObsNormalizer.eps),
+                       -ObsNormalizer.clip, ObsNormalizer.clip)
+
+
+class TestScalarBitIdentity:
+    """The rollout's per-decision code runs over plain floats; each property
+    checks its bits against the array formula it replaced, so reordering
+    one operation fails it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MODERATE, MODERATE, MODERATE, MODERATE), min_size=1, max_size=12),
+           st.tuples(MODERATE, MODERATE, MODERATE, MODERATE))
+    def test_normalizer_update_then_normalize(self, rows, probe):
+        norm, ref = ObsNormalizer(4), ArrayWelford(4)
+        probe = np.array(probe)
+        for row in rows:
+            norm.update(Observation(*row))
+            ref.update(np.array(row))
+            assert norm.count == ref.count
+            assert norm.mean.tobytes() == ref.mean.tobytes()
+            assert norm.m2.tobytes() == ref.m2.tobytes()
+            for x in (probe, np.array(row)):
+                assert norm.normalize(x).tobytes() == ref.normalize(x).tobytes()
+
+    def test_normalizer_on_observation_scales(self):
+        rng = np.random.default_rng(21)
+        norm, ref = ObsNormalizer(4), ArrayWelford(4)
+        for i in range(2000):
+            row = rng.normal(loc=[3.0, 2.0, 1.5, 0.6], scale=[2.0, 2.0, 0.8, 0.1]) * 10.0 ** (i % 7 - 3)
+            norm.update(Observation(*row.tolist()))
+            ref.update(row)
+            assert (norm.mean.tobytes(), norm.m2.tobytes()) == (ref.mean.tobytes(), ref.m2.tobytes())
+            assert norm.normalize(row).tobytes() == ref.normalize(row).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(MODERATE, MODERATE),
+           st.tuples(st.floats(-5.0, 2.0), st.floats(-5.0, 2.0)),
+           st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)))
+    def test_sampler_log_prob(self, mean, log_std, noise):
+        class Noise:
+            def standard_normal(self, n):
+                return np.array(noise)
+
+        mean, log_std = np.array(mean), np.array(log_std)
+        _, log_prob, u = ThresholdSampler(resample_every=1).sample(mean, log_std, Noise())
+        assert u.tobytes() == (mean + np.exp(log_std) * np.array(noise)).tobytes()
+        assert log_prob.hex() == float(gaussian_tanh_log_prob(u, mean, log_std)).hex()
+
+    def test_sampler_log_prob_on_policy_scales(self):
+        rng = np.random.default_rng(22)
+        sampler = ThresholdSampler(resample_every=4)
+        for _ in range(5000):
+            mean = rng.normal(scale=rng.choice([1e-3, 0.3, 1.0, 3.0, 30.0]), size=2)
+            log_std = rng.uniform(-2.0, 1.0, size=2)
+            _, log_prob, u = sampler.sample(mean, log_std, rng)
+            assert log_prob.hex() == float(gaussian_tanh_log_prob(u, mean, log_std)).hex()
+
+
+class TestNonFiniteOutput:
+    """A non-finite actor output picks no action: greedy decisions and both
+    samplers raise FloatingPointError naming it."""
+
+    BAD = [np.array([math.nan, 0.5]), np.array([0.5, math.inf]), np.array([-math.inf, math.nan])]
+
+    @pytest.mark.parametrize("out", BAD)
+    def test_samplers_raise(self, out):
+        rng = np.random.default_rng(0)
+        with pytest.raises(FloatingPointError, match="actor output is not finite"):
+            sample_action(out, rng)
+        with pytest.raises(FloatingPointError, match="actor output is not finite"):
+            ThresholdSampler().sample(out, np.zeros(2), rng)
+
+    def test_finite_output_passes_through(self):
+        out = np.array([1e308, -5e-324])
+        assert finite_output(out) is out
+        batch = np.array([[0.0, 1.0], [2.0, math.nan]])
+        with pytest.raises(FloatingPointError, match="actor output is not finite"):
+            finite_output(batch)
+
+    def test_greedy_decisions_raise(self):
+        from loader_rl.evaluate import greedy_policy_fn
+
+        params = init_policy(4, np.random.default_rng(1))
+        w = params.actor.params[-2]
+        w[...] = np.where(np.arange(w.size).reshape(w.shape) % 2, -1.7e308, 1.7e308)
+        decide = greedy_policy_fn(params)
+        obs = Observation(3.0, 2.0, 2.0, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="actor output is not finite"):
+                decide(obs)
+            with pytest.raises(FloatingPointError, match="actor output is not finite"):
+                decide.batch([obs, obs._replace(rel_x=1.0)])
+
+
 class TestThresholdSampler:
     def test_noise_held_for_four_decisions(self):
         sampler = ThresholdSampler(resample_every=4)
@@ -231,9 +346,13 @@ class TestSignWithoutTanh:
 
         sampler = ThresholdSampler(resample_every=1)
         rng = np.random.default_rng(13)
-        with np.errstate(all="ignore"):  # the log-prob of infinite and NaN samples
+        with np.errstate(all="ignore"):  # the log-prob of infinite samples
             for mean in self.values():
                 for noise in (NegativeZeroNoise(), rng):
+                    if not np.isfinite(mean).all():  # an actor output with no action
+                        with pytest.raises(FloatingPointError, match="actor output"):
+                            sampler.sample(mean, np.zeros(2), noise)
+                        continue
                     action, _, u = sampler.sample(mean, np.zeros(2), noise)
                     if isinstance(noise, NegativeZeroNoise):
                         assert u.tobytes() == mean.tobytes()

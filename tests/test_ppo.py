@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loader_rl.checkpoint import read_checkpoint
 from loader_rl.env import ApproachEnv, EnvConfig
@@ -139,6 +140,29 @@ class TestClippedPolicyLoss:
         a = rng.normal(size=500)
         clipped = np.clip(r, 0.6, 1.4) * a
         assert np.all(np.minimum(r * a, clipped) <= r * a + 1e-12)
+
+
+class TestNormalizeAdvantages:
+    """The spelt-out normalization has the bits of the numpy formula it
+    replaced, at every minibatch length: numpy sums up to 8 elements in
+    order and longer arrays pairwise, in blocks of 128."""
+
+    @staticmethod
+    def reference(a):
+        return (a - a.mean()) / (a.std() + 1e-8)
+
+    def test_every_length_to_300(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 301):
+            for scale in (1e-6, 1.0, 1e6):
+                a = rng.normal(loc=rng.normal() * scale, scale=scale, size=n)
+                assert normalize_advantages(a).tobytes() == self.reference(a).tobytes(), (n, scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=1, max_size=300))
+    def test_any_values(self, values):
+        a = np.array(values)
+        assert normalize_advantages(a).tobytes() == self.reference(a).tobytes()
 
 
 class TestEntropy:
@@ -372,6 +396,60 @@ class TestPpoUpdate:
         assert stats.n_minibatches == 2 * 2
         moved = any(not np.array_equal(a, b) for a, b in zip(params.trainable_arrays(), before))
         assert moved
+
+
+class TestUpdateStatsGolden:
+    """One update on a fixed seeded buffer, pinned bit for bit: the six means
+    of its UpdateStats (``grad_norm`` is written nowhere else) and the
+    parameters it leaves. The gradient clip binds on some minibatches and
+    not on others, and the entropy bonus is on, so every branch of the
+    minibatch runs. Taken before the minibatch was restructured, on the
+    build of TestTrainingGoldenOutputs."""
+
+    GOLDEN = {
+        ExplorationMode.BERNOULLI: (
+            ("-0x1.53bd3b2d5eb2fp-8", "0x1.b6ba668cdb089p+1", "0x1.5c2319e65b203p+0",
+             "0x1.09d89d333047fp+0", "0x1.5800000000000p-3", "0x1.625fc56415105p+0"),
+            "1c3ed36fbb8a34c05ca9b1d636da9111c0ca1d6756e00e040ac99d47e933e6f0"),
+        ExplorationMode.CONTINUOUS_THRESHOLD: (
+            ("0x1.2ecd288a23578p-6", "0x1.c1acab17b9f71p+1", "0x1.6b44c1992d2cbp+1",
+             "0x1.07e6ac628e0e9p+0", "0x1.7800000000000p-3", "0x1.6cec25ad95be7p+0"),
+            "8e3cc3892ded8dacead3b02a7dafb39747fcf88219114e4987c29ad030abe50a"),
+    }
+
+    @pytest.mark.parametrize("mode", list(ExplorationMode))
+    def test_one_update(self, mode):
+        import hashlib
+
+        from loader_rl.policy import gaussian_tanh_log_prob
+
+        rng = np.random.default_rng(2718)
+        params = init_policy(4, rng, mode)
+        for p in params.actor.params:
+            p += rng.normal(scale=0.1, size=p.shape)
+        config = TrainConfig(n_steps=256, batch_size=64, n_epochs=3, learning_rate=3e-4,
+                             ent_coef=0.01, max_grad_norm=2.0, exploration_mode=mode)
+        buffer = RolloutBuffer(256, 4)
+        for _ in range(256):
+            obs = rng.normal(size=4)
+            out = params.actor(obs)
+            if params.log_std is None:
+                action = (rng.random(2) < 0.5).astype(float)
+                lp = float(bernoulli_log_prob(out, action))
+            else:
+                action = out + rng.normal(size=2)
+                lp = float(gaussian_tanh_log_prob(action, out, params.log_std))
+            lp += float(rng.normal(scale=0.3))
+            buffer.add(obs, action, lp, float(params.critic(obs)[0]), float(rng.normal()),
+                       rng.random() < 0.05)
+        buffer.bootstrap_value = 0.25
+        learner = PPOLearner(params, config)
+        stats = learner.update(buffer, np.random.default_rng(31))
+        means, theta_sha = self.GOLDEN[mode]
+        names = ("policy_loss", "value_loss", "entropy", "ratio_mean", "clip_fraction", "grad_norm")
+        assert tuple(getattr(stats, name).hex() for name in names) == means
+        assert (stats.n_minibatches, stats.aborted) == (12, False)
+        assert hashlib.sha256(learner.theta.tobytes()).hexdigest() == theta_sha
 
 
 class TestFlatLayout:
