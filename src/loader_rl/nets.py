@@ -79,9 +79,10 @@ class MLP:
         return self._layers(x, None)
 
     def _layers(self, h: np.ndarray, cache: list[np.ndarray] | None) -> np.ndarray:
-        """tanh(h @ W + b) per hidden layer, then a linear one; cached unless cache is None."""
+        """tanh(h @ W + b) per hidden layer, then a linear one; cached unless cache is None.
+        Each product is ``np.dot``: the BLAS call of ``@`` without its ufunc dispatch."""
         for i in range(0, len(self.params), 2):
-            h = h @ self.params[i]
+            h = np.dot(h, self.params[i])
             h += self.params[i + 1]
             if i + 2 < len(self.params):  # a hidden layer
                 np.tanh(h, out=h)
@@ -100,10 +101,10 @@ class MLP:
                 # product of the layer above, so no caller holds it
                 tanh_grad = np.multiply(h_out, h_out)
                 d *= np.subtract(1.0, tanh_grad, out=tanh_grad)
-            np.matmul(h_in.T, d, out=out[2 * i])
+            np.dot(h_in.T, d, out=out[2 * i])
             d.sum(axis=0, out=out[2 * i + 1])
             if i > 0:
-                d = d @ self.params[2 * i].T
+                d = np.dot(d, self.params[2 * i].T)
 
 
 def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
