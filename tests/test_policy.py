@@ -346,19 +346,18 @@ class TestSignWithoutTanh:
 
         sampler = ThresholdSampler(resample_every=1)
         rng = np.random.default_rng(13)
-        with np.errstate(all="ignore"):  # the log-prob of infinite samples
-            for mean in self.values():
-                for noise in (NegativeZeroNoise(), rng):
-                    if not np.isfinite(mean).all():  # an actor output with no action
-                        with pytest.raises(FloatingPointError, match="actor output"):
-                            sampler.sample(mean, np.zeros(2), noise)
-                        continue
-                    action, _, u = sampler.sample(mean, np.zeros(2), noise)
-                    if isinstance(noise, NegativeZeroNoise):
-                        assert u.tobytes() == mean.tobytes()
-                    squashed = np.tanh(u)
-                    assert (action.brake, action.lift_up) == (int(squashed[0] > 0.0),
-                                                              int(squashed[1] > 0.0)), u
+        for mean in self.values():
+            for noise in (NegativeZeroNoise(), rng):
+                if not np.isfinite(mean).all():  # an actor output with no action
+                    with pytest.raises(FloatingPointError, match="actor output"):
+                        sampler.sample(mean, np.zeros(2), noise)
+                    continue
+                action, _, u = sampler.sample(mean, np.zeros(2), noise)
+                if isinstance(noise, NegativeZeroNoise):
+                    assert u.tobytes() == mean.tobytes()
+                squashed = np.tanh(u)
+                assert (action.brake, action.lift_up) == (int(squashed[0] > 0.0),
+                                                          int(squashed[1] > 0.0)), u
 
 
 class TestArchitecture:
