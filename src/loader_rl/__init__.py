@@ -27,7 +27,6 @@ from .env import (
     build_observation,
     compute_reward,
     env_digest,
-    reset,
     step,
     target_from_heading,
 )

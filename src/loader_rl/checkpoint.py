@@ -85,12 +85,17 @@ def save_checkpoint(ckpt: PolicyCheckpoint) -> bytes:
 def write_atomic(path, data: bytes | str) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over
     ``path``: an interrupted write leaves the previous file whole and no
-    temp file. Every artifact a command writes whole goes through here."""
+    temp file. Every artifact a command writes whole goes through here;
+    an error names ``path``, not the temp file."""
     tmp = os.fsdecode(path) + ".tmp"
     try:
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
             f.write(data)
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename != tmp:
+            raise
+        raise type(e)(e.errno, e.strerror, os.fsdecode(path)) from e
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -160,6 +160,11 @@ def _greedy_setup(args):
     return run, ApproachEnv(run.env, run.vehicle), _decide_fn(run, ckpt, args.scripted), interval
 
 
+# eval, replay and emulate exit 3 on an actor output that is not finite, which numpy's
+# warnings would only repeat; train keeps them, the visible sign of an aborted update
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def cmd_train(args) -> int:
     run = load_run_config(args.config, _overrides(args), seed_trains=True)
     result = train(
@@ -176,6 +181,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@_quiet_overflow
 def cmd_eval(args) -> int:
     run, env, decide, interval = _greedy_setup(args)
     report = evaluate_policy(
@@ -196,6 +202,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@_quiet_overflow
 def cmd_replay(args) -> int:
     run, env, decide, interval = _greedy_setup(args)
     _, trace = run_episode(
@@ -208,6 +215,7 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+@_quiet_overflow
 def cmd_emulate(args) -> int:
     run, ckpt = _resolve_policy_and_config(args)
     trace = run_emulated_episode(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import flatcfg
@@ -132,19 +132,19 @@ def utm_relative_observation(
 class EmulatedEnv(ApproachEnv):
     """:class:`ApproachEnv` with the deployment quirks of ``emu``.
 
-    Between holds, ``obs`` is the delayed map-frame observation the
-    policy decides on; within a hold it is the true one, which the trace
-    rows record. Each hold runs the PID once at its start and steps the
-    plant with the configured brake model and the PID's throttle. The
-    controller runs at the emulated rate: every hold is
-    ``emu.control_interval`` plant steps, so callers pass that as
+    ``obs`` is the delayed map-frame observation the policy decides on,
+    computed from the sensor buffer whenever it is read; the trace rows
+    record the true position beside it. Each hold runs the PID once at
+    its start and steps the plant with the configured brake model and the
+    PID's throttle. The controller runs at the emulated rate: every hold
+    is ``emu.control_interval`` plant steps, so callers pass that as
     their ``decision_interval`` (``run_emulated_episode`` does), and any
     other hold length raises ValueError. ``run_episodes``,
     ``evaluate_policy`` and ``train`` take this env unchanged; ``step``
     advances the bare plant, without the PID, the brake model or the
-    sensor. As evaluation lanes are shallow copies of one env, the
-    episode's sensor buffer, PID state and command are all set by
-    ``reset``, never shared between lanes.
+    sensor, and returns the delayed ``obs`` too. As evaluation lanes are
+    shallow copies of one env, the episode's sensor buffer, PID state and
+    command are all set by ``reset``, never shared between lanes.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -158,14 +158,12 @@ class EmulatedEnv(ApproachEnv):
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
         super().reset(seed, heading=heading)
         if self.emu.start_from_standstill:
-            state = self.state
-            self.state = replace(state, vehicle=replace(state.vehicle, speed=0.0))
+            self.speed = 0.0
         self._buffer = DelayBuffer(self.emu.position_delay)
         self._sense()
         self._pid = PidState()
         self.command = 0.0  # PID output of the running hold
-        self._obs = self._delayed_observation()
-        return self._obs
+        return self.obs
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
         """Hold ``action`` under a throttle the PID sets once, at the start,
@@ -182,10 +180,8 @@ class EmulatedEnv(ApproachEnv):
             if on_step is not None:
                 on_step(env, action)
 
-        total = super().hold(action, steps, sense, brake_model=self.emu.brake_model,
-                             throttle_accel=self.command * limit)
-        self._obs = self._delayed_observation()
-        return total
+        return super().hold(action, steps, sense, brake_model=self.emu.brake_model,
+                            throttle_accel=self.command * limit)
 
     def trace_extra(self) -> tuple:
         return (*self._true_position, *self._buffer.read(self.elapsed), self.command,
@@ -197,7 +193,11 @@ class EmulatedEnv(ApproachEnv):
         self._true_position = (origin[0] + self.x, origin[1] + self.y)
         self._buffer.append(self.elapsed, self._true_position)
 
-    def _delayed_observation(self) -> Observation:
+    @property
+    def obs(self) -> Optional[Observation]:
+        """The delayed map-frame observation, None before reset."""
+        if self.done is None:
+            return None
         return utm_relative_observation(self._buffer.read(self.elapsed), self.emu.utm_origin,
                                         self.heading, self.config, self.speed, self.lift)
 

@@ -192,42 +192,6 @@ def compute_reward(
     return RewardBreakdown(progress, lift_term, time_term, 0.0, total, False, Outcome.RUNNING)
 
 
-def reset(
-    config: EnvConfig,
-    seed: int,
-    params: Optional[VehicleParams] = None,
-    *,
-    heading: Optional[float] = None,
-) -> tuple[EnvState, Observation]:
-    """Start a fresh episode.
-
-    The heading is uniform over [0, 2pi) and the boom starts near half
-    lift with a small uniform jitter; both draws come from ``seed`` so
-    the same seed reproduces the episode exactly. ``heading`` overrides
-    the random draw for controlled sweeps.
-    """
-    params = params or VehicleParams()
-    rng = np.random.default_rng(seed)
-    drawn_heading = float(rng.uniform(0.0, 2.0 * math.pi))
-    if heading is None:
-        heading = drawn_heading
-    j = config.lift_start_jitter
-    lift0 = float(config.lift_start_mean + rng.uniform(-j, j))
-    vehicle = VehicleState(
-        x=0.0, y=0.0, heading=heading, speed=params.cruise_speed, lift=lift0, elapsed=0.0
-    )
-    tx, ty = target_from_heading((0.0, 0.0), heading, config.target_distance)
-    env = EnvState(
-        vehicle=vehicle,
-        target_x=tx,
-        target_y=ty,
-        step_count=0,
-        prev_distance=config.target_distance,
-        done=False,
-    )
-    return env, build_observation(env)
-
-
 def step(
     env: EnvState,
     action: Controls,
@@ -310,7 +274,7 @@ def _plant(config: EnvConfig, params: VehicleParams) -> _Plant:
 
 
 class ApproachEnv:
-    """Stateful episode over the plant of the functional reset/step API.
+    """Stateful episode over the plant of the functional :func:`step`.
 
     Holds config and vehicle parameters, both fixed once the env is built;
     each instance owns exactly one episode at a time. Instances are
@@ -320,20 +284,17 @@ class ApproachEnv:
     so an env, and any subclass, keeps per-episode state only in
     attributes that ``reset`` sets.
 
-    The running episode lives in plain attributes named like the fields of
+    The episode lives only in plain attributes named like the fields of
     :class:`EnvState` and :class:`VehicleState`: ``x``, ``y``, ``heading``,
     ``speed``, ``lift``, ``elapsed``, ``brake_pedal``, ``target_x``,
     ``target_y``, ``step_count``, ``prev_distance`` and ``done`` (None
     before the first reset); ``sin_heading`` and ``cos_heading``, computed
     once per episode; ``reward_terms``, the latest step's
     :class:`RewardBreakdown` fields in order (None before the first step);
-    and ``episode_reward``, the running return. Read them freely, but
-    change the episode only by assigning ``state``. The records ``state``,
-    ``obs`` and ``breakdown`` are built from these attributes when read:
-    ``state`` and ``obs`` are kept until the next plant step,
-    ``breakdown`` is built on each read.
-    :class:`Observation` and :class:`RewardBreakdown` are named tuples,
-    equal to the tuple of their values; :class:`EnvState` and
+    and ``episode_reward``, the running return. The records ``state``,
+    ``obs`` and ``breakdown`` are built from these attributes on each
+    read. :class:`Observation` and :class:`RewardBreakdown` are named
+    tuples, equal to the tuple of their values; :class:`EnvState` and
     :class:`VehicleState` are frozen dataclasses.
     """
 
@@ -361,23 +322,21 @@ class ApproachEnv:
         self.done = None
         self.reward_terms = None
         self.episode_reward = 0.0
-        self._state = self._obs = None
 
     @property
     def state(self) -> Optional[EnvState]:
         """The episode as an :class:`EnvState`, None before reset.
 
-        Assigning a state (``dataclasses.replace`` of this one) sets the
-        episode; the latest reward and the return stay as they were.
+        Assigning one writes every episode attribute from it, which is
+        how tests set up an episode; the latest reward and the return stay
+        as they were.
         """
-        state = self._state
-        if state is None and self.done is not None:
-            state = self._state = EnvState(
-                VehicleState(self.x, self.y, self.heading, self.speed, self.lift, self.elapsed,
-                             self.brake_pedal),
-                self.target_x, self.target_y, self.step_count, self.prev_distance, self.done,
-            )
-        return state
+        if self.done is None:
+            return None
+        vehicle = VehicleState(self.x, self.y, self.heading, self.speed, self.lift, self.elapsed,
+                               self.brake_pedal)
+        return EnvState(vehicle, self.target_x, self.target_y, self.step_count,
+                        self.prev_distance, self.done)
 
     @state.setter
     def state(self, state: EnvState) -> None:
@@ -391,16 +350,14 @@ class ApproachEnv:
         finite = math.isfinite(v.heading)
         self.sin_heading = math.sin(v.heading) if finite else math.nan
         self.cos_heading = math.cos(v.heading) if finite else math.nan
-        self._state, self._obs = state, None
 
     @property
     def obs(self) -> Optional[Observation]:
         """The observation of the vehicle now, None before reset."""
-        obs = self._obs
-        if obs is None and self.done is not None:
-            obs = self._obs = Observation(abs(self.target_x - self.x),
-                                          abs(self.target_y - self.y), self.speed, self.lift)
-        return obs
+        if self.done is None:
+            return None
+        return Observation(abs(self.target_x - self.x), abs(self.target_y - self.y),
+                           self.speed, self.lift)
 
     @property
     def breakdown(self) -> Optional[RewardBreakdown]:
@@ -409,11 +366,32 @@ class ApproachEnv:
         return None if terms is None else RewardBreakdown._make(terms)
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
-        self.state, obs = reset(self.config, seed, self.params, heading=heading)
-        self._obs = obs
+        """Start a fresh episode and return its first observation.
+
+        The loader starts at the origin at cruise speed. The heading is
+        uniform over [0, 2pi) and the boom starts near half lift with a
+        small uniform jitter; both draws come from ``seed``, in that order,
+        so the same seed reproduces the episode exactly. ``heading``
+        overrides the drawn one for controlled sweeps and must be finite.
+        """
+        config = self.config
+        rng = np.random.default_rng(seed)
+        drawn_heading = float(rng.uniform(0.0, 2.0 * math.pi))
+        if heading is None:
+            heading = drawn_heading
+        elif not math.isfinite(heading):
+            raise ValueError(f"heading must be finite, got {heading!r}")
+        j = config.lift_start_jitter
+        lift = float(config.lift_start_mean + rng.uniform(-j, j))
+        tx, ty = target_from_heading((0.0, 0.0), heading, config.target_distance)
+        self.x = self.y = self.elapsed = self.brake_pedal = 0.0
+        self.heading, self.speed, self.lift = heading, self.params.cruise_speed, lift
+        self.sin_heading, self.cos_heading = math.sin(heading), math.cos(heading)
+        self.target_x, self.target_y = tx, ty
+        self.step_count, self.prev_distance, self.done = 0, config.target_distance, False
         self.reward_terms = None
         self.episode_reward = 0.0
-        return obs
+        return Observation(abs(tx), abs(ty), self.speed, lift)
 
     def step(
         self,
@@ -540,7 +518,6 @@ class ApproachEnv:
                     self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
                                                    False, Outcome.RUNNING)
                     self.episode_reward = episode_reward
-                    self._state = self._obs = None
                     on_step(self, action)
                 if ending is not None:
                     break
@@ -553,5 +530,4 @@ class ApproachEnv:
                 self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
                                                False, Outcome.RUNNING)
                 self.episode_reward = episode_reward
-                self._state = self._obs = None
         return total

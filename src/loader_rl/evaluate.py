@@ -169,7 +169,13 @@ class BucketStats:
         n = len(results)
         rewards = [r.reward for r in results]
         mean = sum(rewards) / n
-        var = sum((r - mean) ** 2 for r in rewards) / n
+        try:
+            var = sum((r - mean) ** 2 for r in rewards) / n
+        except OverflowError:  # finite rewards can spread past the largest float
+            var = math.inf
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise FloatingPointError(f"reward_variance of {n} episodes is not finite "
+                                     f"(reward_mean {mean!r})")
         return cls(
             n=n,
             success_rate=sum(r.success for r in results) / n,

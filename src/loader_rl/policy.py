@@ -208,11 +208,13 @@ def bernoulli_entropy(logits: np.ndarray) -> np.ndarray:
 
 def finite_output(out: np.ndarray) -> np.ndarray:
     """The actor output ``out``, one row or a batch, if all of it is finite;
-    otherwise raises FloatingPointError naming it: such an output picks no
-    action, and its sign tests would pick one silently."""
+    otherwise raises FloatingPointError naming it, or a batch's first bad
+    row: such an output picks no action, and its sign tests would pick one
+    silently."""
     finite = all(map(math.isfinite, out.tolist())) if out.ndim == 1 else np.isfinite(out).all()
     if not finite:
-        raise FloatingPointError(f"actor output is not finite: {out}")
+        bad = out if out.ndim == 1 else out[~np.isfinite(out).all(axis=1)][0]
+        raise FloatingPointError(f"actor output is not finite: {bad}")
     return out
 
 

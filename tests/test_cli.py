@@ -55,6 +55,14 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_cli(argv):
+    """``loader-rl argv`` in a fresh interpreter; the finished process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "loader_rl.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def digest_and_body(path):
     """(the config digest an artifact embeds in its first line, sha256 of
     every byte after that line)."""
@@ -319,11 +327,57 @@ class TestNonFiniteActorOutput:
     ])
     def test_exits_3(self, ckpt, argv, tmp_path, capsys):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main([*argv, "--checkpoint", ckpt, "--seed", "0"]) == 3
+        assert main([*argv, "--checkpoint", ckpt, "--seed", "0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: actor output is not finite")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--episodes", "1"],
+        ["eval", "--episodes", "3"],
+        ["replay", "--trace", "{tmp}/t.csv"],
+        ["emulate", "--trace", "{tmp}/t.csv"],
+    ])
+    def test_stderr_is_the_one_exit_line(self, ckpt, argv, tmp_path):
+        # in a fresh interpreter, where numpy's floating-point warnings would
+        # print, each with its source line, at their first occurrence
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = run_cli([*argv, "--checkpoint", ckpt, "--seed", "0"])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: actor output is not finite")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+class TestNonFiniteHeading:
+    """A heading that is not finite is a validation error naming it. The
+    ``--heading=-inf`` spelling keeps argparse from reading ``-inf`` as a
+    flag."""
+
+    @pytest.mark.parametrize("command", ["replay", "emulate"])
+    @pytest.mark.parametrize("heading", ["inf", "-inf", "nan"])
+    def test_exits_1(self, command, heading, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main([command, "--scripted", f"--heading={heading}", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: heading must be finite, got {float(heading)!r}\n"
+        assert not trace.exists()
+
+
+class TestRewardSpread:
+    """Episode rewards that are each finite can spread past the largest
+    float over a bucket; whether they do depends on the episode count, so
+    no config check can reject it. The report's statistic then is a
+    numerical failure naming it, exit 3."""
+
+    @pytest.mark.parametrize("setting", ["env.time_penalty_tc = 1e300",
+                                         "env.lift_reward_scale = 1e308"])
+    def test_exits_3(self, setting, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{setting}\n")
+        assert main(["eval", "--scripted", "--episodes", "5", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: reward_variance of 5 episodes is not finite")
+        assert err.count("\n") == 1
 
 
 class TestCommandLineErrors:
@@ -813,6 +867,25 @@ class TestAtomicArtifacts:
         assert main(argv) == 0
         assert target.read_text() != "previous\n"
         assert [p.name for p in target.parent.iterdir()] == ["artifact"]
+
+
+class TestMissingOutputDirectory:
+    """An artifact whose directory does not exist is an I/O error, exit 2,
+    that names the path given, not the temp file written beside it."""
+
+    @pytest.mark.parametrize("command", ["replay", "eval", "plot"])
+    def test_exits_2_naming_the_path(self, command, request, tmp_path, capsys):
+        target = tmp_path / "missing" / "artifact"
+        if command == "plot":
+            metrics = request.getfixturevalue("train_run")[1] / "metrics.csv"
+            argv = ["plot", "--metrics", str(metrics), "--out", str(target)]
+        else:
+            argv = {"replay": ["replay", "--scripted", "--trace", str(target)],
+                    "eval": ["eval", "--scripted", "--episodes", "2", "--report", str(target)],
+                    }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"I/O error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 class TestBlasThreads:

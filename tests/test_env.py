@@ -23,12 +23,12 @@ from loader_rl.env import (
     RewardBreakdown,
     build_observation,
     compute_reward,
-    reset,
     step,
     target_from_heading,
 )
 from loader_rl.sim import BrakeModel, Controls, VehicleParams, VehicleState
 from loader_rl.trace import EpisodeTrace, read_trace_csv, write_trace_csv
+from tests.test_hold import record_bits
 
 CFG = EnvConfig()
 SCALE = CFG.lift_reward_scale  # 5.0 / 0.45
@@ -56,42 +56,61 @@ class TestTargetFromHeading:
             target_from_heading((0.0, 0.0), 0.0, 0.0)
 
 
+def reset_state(seed, heading=None):
+    """The state and the first observation of a fresh episode."""
+    env = ApproachEnv(CFG)
+    obs = env.reset(seed, heading=heading)
+    return env.state, obs
+
+
 class TestReset:
     def test_same_seed_identical_state(self):
-        a, obs_a = reset(CFG, 123)
-        b, obs_b = reset(CFG, 123)
+        a, obs_a = reset_state(123)
+        b, obs_b = reset_state(123)
         assert a.vehicle == b.vehicle
         assert (a.target_x, a.target_y) == (b.target_x, b.target_y)
         assert obs_a == obs_b
 
     def test_heading_override_zero_gives_target_ahead(self):
-        env, obs = reset(CFG, 7, heading=0.0)
+        env, obs = reset_state(7, heading=0.0)
         assert (env.target_x, env.target_y) == pytest.approx((0.0, 5.0))
         assert obs.rel_y == pytest.approx(5.0)
 
     def test_initial_observation_on_five_metre_circle(self):
         for seed in range(20):
-            _, obs = reset(CFG, seed)
+            _, obs = reset_state(seed)
             assert obs.rel_x**2 + obs.rel_y**2 == pytest.approx(25.0, abs=1e-9)
 
     def test_initial_speed_and_lift(self):
         for seed in range(30):
-            env, obs = reset(CFG, seed)
+            env, obs = reset_state(seed)
             assert obs.speed == VehicleParams().cruise_speed
             assert 0.47 <= obs.lift <= 0.53
             assert env.prev_distance == 5.0
             assert env.step_count == 0
 
     def test_headings_cover_the_circle(self):
-        headings = [reset(CFG, s)[0].vehicle.heading for s in range(200)]
+        headings = [reset_state(s)[0].vehicle.heading for s in range(200)]
         assert min(headings) < 0.5
         assert max(headings) > 5.5
         assert all(0.0 <= h < 2.0 * math.pi for h in headings)
 
+    @pytest.mark.parametrize("heading", [None, 0.0, -0.0, math.pi / 2, 4.0])
+    def test_returned_observation_is_the_one_read(self, heading):
+        env = ApproachEnv(CFG)
+        for seed in range(20):
+            obs = env.reset(seed, heading=heading)
+            assert record_bits(obs) == record_bits(env.obs)
+
+    @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+    def test_non_finite_heading_rejected(self, heading):
+        with pytest.raises(ValueError, match=rf"^heading must be finite, got {heading!r}$"):
+            ApproachEnv(CFG).reset(1, heading=heading)
+
 
 class TestBuildObservation:
     def test_at_target_zero_offsets(self):
-        env, _ = reset(CFG, 1, heading=0.0)
+        env, _ = reset_state(1, heading=0.0)
         env = dataclasses.replace(env, vehicle=VehicleState(
             x=0.0, y=5.0, heading=0.0, speed=1.0, lift=0.6, elapsed=1.0
         ))
@@ -101,7 +120,7 @@ class TestBuildObservation:
         assert obs.lift == 0.6
 
     def test_past_target_absolute_values(self):
-        env, _ = reset(CFG, 1, heading=0.0)
+        env, _ = reset_state(1, heading=0.0)
         env = dataclasses.replace(env, vehicle=VehicleState(
             x=0.2, y=5.3, heading=0.0, speed=2.0, lift=0.5, elapsed=1.0
         ))
@@ -202,7 +221,7 @@ class TestStepEpisodes:
         assert d == pytest.approx(4.0, abs=0.1)
 
     def test_functional_step_leaves_its_input_unchanged(self):
-        env, _ = reset(CFG, 4)
+        env, _ = reset_state(4)
         params = VehicleParams()
         for action in [Controls(0, 1)] * 3 + [Controls(1, 1)] * 3:
             before = copy.copy(env)

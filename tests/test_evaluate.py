@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from loader_rl import evaluate
 from loader_rl.checkpoint import read_checkpoint
 from loader_rl.emulator import EmulatedEnv, EmulationConfig
-from loader_rl.env import ApproachEnv, Observation
+from loader_rl.env import ApproachEnv, Observation, Outcome
 from loader_rl.evaluate import (
     BucketStats,
     EpisodeResult,
@@ -185,6 +185,14 @@ def test_lanes_must_be_distinct_and_seeded():
         run_episodes([ApproachEnv(), ApproachEnv()], decide, [0])
     with pytest.raises(ValueError, match="distinct envs"):
         run_episodes([ApproachEnv()], decide, [0], headings=[None, 1.0])
+
+
+@pytest.mark.parametrize("rewards", [[1e308, -1e308], [1e308, 1e308, 0.0], [math.nan, 0.0]])
+def test_bucket_statistics_that_are_not_finite_raise(rewards):
+    results = [EpisodeResult(r, 10, Outcome.TIMEOUT, 4.0, 0.5) for r in rewards]
+    with pytest.raises(FloatingPointError,
+                       match=rf"^reward_variance of {len(rewards)} episodes is not finite"):
+        BucketStats.from_results(results)
 
 
 class TestBatchedDecision:

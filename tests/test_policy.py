@@ -261,8 +261,9 @@ class TestNonFiniteOutput:
     def test_finite_output_passes_through(self):
         out = np.array([1e308, -5e-324])
         assert finite_output(out) is out
-        batch = np.array([[0.0, 1.0], [2.0, math.nan]])
-        with pytest.raises(FloatingPointError, match="actor output is not finite"):
+        batch = np.array([[0.0, 1.0], [2.0, math.nan], [math.inf, 0.0]])
+        # a batch is named by its first row that is not finite, on one line
+        with pytest.raises(FloatingPointError, match=r"^actor output is not finite: \[ 2. nan\]$"):
             finite_output(batch)
 
     def test_greedy_decisions_raise(self):
