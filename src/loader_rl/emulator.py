@@ -144,7 +144,9 @@ class EmulatedEnv(ApproachEnv):
     advances the bare plant, without the PID, the brake model or the
     sensor, and returns the delayed ``obs`` too. As evaluation lanes are
     shallow copies of one env, the episode's sensor buffer, PID state and
-    command are all set by ``reset``, never shared between lanes.
+    command are all set by ``reset``, never shared between lanes. Since
+    ``obs`` and ``hold`` differ from the plant's, ``play`` is overridden
+    with the decision loop the base class's ``play`` stands for.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -182,6 +184,15 @@ class EmulatedEnv(ApproachEnv):
 
         return super().hold(action, steps, sense, brake_model=self.emu.brake_model,
                             throttle_accel=self.command * limit)
+
+    def play(self, decide: Callable[[Observation], Controls], interval: int,
+             on_step: Optional[Callable] = None) -> None:
+        """Decide on the delayed ``obs`` and hold each decision, PID and
+        sensor included, until the episode ends."""
+        if self.done is None:
+            raise RuntimeError("call reset before step")
+        while not self.done:
+            self.hold(decide(self.obs), interval, on_step)
 
     def trace_extra(self) -> tuple:
         return (*self._true_position, *self._buffer.read(self.elapsed), self.command,

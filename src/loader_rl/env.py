@@ -296,6 +296,10 @@ class ApproachEnv:
     read. :class:`Observation` and :class:`RewardBreakdown` are named
     tuples, equal to the tuple of their values; :class:`EnvState` and
     :class:`VehicleState` are frozen dataclasses.
+
+    :meth:`play` runs a whole episode inside the hold kernel and decides
+    on the plant's own observation, so a subclass whose ``obs`` or
+    ``hold`` differs from the plant's overrides ``play`` too.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -373,7 +377,10 @@ class ApproachEnv:
         small uniform jitter; both draws come from ``seed``, in that order,
         so the same seed reproduces the episode exactly. ``heading``
         overrides the drawn one for controlled sweeps and must be finite.
+        ``seed`` must be an integer >= 0.
         """
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         config = self.config
         rng = np.random.default_rng(seed)
         drawn_heading = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -404,6 +411,23 @@ class ApproachEnv:
         ApproachEnv.hold(self, action, 1, brake_model=brake_model, throttle_accel=throttle_accel)
         return self.obs, self.breakdown, self.done
 
+    def play(self, decide: Callable[[Observation], Controls], interval: int,
+             on_step: Optional[Callable] = None) -> None:
+        """Play the episode to its end, deciding every ``interval`` plant steps.
+
+        Gives the bits of ``while not env.done: env.hold(decide(env.obs),
+        interval, on_step)``, with the same ``on_step`` calls, in one call
+        of the hold kernel: the episode stays in its locals between
+        decisions, and ``decide`` gets the :class:`Observation` built from
+        them, so it must not read the env. The steps taken stand when
+        ``decide`` or a check raises. A finished episode is left as it is;
+        before the first reset this raises as :meth:`hold` does.
+        """
+        if self.done is None:
+            raise RuntimeError("call reset before step")
+        if not self.done:
+            self._hold(decide(self.obs), interval, on_step, decide=decide)
+
     def trace_extra(self) -> tuple:
         """Values of :attr:`extra_columns` after the latest plant step."""
         return ()
@@ -416,6 +440,7 @@ class ApproachEnv:
         *,
         brake_model: BrakeModel = BrakeModel.IDEAL,
         throttle_accel: float | None = None,
+        decide: Optional[Callable[[Observation], Controls]] = None,
     ) -> float:
         """Zero-order hold: apply ``action`` for up to ``steps`` plant steps.
 
@@ -434,6 +459,11 @@ class ApproachEnv:
         its episode. A running step keeps its reward terms in locals, and
         the ``reward_terms`` tuple is built only at write-back. A hold builds
         no record; the records are built when read.
+
+        With ``decide``, the hold goes on until the episode ends: after each
+        ``steps`` plant steps it calls ``decide`` on the :class:`Observation`
+        of its locals and holds the returned action for the next ``steps``.
+        That is :meth:`play`; a plain hold runs its loop once.
         """
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
@@ -460,67 +490,76 @@ class ApproachEnv:
         episode_reward = self.episode_reward
         total = 0.0
         try:
-            for _ in range(steps):
-                # the checks of step_vehicle and compute_reward: a sum of finite
-                # floats is finite or overflows, so a finite sum clears them all,
-                # and any other sum defers to them for their exact error
-                if not isfinite(x + y + heading + speed + lift + elapsed + pedal):
-                    step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
-                                 action, dt, self.params, brake_model, throttle_accel)
-                new_x = x + speed * sin_h * dt
-                new_y = y + speed * cos_h * dt
-                if brake:
-                    if tapered:
-                        new_pedal = initial_pedal if pedal <= 0.0 else pedal * pedal_decay
-                        new_speed = speed - new_pedal * ideal_decel * dt
+            while True:
+                for _ in range(steps):
+                    # the checks of step_vehicle and compute_reward: a sum of finite
+                    # floats is finite or overflows, so a finite sum clears them all,
+                    # and any other sum defers to them for their exact error
+                    if not isfinite(x + y + heading + speed + lift + elapsed + pedal):
+                        step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
+                                     action, dt, self.params, brake_model, throttle_accel)
+                    new_x = x + speed * sin_h * dt
+                    new_y = y + speed * cos_h * dt
+                    if brake:
+                        if tapered:
+                            new_pedal = initial_pedal if pedal <= 0.0 else pedal * pedal_decay
+                            new_speed = speed - new_pedal * ideal_decel * dt
+                        else:
+                            new_pedal = 0.0
+                            new_speed = speed - ideal_dv
                     else:
                         new_pedal = 0.0
-                        new_speed = speed - ideal_dv
-                else:
-                    new_pedal = 0.0
-                    new_speed = cruise_speed if throttle_dv is None else speed + throttle_dv
-                # min(cruise_speed, max(0.0, new_speed)), spelt as the builtins decide
-                new_speed = new_speed if new_speed > 0.0 else 0.0
-                new_speed = new_speed if new_speed < cruise_speed else cruise_speed
-                new_lift = lift + lift_dv if lift_up else lift
-                new_lift = new_lift if new_lift > lift_min else lift_min
-                new_lift = new_lift if new_lift < lift_max else lift_max
+                        new_speed = cruise_speed if throttle_dv is None else speed + throttle_dv
+                    # min(cruise_speed, max(0.0, new_speed)), spelt as the builtins decide
+                    new_speed = new_speed if new_speed > 0.0 else 0.0
+                    new_speed = new_speed if new_speed < cruise_speed else cruise_speed
+                    new_lift = lift + lift_dv if lift_up else lift
+                    new_lift = new_lift if new_lift > lift_min else lift_min
+                    new_lift = new_lift if new_lift < lift_max else lift_max
 
-                distance = hypot(tx - new_x, ty - new_y)
-                out_of_range = hypot(new_x, new_y) > radius
-                new_count = step_count + 1
-                timed_out = new_count * dt >= max_time
-                if not isfinite(prev_distance + distance + new_lift + new_speed) or new_count < 1:
-                    compute_reward(prev_distance, distance, lift, new_lift, new_speed,
-                                   new_count, out_of_range, timed_out, self.config)
-                if out_of_range or timed_out or (
-                        distance < vicinity and new_speed < speed_threshold and new_lift > goal):
-                    ending = _OUT_OF_RANGE if out_of_range else _TIMEOUT if timed_out else _SUCCESS
-                    reward = ending[4]
-                else:
-                    # the running reward stays in locals until it is written back
-                    ending = None
-                    progress = prev_distance - distance
-                    lift_term = lift_scale * ((goal if goal < new_lift else new_lift)
-                                              - (goal if goal < lift else lift))
-                    time_term = neg_tc * new_count
-                    reward = progress + lift_term + time_term
+                    distance = hypot(tx - new_x, ty - new_y)
+                    out_of_range = hypot(new_x, new_y) > radius
+                    new_count = step_count + 1
+                    timed_out = new_count * dt >= max_time
+                    if (not isfinite(prev_distance + distance + new_lift + new_speed)
+                            or new_count < 1):
+                        compute_reward(prev_distance, distance, lift, new_lift, new_speed,
+                                       new_count, out_of_range, timed_out, self.config)
+                    if out_of_range or timed_out or (distance < vicinity
+                                                     and new_speed < speed_threshold
+                                                     and new_lift > goal):
+                        ending = (_OUT_OF_RANGE if out_of_range
+                                  else _TIMEOUT if timed_out else _SUCCESS)
+                        reward = ending[4]
+                    else:
+                        # the running reward stays in locals until it is written back
+                        ending = None
+                        progress = prev_distance - distance
+                        lift_term = lift_scale * ((goal if goal < new_lift else new_lift)
+                                                  - (goal if goal < lift else lift))
+                        time_term = neg_tc * new_count
+                        reward = progress + lift_term + time_term
 
-                x, y, speed, lift, pedal = new_x, new_y, new_speed, new_lift, new_pedal
-                elapsed += dt
-                step_count, prev_distance = new_count, distance
-                episode_reward += reward
-                total += reward
-                if on_step is not None:
-                    self.x, self.y, self.speed, self.lift, self.elapsed = x, y, speed, lift, elapsed
-                    self.brake_pedal, self.step_count = pedal, step_count
-                    self.prev_distance, self.done = prev_distance, ending is not None
-                    self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
-                                                   False, Outcome.RUNNING)
-                    self.episode_reward = episode_reward
-                    on_step(self, action)
-                if ending is not None:
+                    x, y, speed, lift, pedal = new_x, new_y, new_speed, new_lift, new_pedal
+                    elapsed += dt
+                    step_count, prev_distance = new_count, distance
+                    episode_reward += reward
+                    total += reward
+                    if on_step is not None:
+                        self.x, self.y, self.speed, self.lift = x, y, speed, lift
+                        self.elapsed, self.brake_pedal, self.step_count = elapsed, pedal, step_count
+                        self.prev_distance, self.done = prev_distance, ending is not None
+                        self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
+                                                       False, Outcome.RUNNING)
+                        self.episode_reward = episode_reward
+                        on_step(self, action)
+                    if ending is not None:
+                        break
+                # one decision per pass; a plain hold makes none
+                if ending is not None or decide is None:
                     break
+                action = decide(Observation(abs(tx - x), abs(ty - y), speed, lift))
+                brake, lift_up = action.brake, action.lift_up
         finally:
             # also when a check raises mid-hold: the steps taken stand
             if on_step is None and step_count != start_count:
@@ -531,3 +570,7 @@ class ApproachEnv:
                                                False, Outcome.RUNNING)
                 self.episode_reward = episode_reward
         return total
+
+    # play enters the kernel under this name, once per episode, so what
+    # replaces ``hold`` (a test double, a tracer) sees no call from it
+    _hold = hold

@@ -89,15 +89,17 @@ def run_episodes(
     config_digest: str = "",
     decision_interval: int = 1,
 ) -> list[tuple[EpisodeResult, Optional[EpisodeTrace]]]:
-    """One full episode per env under a deterministic policy function, all
-    run in lockstep; returns (result, trace) per env, in order.
+    """One full episode per env under a deterministic policy function;
+    returns (result, trace) per env, in order.
 
-    Env ``i`` is reset with ``seeds[i]`` (and ``headings[i]``). In each
-    decision round every running episode gets a decision, then holds it
-    for ``decision_interval`` plant steps, the training-time control rate.
-    A policy with a ``batch`` method decides all running episodes in one
-    call while more than one runs, so ``batch`` must return what deciding
-    them one by one returns; other policies are called once per episode.
+    Env ``i`` is reset with ``seeds[i]`` (and ``headings[i]``). Each
+    decision is held for ``decision_interval`` plant steps, the
+    training-time control rate. A policy with a ``batch`` method decides
+    all running episodes in one call per round while more than one runs,
+    so ``batch`` must return what deciding them one by one returns. The
+    last running episode, and every episode of a policy without
+    ``batch``, plays to its end in one
+    :meth:`~loader_rl.env.ApproachEnv.play` call.
     A policy with a ``reset`` method gets a reset copy per episode. The
     envs are distinct objects and the episodes independent, so each gives
     what it gives when run alone. The trace carries the env's extra
@@ -124,15 +126,13 @@ def run_episodes(
             on_step = trace.add_env_step
         traces.append(trace)
         lanes.append((env, lane_decide, on_step))
-    while lanes:
-        if batch is None or len(lanes) == 1:  # a batch of one costs more than a call
-            for env, lane_decide, on_step in lanes:
-                env.hold(lane_decide(env.obs), decision_interval, on_step)
-        else:
-            actions = batch([lane[0].obs for lane in lanes])
-            for (env, _, on_step), action in zip(lanes, actions):
-                env.hold(action, decision_interval, on_step)
+    while batch is not None and len(lanes) > 1:
+        actions = batch([lane[0].obs for lane in lanes])
+        for (env, _, on_step), action in zip(lanes, actions):
+            env.hold(action, decision_interval, on_step)
         lanes = [lane for lane in lanes if not lane[0].done]
+    for env, lane_decide, on_step in lanes:
+        env.play(lane_decide, decision_interval, on_step)
     # the final distance is the prev_distance the last step set
     return [(EpisodeResult(env.episode_reward, env.step_count, env.breakdown.outcome,
                            env.prev_distance, env.heading), trace)

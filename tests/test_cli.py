@@ -363,6 +363,25 @@ class TestNonFiniteHeading:
         assert not trace.exists()
 
 
+class TestNegativeSeed:
+    """A seed below 0 is a validation error naming it where it seeds an
+    episode directly; eval derives its episode seeds from it, so any
+    integer serves there."""
+
+    @pytest.mark.parametrize("command", ["replay", "emulate"])
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_exits_1(self, command, seed, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main([command, "--scripted", f"--seed={seed}", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be an integer >= 0, got {seed}\n"
+        assert not trace.exists()
+
+    def test_eval_exits_0(self, capsys):
+        assert main(["eval", "--scripted", "--episodes", "2", "--seed=-1"]) == 0
+        assert "n_episodes=2\n" in capsys.readouterr().out
+
+
 class TestRewardSpread:
     """Episode rewards that are each finite can spread past the largest
     float over a bucket; whether they do depends on the episode count, so

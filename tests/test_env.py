@@ -107,6 +107,18 @@ class TestReset:
         with pytest.raises(ValueError, match=rf"^heading must be finite, got {heading!r}$"):
             ApproachEnv(CFG).reset(1, heading=heading)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, "3", None])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        env = ApproachEnv(CFG)
+        want = rf"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=want):
+            env.reset(seed)
+        assert env.done is None
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        assert ApproachEnv(CFG).reset(seed) == ApproachEnv(CFG).reset(int(seed))
+
 
 class TestBuildObservation:
     def test_at_target_zero_offsets(self):
