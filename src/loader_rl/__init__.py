@@ -79,7 +79,6 @@ from .emulator import (
     PidState,
     pid_throttle,
     run_emulated_episode,
-    utm_relative_observation,
 )
 from .evaluate import EvalReport, evaluate_policy, greedy_policy_fn, run_episode, run_episodes
 from .train import TrainResult

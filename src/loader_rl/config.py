@@ -85,16 +85,14 @@ def build_run_config(
     entries: dict[str, tuple[str, int]],
     overrides: dict[str, str] | None = None,
     source: str = "<config>",
-    require_seed: bool = True,
     seed_trains: bool = False,
 ) -> RunConfig:
     """Assemble a RunConfig from parsed entries plus CLI overrides.
 
     Overrides use the same dotted keys and win over the file. A missing
-    seed is an error unless ``require_seed`` is false. With
-    ``seed_trains`` the run seed is also the training seed: ``train.seed``
-    takes its value, and an explicit ``train.seed`` that differs is an
-    error.
+    seed is an error. With ``seed_trains`` the run seed is also the
+    training seed: ``train.seed`` takes its value, and an explicit
+    ``train.seed`` that differs is an error.
     """
     known = _known_keys()
     flat: dict[str, str] = {k: v for k, (v, _) in entries.items()}
@@ -105,7 +103,7 @@ def build_run_config(
         flat[key] = value
         lines.pop(key, None)
 
-    if require_seed and "seed" not in flat:
+    if "seed" not in flat:
         raise ConfigError(f"{source}: missing required key 'seed' (set it in the file or pass --seed)")
 
     def fail(key: str, err: Exception) -> ConfigError:
@@ -120,7 +118,7 @@ def build_run_config(
             values[key] = flatcfg.decode_value(text, known[key])
         except (TypeError, ValueError) as e:
             raise fail(key, e) from e
-    seed = values.get("seed", 0)
+    seed = values["seed"]
 
     sections = {}
     for section, cls in _SECTIONS.items():
@@ -152,7 +150,7 @@ def load_run_config(
     The file must set the seed unless an override does; with no file the
     settings are the defaults and the seed is 0."""
     if path is None:
-        return build_run_config({}, overrides, require_seed=False, seed_trains=seed_trains)
+        return build_run_config({}, {"seed": "0", **(overrides or {})}, seed_trains=seed_trains)
     with open(path) as f:
         text = f.read()
     entries = parse_config_text(text, source=str(path))

@@ -105,48 +105,24 @@ def pid_throttle(
     return command, PidState(integral=integral, prev_error=error)
 
 
-def utm_relative_observation(
-    current: tuple[float, float],
-    start: tuple[float, float],
-    heading: float,
-    config: EnvConfig,
-    speed: float,
-    lift: float,
-) -> Observation:
-    """Observation from map-frame (easting, northing) positions.
-
-    The stop point is target_distance metres ahead of the start along
-    the heading; offsets are absolute per component, as in simulation.
-    """
-    if not all(math.isfinite(v) for v in (*current, *start, heading)):
-        raise ValueError("poses must be finite")
-    target = target_from_heading(start, heading, config.target_distance)
-    return Observation(
-        rel_x=abs(target[0] - current[0]),
-        rel_y=abs(target[1] - current[1]),
-        speed=speed,
-        lift=lift,
-    )
-
-
 class EmulatedEnv(ApproachEnv):
     """:class:`ApproachEnv` with the deployment quirks of ``emu``.
 
     ``obs`` is the delayed map-frame observation the policy decides on,
-    computed from the sensor buffer whenever it is read; the trace rows
-    record the true position beside it. Each hold runs the PID once at
-    its start and steps the plant with the configured brake model and the
-    PID's throttle. The controller runs at the emulated rate: every hold
-    is ``emu.control_interval`` plant steps, so callers pass that as
-    their ``decision_interval`` (``run_emulated_episode`` does), and any
-    other hold length raises ValueError. ``run_episodes``,
-    ``evaluate_policy`` and ``train`` take this env unchanged; ``step``
-    advances the bare plant, without the PID, the brake model or the
-    sensor, and returns the delayed ``obs`` too. As evaluation lanes are
-    shallow copies of one env, the episode's sensor buffer, PID state and
-    command are all set by ``reset``, never shared between lanes. Since
-    ``obs`` and ``hold`` differ from the plant's, ``play`` is overridden
-    with the decision loop the base class's ``play`` stands for.
+    built from the sensor buffer and the episode's map-frame stop point
+    whenever it is read; the trace rows record the true position beside
+    it. Each hold runs the PID once at its start and steps the plant with
+    the configured brake model and the PID's throttle. The controller runs
+    at the emulated rate: every hold is ``emu.control_interval`` plant
+    steps, so callers pass that as their ``decision_interval``
+    (``run_emulated_episode`` does), and any other hold length raises
+    ValueError. ``step`` is this env's own hold of one step, so it needs
+    ``emu.control_interval`` 1. ``run_episodes``, ``evaluate_policy`` and
+    ``train`` take this env unchanged, and ``play`` reaches the emulated
+    plant through :meth:`hold` and its ``decide``. As evaluation lanes are
+    shallow copies of one env, the episode's map-frame stop point, sensor
+    buffer, PID state and command are all set by ``reset``, never shared
+    between lanes.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -161,38 +137,49 @@ class EmulatedEnv(ApproachEnv):
         super().reset(seed, heading=heading)
         if self.emu.start_from_standstill:
             self.speed = 0.0
+        # the stop point in the map frame, fixed for the episode
+        self._utm_target = target_from_heading(self.emu.utm_origin, self.heading,
+                                               self.config.target_distance)
         self._buffer = DelayBuffer(self.emu.position_delay)
         self._sense()
         self._pid = PidState()
         self.command = 0.0  # PID output of the running hold
         return self.obs
 
-    def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None) -> float:
+    def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None, *,
+             decide: Optional[Callable[[Observation], Controls]] = None) -> float:
         """Hold ``action`` under a throttle the PID sets once, at the start,
-        sensing the position after every plant step."""
+        sensing the position after every plant step; returns the reward
+        summed over the steps taken.
+
+        With ``decide``, the holds go on until the episode ends: after each
+        one, ``decide`` gets the delayed ``obs`` and its action is held next,
+        PID and sensor included, and the return sums the holds' totals.
+        """
         if steps != self.emu.control_interval:
             raise ValueError(f"an emulated hold is emu.control_interval="
                              f"{self.emu.control_interval} plant steps, got steps={steps}")
-        self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed, self.speed,
-                                               steps * self.config.dt, self.emu.pid)
-        limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
+        if self.done is None:
+            raise RuntimeError("call reset before step")
+        if self.done:
+            raise RuntimeError("cannot step a finished episode; reset first")
 
         def sense(env, action):
             self._sense()
             if on_step is not None:
                 on_step(env, action)
 
-        return super().hold(action, steps, sense, brake_model=self.emu.brake_model,
-                            throttle_accel=self.command * limit)
-
-    def play(self, decide: Callable[[Observation], Controls], interval: int,
-             on_step: Optional[Callable] = None) -> None:
-        """Decide on the delayed ``obs`` and hold each decision, PID and
-        sensor included, until the episode ends."""
-        if self.done is None:
-            raise RuntimeError("call reset before step")
-        while not self.done:
-            self.hold(decide(self.obs), interval, on_step)
+        total = 0.0
+        while True:
+            self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed,
+                                                   self.speed, steps * self.config.dt,
+                                                   self.emu.pid)
+            limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
+            total += super().hold(action, steps, sense, brake_model=self.emu.brake_model,
+                                  throttle_accel=self.command * limit)
+            if decide is None or self.done:
+                return total
+            action = decide(self.obs)
 
     def trace_extra(self) -> tuple:
         return (*self._true_position, *self._buffer.read(self.elapsed), self.command,
@@ -209,8 +196,9 @@ class EmulatedEnv(ApproachEnv):
         """The delayed map-frame observation, None before reset."""
         if self.done is None:
             return None
-        return utm_relative_observation(self._buffer.read(self.elapsed), self.emu.utm_origin,
-                                        self.heading, self.config, self.speed, self.lift)
+        x, y = self._buffer.read(self.elapsed)
+        tx, ty = self._utm_target
+        return Observation(abs(tx - x), abs(ty - y), self.speed, self.lift)
 
 
 def run_emulated_episode(

@@ -297,9 +297,11 @@ class ApproachEnv:
     tuples, equal to the tuple of their values; :class:`EnvState` and
     :class:`VehicleState` are frozen dataclasses.
 
-    :meth:`play` runs a whole episode inside the hold kernel and decides
-    on the plant's own observation, so a subclass whose ``obs`` or
-    ``hold`` differs from the plant's overrides ``play`` too.
+    :meth:`hold` is the one entry to the plant: :meth:`step` is a hold of
+    one step and :meth:`play` a hold with ``decide``. So a subclass whose
+    plant differs overrides ``hold`` alone, and its ``hold`` takes
+    ``decide`` and plays the episode to its end, deciding on the
+    subclass's own ``obs``.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -400,15 +402,9 @@ class ApproachEnv:
         self.episode_reward = 0.0
         return Observation(abs(tx), abs(ty), self.speed, lift)
 
-    def step(
-        self,
-        action: Controls,
-        *,
-        brake_model: BrakeModel = BrakeModel.IDEAL,
-        throttle_accel: float | None = None,
-    ) -> tuple[Observation, RewardBreakdown, bool]:
-        """One plant step: a hold of one step, through the same kernel."""
-        ApproachEnv.hold(self, action, 1, brake_model=brake_model, throttle_accel=throttle_accel)
+    def step(self, action: Controls) -> tuple[Observation, RewardBreakdown, bool]:
+        """One plant step: this env's own :meth:`hold` of one step."""
+        self.hold(action, 1)
         return self.obs, self.breakdown, self.done
 
     def play(self, decide: Callable[[Observation], Controls], interval: int,
@@ -417,16 +413,17 @@ class ApproachEnv:
 
         Gives the bits of ``while not env.done: env.hold(decide(env.obs),
         interval, on_step)``, with the same ``on_step`` calls, in one call
-        of the hold kernel: the episode stays in its locals between
-        decisions, and ``decide`` gets the :class:`Observation` built from
-        them, so it must not read the env. The steps taken stand when
-        ``decide`` or a check raises. A finished episode is left as it is;
-        before the first reset this raises as :meth:`hold` does.
+        of this env's :meth:`hold` with ``decide``. The plant's kernel keeps
+        the episode in its locals between decisions, and ``decide`` gets the
+        :class:`Observation` built from them, so it must not read the env.
+        The steps taken stand when ``decide`` or a check raises. A finished
+        episode is left as it is; before the first reset this raises as
+        :meth:`hold` does.
         """
         if self.done is None:
             raise RuntimeError("call reset before step")
         if not self.done:
-            self._hold(decide(self.obs), interval, on_step, decide=decide)
+            self.hold(decide(self.obs), interval, on_step, decide=decide)
 
     def trace_extra(self) -> tuple:
         """Values of :attr:`extra_columns` after the latest plant step."""
@@ -463,7 +460,8 @@ class ApproachEnv:
         With ``decide``, the hold goes on until the episode ends: after each
         ``steps`` plant steps it calls ``decide`` on the :class:`Observation`
         of its locals and holds the returned action for the next ``steps``.
-        That is :meth:`play`; a plain hold runs its loop once.
+        That is :meth:`play`; a plain hold runs its loop once. A subclass's
+        ``hold`` takes ``decide`` with the same meaning.
         """
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
@@ -570,7 +568,3 @@ class ApproachEnv:
                                                False, Outcome.RUNNING)
                 self.episode_reward = episode_reward
         return total
-
-    # play enters the kernel under this name, once per episode, so what
-    # replaces ``hold`` (a test double, a tracer) sees no call from it
-    _hold = hold

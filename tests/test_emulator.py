@@ -16,13 +16,13 @@ from loader_rl.emulator import (
     final_overshoot,
     pid_throttle,
     run_emulated_episode,
-    utm_relative_observation,
 )
 from loader_rl.env import ApproachEnv, EnvConfig, Observation, Outcome
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from loader_rl.sim import BrakeModel, Controls
 from loader_rl.trace import BASE_COLUMNS
+from tests.test_hold import bits, snapshot
 
 ORACLE = OracleConfig()
 
@@ -96,25 +96,6 @@ class TestPidThrottle:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             pid_throttle(PidState(), 2.0, 1.0, 0.0, PidGains())
-
-
-class TestUtmObservation:
-    CFG = EnvConfig()
-
-    def test_at_start_heading_zero(self):
-        obs = utm_relative_observation((100.0, 200.0), (100.0, 200.0), 0.0, self.CFG, 2.0, 0.5)
-        assert (obs.rel_x, obs.rel_y) == pytest.approx((0.0, 5.0))
-
-    def test_at_target(self):
-        start = (100.0, 200.0)
-        target = (100.0 + 5.0 * math.sin(1.1), 200.0 + 5.0 * math.cos(1.1))
-        obs = utm_relative_observation(target, start, 1.1, self.CFG, 0.0, 0.9)
-        assert obs.rel_x == pytest.approx(0.0, abs=1e-12)
-        assert obs.rel_y == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            utm_relative_observation((float("nan"), 0.0), (0.0, 0.0), 0.0, self.CFG, 2.0, 0.5)
 
 
 class TestEmulationConfig:
@@ -254,3 +235,48 @@ class TestEmulatedEnv:
             evaluate_policy(env, scripted, 1, 0)
         report = evaluate_policy(env, scripted, 1, 0, decision_interval=10)
         assert report.overall.n == 1
+
+    def test_hold_checks_the_episode_before_the_pid(self):
+        env = EmulatedEnv(EmulationConfig(control_interval=10))
+        with pytest.raises(RuntimeError, match="^call reset before step$"):
+            env.hold(Controls(0, 1), 10)
+        assert not hasattr(env, "command") and not hasattr(env, "_pid")
+        env.reset(3)
+        env.play(scripted, 10)
+        command, pid = env.command, env._pid
+        for decide in (None, scripted):
+            with pytest.raises(RuntimeError, match="^cannot step a finished episode"):
+                env.hold(Controls(1, 1), 10, decide=decide)
+            assert bits(env.command) == bits(command) and env._pid is pid
+
+    def test_step_is_the_one_step_hold(self):
+        """``step`` runs the emulated plant: PID, tapered brake and sensor."""
+        emu = EmulationConfig(position_delay=0.5, control_interval=1)
+        stepped, held = EmulatedEnv(emu), EmulatedEnv(emu)
+        stepped.reset(4)
+        held.reset(4)
+
+        def sensed(env):
+            return [tuple(map(bits, row)) for row in (env.trace_extra(), *env._buffer._samples)]
+
+        pedals = []
+        while not stepped.done:
+            action = scripted(stepped.obs)
+            got = stepped.step(action)
+            held.hold(action, 1)
+            assert got == (held.obs, held.breakdown, held.done)
+            assert (snapshot(stepped.state, stepped.obs, stepped.breakdown, stepped.episode_reward)
+                    == snapshot(held.state, held.obs, held.breakdown, held.episode_reward))
+            assert sensed(stepped) == sensed(held)
+            assert stepped._pid == held._pid
+            # from a standstill the PID accelerates; the bare plant would snap to cruise
+            assert stepped.step_count > 1 or stepped.speed < stepped.params.cruise_speed
+            pedals.append(stepped.brake_pedal)
+        assert 0.0 < min(p for p in pedals if p > 0.0) < max(pedals)  # tapered
+
+    def test_step_needs_a_control_interval_of_one(self):
+        env = EmulatedEnv(EmulationConfig(control_interval=10))
+        env.reset(4)
+        with pytest.raises(ValueError, match=r"control_interval=10 plant steps, got steps=1"):
+            env.step(Controls(0, 1))
+        assert env.step_count == 0

@@ -132,9 +132,10 @@ def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_li
             def on_step(e, a):
                 assert e is env and a is action
                 seen.append(snapshot(e.state, e.obs, e.breakdown, e.episode_reward))
-        if use_step and k == 1 and not callback:
-            # ApproachEnv.step is the one-step hold
-            obs_, breakdown_, done_ = env.step(action, **kwargs)
+        if (use_step and k == 1 and not callback and brake_model is BrakeModel.IDEAL
+                and throttle_accel is None):
+            # ApproachEnv.step is the one-step hold of the default plant
+            obs_, breakdown_, done_ = env.step(action)
             assert (obs_, breakdown_, done_) == (env.obs, env.breakdown, env.state.done)
             total = breakdown_.total
         else:

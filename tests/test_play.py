@@ -5,8 +5,8 @@ on_step)``. ``play(decide, k, on_step)`` runs the same episode inside one
 call of the hold kernel, so it must give the same episode records, the
 same observations to ``decide``, the same ``on_step`` calls and trace
 rows, and, when ``decide`` raises, the same exception with the steps
-taken standing. Evaluation plays a scripted episode without re-entering
-``hold`` per decision, and a batched eval plays only its last lane.
+taken standing. Evaluation plays a scripted episode in one ``hold`` call,
+not one per decision, and a batched eval plays only its last lane.
 """
 
 import hashlib
@@ -185,18 +185,40 @@ def test_emulated_episodes_keep_the_per_decision_pid(policy, interval):
 
 @pytest.mark.parametrize("policy", ["scripted", "latched"])
 def test_scripted_episodes_make_no_hold_call(monkeypatch, policy):
+    """No hold call per decision: a scripted episode enters ``hold`` once,
+    through ``play``; a per-decision loop would enter it once per plant step."""
     want = evaluate_policy(ApproachEnv(), make_policy(policy), 5, 3).to_text()
     result, trace = run_episode(ApproachEnv(), make_policy(policy), 4, collect_trace=True)
+    entries = []
+    hold = ApproachEnv.hold
 
-    def hold(*args, **kwargs):
-        raise AssertionError("ApproachEnv.hold was called")
+    def counting(env, *args, **kwargs):
+        entries.append(env)
+        return hold(env, *args, **kwargs)
 
-    monkeypatch.setattr(ApproachEnv, "hold", hold)
+    monkeypatch.setattr(ApproachEnv, "hold", counting)
     assert evaluate_policy(ApproachEnv(), make_policy(policy), 5, 3).to_text() == want
+    assert len(entries) == 5
     got = run_episode(ApproachEnv(), make_policy(policy), 4)[0]
     assert record_bits(got) == record_bits(result)
     got = run_episode(ApproachEnv(), make_policy(policy), 4, collect_trace=True)[1]
     assert trace_bits(got) == trace_bits(trace)
+    assert len(entries) == 7
+
+
+def test_a_hold_without_decide_fails_play_loudly():
+    """``play`` enters the episode through the env's own ``hold``, so a
+    subclass ``hold`` that cannot decide raises instead of being bypassed."""
+
+    class Plain(ApproachEnv):
+        def hold(self, action, steps, on_step=None):
+            return super().hold(action, steps, on_step)
+
+    env = Plain()
+    env.reset(1)
+    with pytest.raises(TypeError, match="decide"):
+        env.play(make_policy("scripted"), 1)
+    assert env.step_count == 0
 
 
 # the golden policy's episodes at interval 10: seeds 2, 12, 20 and 40 leave
