@@ -9,12 +9,12 @@ environment's own accounting on the same trace.
 
 import math
 
-from loader_rl import ApproachEnv, OracleConfig, max_reward_bound, reward_oracle, scripted_policy
+from loader_rl import ApproachEnv, OracleConfig, max_reward_bound, reward_oracle
 from loader_rl.evaluate import run_episode
 
 env = ApproachEnv()
 oracle = OracleConfig()
-decide = lambda obs: scripted_policy(obs, oracle)
+decide = oracle.rule
 
 print("heading sweep (every 30 degrees):")
 rewards = []

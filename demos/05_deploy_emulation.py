@@ -24,12 +24,12 @@ for delay in (0.0, 1.0, 2.0, 3.0):
     )
 
 print("\nvs. the plain simulator episode (no delay, ideal brake, full rate):")
-from loader_rl import BrakeModel, scripted_policy
+from loader_rl import BrakeModel
 
 emu = EmulationConfig(
     position_delay=0.0, control_interval=1, brake_model=BrakeModel.IDEAL,
     start_from_standstill=False,
 )
-trace = run_emulated_episode(lambda o: scripted_policy(o, oracle), emu, seed=11)
+trace = run_emulated_episode(oracle.rule, emu, seed=11)
 print(f"outcome {trace.outcome.value}, overshoot {final_overshoot(trace, env_config):.2f} m")
 print("\ncolumns recorded per step:", ", ".join(trace.columns))

@@ -24,7 +24,8 @@ from .config import ConfigError, RunConfig, load_run_config
 from .emulator import run_emulated_episode
 from .env import ApproachEnv, env_digest
 from .evaluate import evaluate_policy, greedy_policy_fn, run_episode
-from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
+# scripted_policy stays a name of this module, which bench/tracing.py wraps
+from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy  # noqa: F401
 from .plot import MetricsFormatError, read_metrics_csv, render_reward_curve_svg
 from .trace import write_trace_csv
 from .train import train
@@ -147,7 +148,7 @@ def _decide_fn(run: RunConfig, ckpt: PolicyCheckpoint | None, scripted: bool, la
         oracle = OracleConfig(env=run.env, vehicle=run.vehicle)
         if latched:
             return LatchedBrakePolicy(oracle)
-        return lambda obs: scripted_policy(obs, oracle)
+        return oracle.rule
     return greedy_policy_fn(ckpt.params)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import flatcfg
-from .env import ApproachEnv, EnvConfig, Observation, target_from_heading
+from .env import ApproachEnv, EnvConfig, Observation, new_observation, target_from_heading
 from .evaluate import run_episode
 from .sim import BrakeModel, Controls, VehicleParams
 from .trace import EpisodeTrace
@@ -119,10 +119,10 @@ class EmulatedEnv(ApproachEnv):
     ValueError. ``step`` is this env's own hold of one step, so it needs
     ``emu.control_interval`` 1. ``run_episodes``, ``evaluate_policy`` and
     ``train`` take this env unchanged, and ``play`` reaches the emulated
-    plant through :meth:`hold` and its ``decide``. As evaluation lanes are
-    shallow copies of one env, the episode's map-frame stop point, sensor
-    buffer, PID state and command are all set by ``reset``, never shared
-    between lanes.
+    plant through :meth:`hold` and its ``decide``. The episode's map-frame
+    stop point, sensor buffer, PID state and command are all set by
+    ``reset``, never shared between evaluation lanes (shallow copies of one
+    env), so ``state`` can be read but not assigned.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -181,6 +181,10 @@ class EmulatedEnv(ApproachEnv):
                 return total
             action = decide(self.obs)
 
+    @ApproachEnv.state.setter
+    def state(self, state) -> None:
+        raise TypeError("state cannot be assigned: reset sets the sensor, PID and stop point too")
+
     def trace_extra(self) -> tuple:
         return (*self._true_position, *self._buffer.read(self.elapsed), self.command,
                 self.brake_pedal)
@@ -198,7 +202,7 @@ class EmulatedEnv(ApproachEnv):
             return None
         x, y = self._buffer.read(self.elapsed)
         tx, ty = self._utm_target
-        return Observation(abs(tx - x), abs(ty - y), self.speed, self.lift)
+        return new_observation((abs(tx - x), abs(ty - y), self.speed, self.lift))
 
 
 def run_emulated_episode(

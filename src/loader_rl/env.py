@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,6 +89,11 @@ class Observation(NamedTuple):
         return np.array([self.rel_x, self.rel_y, self.speed, self.lift])
 
 
+# An Observation from the tuple of its values, at about half the cost of the
+# argument-parsing Observation(...); every env builds its observations so.
+new_observation = partial(tuple.__new__, Observation)
+
+
 class RewardBreakdown(NamedTuple):
     progress_term: float
     lift_term: float
@@ -135,12 +141,7 @@ def env_digest(config: EnvConfig, params: VehicleParams) -> str:
 
 def build_observation(env: EnvState) -> Observation:
     v = env.vehicle
-    return Observation(
-        rel_x=abs(env.target_x - v.x),
-        rel_y=abs(env.target_y - v.y),
-        speed=v.speed,
-        lift=v.lift,
-    )
+    return new_observation((abs(env.target_x - v.x), abs(env.target_y - v.y), v.speed, v.lift))
 
 
 def compute_reward(
@@ -362,8 +363,8 @@ class ApproachEnv:
         """The observation of the vehicle now, None before reset."""
         if self.done is None:
             return None
-        return Observation(abs(self.target_x - self.x), abs(self.target_y - self.y),
-                           self.speed, self.lift)
+        return new_observation((abs(self.target_x - self.x), abs(self.target_y - self.y),
+                                self.speed, self.lift))
 
     @property
     def breakdown(self) -> Optional[RewardBreakdown]:
@@ -400,7 +401,7 @@ class ApproachEnv:
         self.step_count, self.prev_distance, self.done = 0, config.target_distance, False
         self.reward_terms = None
         self.episode_reward = 0.0
-        return Observation(abs(tx), abs(ty), self.speed, lift)
+        return new_observation((abs(tx), abs(ty), self.speed, lift))
 
     def step(self, action: Controls) -> tuple[Observation, RewardBreakdown, bool]:
         """One plant step: this env's own :meth:`hold` of one step."""
@@ -446,7 +447,8 @@ class ApproachEnv:
         returns the reward summed over the steps taken. Each step is the
         functional :func:`step` (``brake_model`` and ``throttle_accel`` as
         there), computed over plain floats with the same operations in the
-        same order and the same checks, so it gives the same bits. Each
+        same order, so it gives the same bits and raises the same errors at
+        the same plant step, though it checks the state only on entry. Each
         ``max(a, b)`` there is spelt ``b if b > a else a`` and each
         ``min(a, b)`` ``b if b < a else a``, the rule by which the builtins
         pick, so ``-0.0`` and NaN come out as there too. The episode
@@ -474,9 +476,14 @@ class ApproachEnv:
          neg_tc) = self._plant
         x, y, heading, speed, lift, elapsed, pedal = (
             self.x, self.y, self.heading, self.speed, self.lift, self.elapsed, self.brake_pedal)
-        if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))):
+        # step_vehicle's checks, once: a finite sum of finite floats clears the state; any
+        # other sum defers to it for the exact error. Later states are the kernel's: speed
+        # and lift are clamped, the pedal is set or decays, and the position and the
+        # elapsed time, which can overflow, pass each step's reward check.
+        if not (dt_ok and (throttle_accel is None or math.isfinite(throttle_accel))
+                and math.isfinite(x + y + heading + speed + lift + elapsed + pedal)):
             step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
-                         action, dt, self.params, brake_model, throttle_accel)  # raises
+                         action, dt, self.params, brake_model, throttle_accel)
         throttle_dv = None if throttle_accel is None else throttle_accel * dt
         tapered = brake_model is BrakeModel.TAPERED
         brake, lift_up = action.brake, action.lift_up
@@ -484,18 +491,13 @@ class ApproachEnv:
         tx, ty = self.target_x, self.target_y
         start_count = step_count = self.step_count
         prev_distance = self.prev_distance
-        hypot, isfinite = math.hypot, math.isfinite
+        hypot, isfinite, observation = math.hypot, math.isfinite, new_observation
         episode_reward = self.episode_reward
         total = 0.0
+        passes = range(steps)
         try:
             while True:
-                for _ in range(steps):
-                    # the checks of step_vehicle and compute_reward: a sum of finite
-                    # floats is finite or overflows, so a finite sum clears them all,
-                    # and any other sum defers to them for their exact error
-                    if not isfinite(x + y + heading + speed + lift + elapsed + pedal):
-                        step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
-                                     action, dt, self.params, brake_model, throttle_accel)
+                for _ in passes:
                     new_x = x + speed * sin_h * dt
                     new_y = y + speed * cos_h * dt
                     if brake:
@@ -519,8 +521,10 @@ class ApproachEnv:
                     out_of_range = hypot(new_x, new_y) > radius
                     new_count = step_count + 1
                     timed_out = new_count * dt >= max_time
-                    if (not isfinite(prev_distance + distance + new_lift + new_speed)
+                    if (not isfinite(prev_distance + distance + new_lift + new_speed + elapsed)
                             or new_count < 1):
+                        step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
+                                     action, dt, self.params, brake_model, throttle_accel)
                         compute_reward(prev_distance, distance, lift, new_lift, new_speed,
                                        new_count, out_of_range, timed_out, self.config)
                     if out_of_range or timed_out or (distance < vicinity
@@ -556,7 +560,7 @@ class ApproachEnv:
                 # one decision per pass; a plain hold makes none
                 if ending is not None or decide is None:
                     break
-                action = decide(Observation(abs(tx - x), abs(ty - y), speed, lift))
+                action = decide(observation((abs(tx - x), abs(ty - y), speed, lift)))
                 brake, lift_up = action.brake, action.lift_up
         finally:
             # also when a check raises mid-hold: the steps taken stand

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .env import EnvConfig, Controls, Observation
 from .sim import CONTROLS, VehicleParams
@@ -30,18 +32,27 @@ class OracleConfig:
         if self.brake_margin < 0.0:
             raise ValueError(f"brake_margin must be >= 0, got {self.brake_margin}")
 
+    @cached_property
+    def rule(self) -> Callable[[Observation], Controls]:
+        """The stateless optimal-by-construction policy, with this config's
+        constants bound on first read: brake when the straight-line distance
+        is at most the ideal stopping distance v^2/(2a) plus the margin;
+        lift until the goal fraction."""
+        two_decel = 2.0 * self.vehicle.ideal_decel
+        margin, goal = self.brake_margin, self.env.lift_goal_frac
+        hypot = math.hypot
+
+        def decide(obs: Observation) -> Controls:
+            rel_x, rel_y, speed, lift = obs
+            brake = 1 if hypot(rel_x, rel_y) <= speed * speed / two_decel + margin else 0
+            return CONTROLS[brake][1 if lift <= goal else 0]
+
+        return decide
+
 
 def scripted_policy(obs: Observation, oracle: OracleConfig) -> Controls:
-    """Stateless optimal-by-construction action for one observation.
-
-    Brake when the straight-line distance is at most the ideal stopping
-    distance v^2/(2a) plus the margin; lift until the goal fraction.
-    """
-    distance = math.hypot(obs.rel_x, obs.rel_y)
-    stopping = obs.speed * obs.speed / (2.0 * oracle.vehicle.ideal_decel)
-    brake = 1 if distance <= stopping + oracle.brake_margin else 0
-    lift_up = 1 if obs.lift <= oracle.env.lift_goal_frac else 0
-    return CONTROLS[brake][lift_up]
+    """The action of :attr:`OracleConfig.rule` for one observation."""
+    return oracle.rule(obs)
 
 
 class LatchedBrakePolicy:
@@ -55,11 +66,11 @@ class LatchedBrakePolicy:
     """
 
     def __init__(self, oracle: OracleConfig):
-        self.oracle = oracle
+        self.rule = oracle.rule
         self.braking = False
 
     def __call__(self, obs: Observation) -> Controls:
-        action = scripted_policy(obs, self.oracle)
+        action = self.rule(obs)
         if action.brake:
             self.braking = True
         if self.braking:

@@ -280,3 +280,17 @@ class TestEmulatedEnv:
         with pytest.raises(ValueError, match=r"control_interval=10 plant steps, got steps=1"):
             env.step(Controls(0, 1))
         assert env.step_count == 0
+
+    def test_state_is_read_but_not_assigned(self):
+        """``reset`` sets the sensor buffer, PID state and map-frame stop
+        point with the plant; an assigned state would leave them stale."""
+        env = EmulatedEnv(EmulationConfig(position_delay=0.0, control_interval=1))
+        env.reset(1, heading=0.0)
+        env.hold(Controls(0, 1), 1)
+        state, obs = env.state, env.obs
+        assert state.vehicle.heading == 0.0 and state.step_count == 1
+        turned = ApproachEnv()
+        turned.reset(1, heading=1.0)
+        with pytest.raises(TypeError, match="reset"):
+            env.state = turned.state
+        assert (snapshot(env.state, env.obs, None, 0.0) == snapshot(state, obs, None, 0.0))

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from loader_rl import env as env_module
+from loader_rl import emulator as emulator_module, env as env_module
 from loader_rl.env import ApproachEnv, EnvConfig, step
 from loader_rl.evaluate import greedy_policy_fn, run_episodes
 from loader_rl.oracle import OracleConfig, scripted_policy
@@ -203,6 +203,59 @@ def test_hold_raises_what_the_functional_step_raises(case, corrupt, kwargs, brak
             == snapshot(before, *records))
 
 
+FAR = {"config": EnvConfig(dt=1.0, out_of_range_radius=1.5e308, target_distance=1e308),
+       "params": VehicleParams(cruise_speed=1.4e308)}
+HUGE_DT = {"config": EnvConfig(dt=1e300, max_episode_time=3e300, out_of_range_radius=1e302,
+                               target_distance=1e301, vicinity=1.0)}
+EXTREME = [
+    # every field finite, their sum not: the entry check defers to step_vehicle, which passes
+    ("sum overflows", {}, {"elapsed": 1e308, "brake_pedal": 1e308}),
+    ("sum overflows, tapered", {"brake_model": BrakeModel.TAPERED},
+     {"elapsed": 1e308, "brake_pedal": 1e308}),
+    ("sum overflows, far out", {}, {"x": 1e308, "elapsed": 1e308}),
+    # step 1 stands and step 2 raises curr_distance must be finite, got inf
+    ("position overflows mid-hold", FAR, {}),
+    # step 1 leaves elapsed at inf and step 2 raises the state check of step_vehicle
+    ("elapsed overflows mid-hold", HUGE_DT, {"elapsed": 1.7976931348623157e308}),
+]
+
+
+@pytest.mark.parametrize("play", [False, True], ids=["hold", "play"])
+@pytest.mark.parametrize("brake", [0, 1])
+@pytest.mark.parametrize("case, setup, fields", EXTREME, ids=[c[0] for c in EXTREME])
+def test_the_entry_check_raises_where_the_functional_step_does(case, setup, fields, brake, play):
+    """The hold checks the state once, on entry; its own later states are
+    finite but for the position and the elapsed time, which each step's
+    reward check covers. Folding the functional step, which checks every
+    state, must give the same error at the same plant step."""
+    config, params = setup.get("config", EnvConfig()), setup.get("params", VehicleParams())
+    kwargs = {"brake_model": setup.get("brake_model", BrakeModel.IDEAL), "throttle_accel": None}
+    action = Controls(brake, 1)
+    env = ApproachEnv(config, params)
+    env.reset(5, heading=math.pi / 4)
+    env.state = dataclasses.replace(env.state,
+                                    vehicle=dataclasses.replace(env.state.vehicle, **fields))
+    want = (env.state, env.obs, None, 0.0)
+    want_error = None
+    for _ in range(10**6 if play else 10):
+        try:
+            *want, _, _ = reference_hold(*want, action, 1, config, params, kwargs)
+        except ValueError as e:
+            want_error = str(e)
+            break
+        if want[0].done:
+            break
+    # the overflows mid-hold raise at plant step 2; an overflowing sum raises nowhere
+    assert (want_error is not None) == case.endswith("mid-hold")
+    try:
+        env.hold(action, 10, **kwargs, decide=(lambda obs: action) if play else None)
+        got_error = None
+    except ValueError as e:
+        got_error = str(e)
+    assert got_error == want_error
+    assert snapshot(env.state, env.obs, env.breakdown, env.episode_reward) == snapshot(*want)
+
+
 def test_callback_error_leaves_the_steps_taken():
     env, ref = ApproachEnv(), ApproachEnv()
     env.reset(3)
@@ -248,12 +301,18 @@ class Counted:
 
 @pytest.fixture()
 def built(monkeypatch):
-    """Counts of the records ``loader_rl.env`` builds from now on."""
+    """Counts of the records ``loader_rl.env`` and ``loader_rl.emulator``
+    build from now on. Their observations are built by ``new_observation``,
+    not by calling the class, so its calls count as Observation records."""
     counted = {name: Counted(getattr(env_module, name))
                for name in ("Observation", "RewardBreakdown", "VehicleState", "EnvState")}
     for name, c in counted.items():
         monkeypatch.setattr(env_module, name, c)
-    return lambda: {name: c.n for name, c in counted.items()}
+    observations = Counted(env_module.new_observation)
+    for module in (env_module, emulator_module):
+        monkeypatch.setattr(module, "new_observation", observations)
+    return lambda: {**{name: c.n for name, c in counted.items()},
+                    "Observation": counted["Observation"].n + observations.n}
 
 
 @pytest.mark.parametrize("trace", [False, True])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loader_rl.env import ApproachEnv, EnvConfig, Observation, Outcome
 from loader_rl.evaluate import run_episode
@@ -14,7 +15,7 @@ from loader_rl.oracle import (
     reward_oracle,
     scripted_policy,
 )
-from loader_rl.sim import Controls
+from loader_rl.sim import CONTROLS, Controls, VehicleParams
 from loader_rl.trace import EpisodeTrace
 
 ORACLE = OracleConfig()
@@ -35,6 +36,27 @@ class TestScriptedPolicy:
         assert scripted_policy(obs, ORACLE).lift_up == 0
         obs = Observation(rel_x=0.0, rel_y=5.0, speed=2.0, lift=0.95)
         assert scripted_policy(obs, ORACLE).lift_up == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rel_x=st.floats(0.0, 1e308), rel_y=st.floats(0.0, 10.0), speed=st.floats(0.0, 1e160),
+        lift=st.floats(0.0, 1.0), ideal_decel=st.floats(1e-300, 1e308),
+        margin=st.floats(0.0, 1.0), goal=st.floats(0.01, 0.99),
+    )
+    # 2 * ideal_decel overflows, so the stopping distance is 0.0; spelt
+    # speed * speed / 2.0 / ideal_decel it would be 0.5
+    @example(rel_x=0.0, rel_y=0.3, speed=1e154, lift=0.5, ideal_decel=1e308, margin=0.1,
+             goal=0.95)
+    def test_rule_bits(self, rel_x, rel_y, speed, lift, ideal_decel, margin, goal):
+        """The one transcription of the rule, whether bound once or called
+        per observation: distance <= speed * speed / (2 * ideal_decel) + margin."""
+        oracle = OracleConfig(brake_margin=margin, env=EnvConfig(lift_goal_frac=goal),
+                              vehicle=VehicleParams(ideal_decel=ideal_decel))
+        brake = math.hypot(rel_x, rel_y) <= speed * speed / (2.0 * ideal_decel) + margin
+        want = CONTROLS[int(brake)][int(lift <= goal)]
+        obs = Observation(rel_x, rel_y, speed, lift)
+        assert oracle.rule(obs) is want
+        assert scripted_policy(obs, oracle) is want
 
     def test_stateless(self):
         obs = Observation(rel_x=0.3, rel_y=0.4, speed=1.0, lift=0.7)

@@ -18,14 +18,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from loader_rl.checkpoint import load_checkpoint
 from loader_rl.emulator import EmulatedEnv, EmulationConfig
-from loader_rl.env import ApproachEnv, EnvConfig
+from loader_rl.env import ApproachEnv, EnvConfig, Observation
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode, run_episodes
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
 from loader_rl.sim import CONTROLS
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
 from tests.test_checkpoint import GOLDEN
 from tests.test_evaluate import PulsedBrakePolicy, assert_same_episodes, reference, trace_bits
-from tests.test_hold import record_bits, snapshot
+from tests.test_hold import built, record_bits, snapshot  # noqa: F401 (a fixture)
 
 ORACLE = OracleConfig()
 GREEDY = greedy_policy_fn(load_checkpoint(GOLDEN).params)
@@ -122,6 +122,30 @@ def test_play_equals_the_decision_loop(seed, heading, interval, policy, trace,
     assert raised(lambda: env.play(decide, interval, on_step(rows))) == want
     assert decide.seen == ref_decide.seen
     assert episode_bits(env, rows) == episode_bits(ref, ref_rows)
+
+
+@pytest.mark.parametrize("policy", ["scripted", "greedy"])
+@pytest.mark.parametrize("emulated", [False, True], ids=["plain", "emulated"])
+def test_play_hands_decide_one_observation_per_decision(built, emulated, policy):
+    """Each decision of a played episode, those made inside the kernel
+    included, gets an :class:`Observation` of its own, built once. A plain
+    tuple of the same values would equal it, so the type is checked."""
+    interval = 10 if emulated else 3
+    for seed in (0, 4, 9):
+        env = EmulatedEnv(EmulationConfig(control_interval=interval)) if emulated else ApproachEnv()
+        env.reset(seed)
+        seen = []
+
+        def decide(obs):
+            seen.append(obs)
+            return make_policy(policy)(obs)
+
+        before = built()["Observation"]
+        env.play(decide, interval)
+        assert env.done and len(seen) == -(-env.step_count // interval)
+        assert all(type(obs) is Observation for obs in seen)
+        assert len({id(obs) for obs in seen}) == len(seen)
+        assert built()["Observation"] - before == len(seen)
 
 
 @pytest.mark.parametrize("trace", [False, True])
