@@ -44,7 +44,6 @@ from .oracle import (
     OracleConfig,
     max_reward_bound,
     reward_oracle,
-    scripted_policy,
 )
 from .policy import (
     ExplorationMode,

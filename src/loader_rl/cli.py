@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointFormatError, PolicyCheckpoint, read_checkpoint, write_atomic
-from .config import ConfigError, RunConfig, load_run_config
+from .checkpoint import CheckpointFormatError, read_checkpoint, write_atomic
+from .config import ConfigError, load_run_config
 from .emulator import run_emulated_episode
 from .env import ApproachEnv, env_digest
 from .evaluate import evaluate_policy, greedy_policy_fn, run_episode
-# scripted_policy stays a name of this module, which bench/tracing.py wraps
-from .oracle import LatchedBrakePolicy, OracleConfig, scripted_policy  # noqa: F401
+from .oracle import LatchedBrakePolicy, OracleConfig
 from .plot import MetricsFormatError, read_metrics_csv, render_reward_curve_svg
 from .trace import write_trace_csv
 from .train import train
@@ -119,46 +118,34 @@ def _overrides(args) -> dict[str, str]:
             if (key == "seed" or "." in key) and value is not None}
 
 
-def _resolve_policy_and_config(args) -> tuple[RunConfig, PolicyCheckpoint | None]:
-    """Settings come from --config when given, otherwise from the defaults;
-    the flags override their config keys. A checkpoint's env,
-    vehicle and train settings replace them, so it is judged where it was
-    trained and decides at its training-time control rate; an explicit
-    config must match the checkpoint's environment."""
+def _policy_setup(args, latched: bool = False):
+    """(run config, policy, decision interval) of eval, replay and emulate.
+
+    Settings come from --config when given, otherwise from the defaults;
+    the flags override their config keys. A checkpoint's env, vehicle and
+    train settings replace them, so it is judged where it was trained and
+    decides at its training-time control rate; an explicit config must
+    match the checkpoint's environment. The scripted policy decides every
+    plant step, and with ``latched`` holds the brake once it engages.
+    """
     ckpt = None
     if args.checkpoint is not None:
         ckpt = read_checkpoint(args.checkpoint)
     run = load_run_config(args.config, _overrides(args))
-    if ckpt is not None:
-        if args.config is not None:
-            ckpt_digest = env_digest(ckpt.env_config, ckpt.vehicle_params)
-            run_digest = env_digest(run.env, run.vehicle)
-            if ckpt_digest != run_digest:
-                raise ConfigError(
-                    f"checkpoint env digest {ckpt_digest} does not match the "
-                    f"config's {run_digest}; refusing to evaluate across environments"
-                )
-        run = dataclasses.replace(run, env=ckpt.env_config, vehicle=ckpt.vehicle_params,
-                                  train=ckpt.train_config)
-    return run, ckpt
-
-
-def _decide_fn(run: RunConfig, ckpt: PolicyCheckpoint | None, scripted: bool, latched: bool = False):
-    if scripted:
+    if ckpt is None:
         oracle = OracleConfig(env=run.env, vehicle=run.vehicle)
-        if latched:
-            return LatchedBrakePolicy(oracle)
-        return oracle.rule
-    return greedy_policy_fn(ckpt.params)
-
-
-def _greedy_setup(args):
-    """(run config, env, policy, decision interval) of eval and replay: a
-    trained policy decides at its training-time control rate, the
-    scripted policy every plant step."""
-    run, ckpt = _resolve_policy_and_config(args)
-    interval = run.train.control_interval if ckpt is not None else 1
-    return run, ApproachEnv(run.env, run.vehicle), _decide_fn(run, ckpt, args.scripted), interval
+        return run, LatchedBrakePolicy(oracle) if latched else oracle.rule, 1
+    if args.config is not None:
+        ckpt_digest = env_digest(ckpt.env_config, ckpt.vehicle_params)
+        run_digest = env_digest(run.env, run.vehicle)
+        if ckpt_digest != run_digest:
+            raise ConfigError(
+                f"checkpoint env digest {ckpt_digest} does not match the "
+                f"config's {run_digest}; refusing to evaluate across environments"
+            )
+    run = dataclasses.replace(run, env=ckpt.env_config, vehicle=ckpt.vehicle_params,
+                              train=ckpt.train_config)
+    return run, greedy_policy_fn(ckpt.params), run.train.control_interval
 
 
 # eval, replay and emulate exit 3 on an actor output that is not finite, which numpy's
@@ -184,18 +171,16 @@ def cmd_train(args) -> int:
 
 @_quiet_overflow
 def cmd_eval(args) -> int:
-    run, env, decide, interval = _greedy_setup(args)
-    report = evaluate_policy(
-        env, decide, args.episodes, run.seed,
-        config_digest=run.digest,
-        notes={
-            "learning_rate": run.train.learning_rate,
-            "seed": run.seed,
-            "control_interval": interval,
-            "exploration_mode": run.train.exploration_mode.value,
-        },
-        decision_interval=interval,
-    )
+    run, decide, interval = _policy_setup(args)
+    report = evaluate_policy(ApproachEnv(run.env, run.vehicle), decide, args.episodes, run.seed,
+                             decision_interval=interval)
+    report.config_digest = run.digest
+    report.notes = {
+        "learning_rate": run.train.learning_rate,
+        "seed": run.seed,
+        "control_interval": interval,
+        "exploration_mode": run.train.exploration_mode.value,
+    }
     text = report.to_text()
     if args.report:
         write_atomic(args.report, text)
@@ -205,12 +190,10 @@ def cmd_eval(args) -> int:
 
 @_quiet_overflow
 def cmd_replay(args) -> int:
-    run, env, decide, interval = _greedy_setup(args)
-    _, trace = run_episode(
-        env, decide, run.seed, heading=args.heading,
-        collect_trace=True, config_digest=run.digest,
-        decision_interval=interval,
-    )
+    run, decide, interval = _policy_setup(args)
+    _, trace = run_episode(ApproachEnv(run.env, run.vehicle), decide, run.seed,
+                           heading=args.heading, collect_trace=True, decision_interval=interval)
+    trace.config_digest = run.digest
     write_trace_csv(trace, args.trace, normalized=args.normalized)
     print(f"wrote {len(trace.values)}-step trace ({trace.outcome.value}) to {args.trace}")
     return EXIT_OK
@@ -218,11 +201,10 @@ def cmd_replay(args) -> int:
 
 @_quiet_overflow
 def cmd_emulate(args) -> int:
-    run, ckpt = _resolve_policy_and_config(args)
-    trace = run_emulated_episode(
-        _decide_fn(run, ckpt, args.scripted, latched=True), run.emulation, run.seed, run.env,
-        run.vehicle, heading=args.heading, config_digest=run.digest,
-    )
+    run, decide, _ = _policy_setup(args, latched=True)
+    trace = run_emulated_episode(decide, run.emulation, run.seed, run.env, run.vehicle,
+                                 heading=args.heading)
+    trace.config_digest = run.digest
     write_trace_csv(trace, args.trace)
     print(f"wrote {len(trace.values)}-step emulation trace ({trace.outcome.value}) to {args.trace}")
     return EXIT_OK

@@ -106,9 +106,11 @@ def build_run_config(
     if "seed" not in flat:
         raise ConfigError(f"{source}: missing required key 'seed' (set it in the file or pass --seed)")
 
+    def where(key: str) -> str:
+        return f"{source}:{lines[key]}: " if key in lines else ""
+
     def fail(key: str, err: Exception) -> ConfigError:
-        where = f"{source}:{lines[key]}: " if key in lines else ""
-        return ConfigError(f"{where}invalid value for {key!r}: {err}")
+        return ConfigError(f"{where(key)}invalid value for {key!r}: {err}")
 
     values = {}
     for key, text in flat.items():
@@ -119,6 +121,8 @@ def build_run_config(
         except (TypeError, ValueError) as e:
             raise fail(key, e) from e
     seed = values["seed"]
+    if seed < 0:
+        raise ConfigError(f"{where('seed')}seed must be an integer >= 0, got {seed}")
 
     sections = {}
     for section, cls in _SECTIONS.items():

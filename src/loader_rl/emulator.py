@@ -213,17 +213,14 @@ def run_emulated_episode(
     vehicle_params: Optional[VehicleParams] = None,
     *,
     heading: Optional[float] = None,
-    config_digest: str = "",
 ) -> EpisodeTrace:
     """One emulated deployment episode; returns the extended trace.
 
     The policy decides every ``emu.control_interval`` plant steps.
     """
     env = EmulatedEnv(emu, env_config, vehicle_params)
-    _, trace = run_episode(
-        env, decide, seed, heading=heading, collect_trace=True,
-        config_digest=config_digest, decision_interval=emu.control_interval,
-    )
+    _, trace = run_episode(env, decide, seed, heading=heading, collect_trace=True,
+                           decision_interval=emu.control_interval)
     return trace
 
 

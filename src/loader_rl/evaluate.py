@@ -86,7 +86,6 @@ def run_episodes(
     *,
     headings: Optional[Sequence[Optional[float]]] = None,
     collect_trace: bool = False,
-    config_digest: str = "",
     decision_interval: int = 1,
 ) -> list[tuple[EpisodeResult, Optional[EpisodeTrace]]]:
     """One full episode per env under a deterministic policy function;
@@ -122,7 +121,7 @@ def run_episodes(
         if collect_trace:
             trace = EpisodeTrace(columns=BASE_COLUMNS + list(env.extra_columns),
                                  initial_distance=env.prev_distance,
-                                 initial_lift=env.lift, config_digest=config_digest)
+                                 initial_lift=env.lift)
             on_step = trace.add_env_step
         traces.append(trace)
         lanes.append((env, lane_decide, on_step))
@@ -146,12 +145,11 @@ def run_episode(
     *,
     heading: Optional[float] = None,
     collect_trace: bool = False,
-    config_digest: str = "",
     decision_interval: int = 1,
 ) -> tuple[EpisodeResult, Optional[EpisodeTrace]]:
     """One full episode: :func:`run_episodes` over the one env."""
     return run_episodes([env], decide, [seed], headings=[heading], collect_trace=collect_trace,
-                        config_digest=config_digest, decision_interval=decision_interval)[0]
+                        decision_interval=decision_interval)[0]
 
 
 @dataclass
@@ -213,8 +211,6 @@ def evaluate_policy(
     n_episodes: int,
     seed: int,
     *,
-    config_digest: str = "",
-    notes: Optional[dict] = None,
     decision_interval: int = 1,
 ) -> EvalReport:
     """Run seeded greedy episodes and aggregate both heading buckets.
@@ -239,6 +235,4 @@ def evaluate_policy(
         overall=BucketStats.from_results(results),
         main=BucketStats.from_results(main),
         degenerate=BucketStats.from_results(degenerate),
-        config_digest=config_digest,
-        notes=notes or {},
     )

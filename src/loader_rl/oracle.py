@@ -50,11 +50,6 @@ class OracleConfig:
         return decide
 
 
-def scripted_policy(obs: Observation, oracle: OracleConfig) -> Controls:
-    """The action of :attr:`OracleConfig.rule` for one observation."""
-    return oracle.rule(obs)
-
-
 class LatchedBrakePolicy:
     """Scripted policy that holds the brake once it first engages.
 

@@ -61,7 +61,7 @@ class TrainConfig:
                       "max_grad_norm", "total_timesteps", "noise_resample_every",
                       "control_interval", "eval_every_updates", "eval_episodes",
                       "checkpoint_every_updates"),
-            nonnegative=("vf_coef",),
+            nonnegative=("vf_coef", "seed"),
         )
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")

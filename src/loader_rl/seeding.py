@@ -1,6 +1,6 @@
 """Deterministic seed derivation.
 
-All randomness flows from one 64-bit master seed through named
+All randomness flows from one master seed, an integer >= 0, through named
 sub-streams (environment resets, policy init, action sampling, minibatch
 shuffling, evaluation), so that reseeding one component never perturbs
 another and component-level reproducibility survives refactors.
@@ -25,11 +25,12 @@ def substream(master_seed: int, name: str, index: int = 0) -> np.random.Generato
     """A generator for the named sub-stream of ``master_seed``.
 
     ``index`` distinguishes repeated uses of one stream (episode number,
-    update number, ...).
+    update number, ...). Every seed keeps all its bits, so no two seeds
+    share a stream.
     """
     if name not in _STREAMS:
         raise ValueError(f"unknown seed stream {name!r}; expected one of {sorted(_STREAMS)}")
-    seq = np.random.SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, _STREAMS[name], int(index)])
+    seq = np.random.SeedSequence([int(master_seed), _STREAMS[name], int(index)])
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -148,9 +148,12 @@ def _finite(text: str) -> float:
 
 def read_trace_csv(path_or_file) -> EpisodeTrace:
     """Inverse of :func:`write_trace_csv`; normalized traces read back
-    with every numeric column as float. A cell that is no number, or a
-    float cell that is not finite, raises ValueError naming its line."""
-    lines = read_text(path_or_file).splitlines()
+    with every numeric column as float. A cell that is no number, a float
+    cell that is not finite, or a last row without a line end (the writer
+    ends every row, so such a row was cut off) raises ValueError naming
+    its line."""
+    text = read_text(path_or_file)
+    lines = text.splitlines()
     meta = {}
     header = None
     data_start = 0
@@ -175,6 +178,8 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue
+        if lineno == len(lines) and not text.endswith(("\n", "\r")):
+            raise ValueError(f"line {lineno}: no line end, the row was cut off")
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")

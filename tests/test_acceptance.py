@@ -25,7 +25,7 @@ from loader_rl.emulator import (
 from loader_rl.env import ApproachEnv, EnvConfig, Outcome, compute_reward
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
 from loader_rl.nets import clip_by_global_norm
-from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, max_reward_bound, scripted_policy
+from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, max_reward_bound
 from loader_rl.policy import ExplorationMode, bernoulli_log_prob, init_policy
 from loader_rl.ppo import (
     TrainConfig,
@@ -154,7 +154,7 @@ class TestCriterion4OracleTaskCompletion:
         failures = []
         for deg in range(360):
             result, _ = run_episode(
-                env, lambda o: scripted_policy(o, oracle), seed=deg,
+                env, oracle.rule, seed=deg,
                 heading=math.radians(deg),
             )
             ok = (
@@ -197,9 +197,6 @@ class TestCriterion5DeskScaleTraining:
             rep = evaluate_policy(
                 ApproachEnv(), greedy_policy_fn(ckpt.params), 100, 12345,
                 decision_interval=config.control_interval,
-                notes={"learning_rate": config.learning_rate,
-                       "control_interval": config.control_interval,
-                       "exploration_mode": config.exploration_mode.value},
             )
             results[seed] = (rep.main.success_rate, result.last.timesteps)
             if rep.main.success_rate >= 0.8:
@@ -274,9 +271,9 @@ class TestCriterion8EmulatorDegeneracy:
         mismatches = 0
         rows = 0
         for seed in (0, 11, 29):
-            trace_emu = run_emulated_episode(lambda o: scripted_policy(o, oracle), emu, seed)
+            trace_emu = run_emulated_episode(oracle.rule, emu, seed)
             _, trace_env = run_episode(
-                ApproachEnv(), lambda o: scripted_policy(o, oracle), seed, collect_trace=True
+                ApproachEnv(), oracle.rule, seed, collect_trace=True
             )
             assert len(trace_emu.rows) == len(trace_env.rows)
             for r_env, r_emu in zip(trace_env.rows, trace_emu.rows):

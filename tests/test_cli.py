@@ -364,9 +364,9 @@ class TestNonFiniteHeading:
 
 
 class TestNegativeSeed:
-    """A seed below 0 is a validation error naming it where it seeds an
-    episode directly; eval derives its episode seeds from it, so any
-    integer serves there."""
+    """A seed below 0 is a validation error naming it, in every command:
+    eval once masked it to 64 bits, so ``--seed=-1`` printed the report of
+    ``--seed=18446744073709551615`` under another digest."""
 
     @pytest.mark.parametrize("command", ["replay", "emulate"])
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
@@ -377,9 +377,16 @@ class TestNegativeSeed:
         assert err == f"error: seed must be an integer >= 0, got {seed}\n"
         assert not trace.exists()
 
-    def test_eval_exits_0(self, capsys):
-        assert main(["eval", "--scripted", "--episodes", "2", "--seed=-1"]) == 0
-        assert "n_episodes=2\n" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_eval_and_train_exit_1(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_TRAIN)
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--scripted", "--episodes", "2", "--report", str(out)],
+                "train": ["train", str(cfg), "--out", str(out)]}[command]
+        assert main([*argv, "--seed=-1"]) == 1
+        assert capsys.readouterr() == ("", "error: seed must be an integer >= 0, got -1\n")
+        assert not out.exists()
 
 
 class TestRewardSpread:
@@ -696,6 +703,20 @@ class TestEmulate:
             outputs.append(digest_and_body(p))
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0] != DEFAULT_DIGEST
+
+    def test_cut_last_row_is_rejected(self, tmp_path):
+        # cut inside its last number, the row still parses, as another number
+        p = tmp_path / "emu.csv"
+        assert main(["emulate", "--scripted", "--seed", "9", "--delay", "0",
+                     "--trace", str(p)]) == 0
+        text = p.read_text()
+        cut = text[:-5]  # the line end and 4 digits
+        last_cell = text.splitlines()[-1].rpartition(",")[2]
+        assert len(last_cell) > 5 and float(cut.rpartition(",")[2]) != float(last_cell)
+        with pytest.raises(ValueError,
+                           match=f"^line {len(cut.splitlines())}: no line end, the row was cut off$"):
+            read_trace_csv(io.StringIO(cut))
+        assert read_trace_csv(io.StringIO(text)).values[-1][-1] == float(last_cell)
 
     def test_negative_delay_rejected(self, tmp_path, capsys):
         code = main(["emulate", "--scripted", "--seed", "9",

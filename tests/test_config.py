@@ -65,6 +65,13 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="seed"):
             build_run_config({})
 
+    def test_negative_seeds_rejected(self):
+        entries = parse_config_text("seed=-1\n", source="f.cfg")
+        with pytest.raises(ConfigError, match="^f.cfg:1: seed must be an integer >= 0, got -1$"):
+            build_run_config(entries, source="f.cfg")
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -5$"):
+            TrainConfig(seed=-5)
+
     def test_bad_value_names_key_and_line(self):
         entries = parse_config_text("seed=1\nenv.vicinity=soup\n", source="f.cfg")
         with pytest.raises(ConfigError, match=r"env.vicinity"):

@@ -19,7 +19,7 @@ from loader_rl.emulator import (
 )
 from loader_rl.env import ApproachEnv, EnvConfig, Observation, Outcome
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
-from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
+from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
 from loader_rl.sim import BrakeModel, Controls
 from loader_rl.trace import BASE_COLUMNS
 from tests.test_hold import bits, snapshot
@@ -28,7 +28,7 @@ ORACLE = OracleConfig()
 
 
 def scripted(obs: Observation) -> Controls:
-    return scripted_policy(obs, ORACLE)
+    return ORACLE.rule(obs)
 
 
 class TestDelayBuffer:

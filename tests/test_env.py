@@ -385,14 +385,12 @@ def test_observation_components_always_nonnegative(seed):
 class TestTraceCsv:
     def _trace(self, normalized=False):
         from loader_rl.evaluate import run_episode
-        from loader_rl.oracle import OracleConfig, scripted_policy
+        from loader_rl.oracle import OracleConfig
 
         env = ApproachEnv()
         oracle = OracleConfig()
-        result, trace = run_episode(
-            env, lambda o: scripted_policy(o, oracle), 8, collect_trace=True,
-            config_digest="deadbeef",
-        )
+        result, trace = run_episode(env, oracle.rule, 8, collect_trace=True)
+        trace.config_digest = "deadbeef"
         return result, trace
 
     def test_row_count_equals_steps(self):
@@ -415,8 +413,8 @@ class TestTraceCsv:
 
         _, plain = self._trace()
         # the emulator's six extra columns read back too
-        emulated = run_emulated_episode(LatchedBrakePolicy(OracleConfig()), EmulationConfig(), 8,
-                                        config_digest="deadbeef")
+        emulated = run_emulated_episode(LatchedBrakePolicy(OracleConfig()), EmulationConfig(), 8)
+        emulated.config_digest = "deadbeef"
         assert len(emulated.columns) == len(plain.columns) + 6
         for trace in (plain, emulated):
             p = tmp_path / "trace.csv"

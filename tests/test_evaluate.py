@@ -26,7 +26,7 @@ from loader_rl.evaluate import (
     greedy_policy_fn,
     run_episodes,
 )
-from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
+from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
 from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.seeding import substream_seed
 from loader_rl.sim import CONTROLS, BrakeModel
@@ -76,7 +76,7 @@ class PulsedBrakePolicy:
 
 def make_policy(kind: str):
     if kind == "scripted":
-        return lambda obs: scripted_policy(obs, ORACLE)
+        return ORACLE.rule
     if kind == "latched":
         return LatchedBrakePolicy(ORACLE)
     if kind == "pulsed":
@@ -156,8 +156,9 @@ def test_lockstep_matches_sequential_reference(policy, env_kind, interval, n, se
     seeds = [seed + i for i in range(n)]
     want = reference(make_env, make_policy(policy), seeds, headings, interval, True)
     got = run_episodes([make_env() for _ in range(n)], make_policy(policy), seeds,
-                       headings=headings, collect_trace=True, config_digest="d",
-                       decision_interval=interval)
+                       headings=headings, collect_trace=True, decision_interval=interval)
+    for _, trace in got:
+        trace.config_digest = "d"
     assert_same_episodes(got, want)
     with mock.patch.object(evaluate, "_BLOCK", block or evaluate._BLOCK):
         assert_evaluation_matches(make_env, make_policy(policy), n, seed, interval)
@@ -174,6 +175,13 @@ def test_evaluation_leaves_the_given_env_alone():
     env = ApproachEnv()
     evaluate_policy(env, make_policy("scripted"), 3, 0)
     assert env.done is None
+
+
+def test_seeds_past_64_bits_keep_their_own_episodes():
+    # the master seed was once masked to 64 bits, so 2**64 replayed seed 0;
+    # a seed below 2**64 keeps the value it had then
+    assert substream_seed(2**64, "eval") != substream_seed(0, "eval")
+    assert substream_seed(2**64 - 1, "eval") == 3323103694877946783
 
 
 def test_lanes_must_be_distinct_and_seeded():

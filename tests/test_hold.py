@@ -25,7 +25,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from loader_rl import emulator as emulator_module, env as env_module
 from loader_rl.env import ApproachEnv, EnvConfig, step
 from loader_rl.evaluate import greedy_policy_fn, run_episodes
-from loader_rl.oracle import OracleConfig, scripted_policy
+from loader_rl.oracle import OracleConfig
 from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.sim import BrakeModel, Controls, VehicleParams
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
@@ -125,7 +125,7 @@ def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_li
     # the plan repeats until the episode ends (at most 15 s of plant time)
     for brake, lift_up, k in itertools.cycle(plan):
         # scripted holds reach the Success ending too
-        action = scripted_policy(env.obs, oracle) if scripted else Controls(brake, lift_up)
+        action = oracle.rule(env.obs) if scripted else Controls(brake, lift_up)
         seen = []
         on_step = None
         if callback:

@@ -13,7 +13,6 @@ from loader_rl.oracle import (
     OracleConfig,
     max_reward_bound,
     reward_oracle,
-    scripted_policy,
 )
 from loader_rl.sim import CONTROLS, Controls, VehicleParams
 from loader_rl.trace import EpisodeTrace
@@ -25,17 +24,17 @@ class TestScriptedPolicy:
     def test_far_away_no_brake(self):
         # ideal stopping distance 1.0 m + 0.1 margin is well short of 5 m
         obs = Observation(rel_x=0.0, rel_y=5.0, speed=2.0, lift=0.5)
-        assert scripted_policy(obs, ORACLE).brake == 0
+        assert ORACLE.rule(obs).brake == 0
 
     def test_brakes_inside_stopping_distance(self):
         obs = Observation(rel_x=0.0, rel_y=1.05, speed=2.0, lift=0.5)
-        assert scripted_policy(obs, ORACLE).brake == 1
+        assert ORACLE.rule(obs).brake == 1
 
     def test_lift_stops_past_goal(self):
         obs = Observation(rel_x=0.0, rel_y=5.0, speed=2.0, lift=0.96)
-        assert scripted_policy(obs, ORACLE).lift_up == 0
+        assert ORACLE.rule(obs).lift_up == 0
         obs = Observation(rel_x=0.0, rel_y=5.0, speed=2.0, lift=0.95)
-        assert scripted_policy(obs, ORACLE).lift_up == 1
+        assert ORACLE.rule(obs).lift_up == 1
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -48,26 +47,25 @@ class TestScriptedPolicy:
     @example(rel_x=0.0, rel_y=0.3, speed=1e154, lift=0.5, ideal_decel=1e308, margin=0.1,
              goal=0.95)
     def test_rule_bits(self, rel_x, rel_y, speed, lift, ideal_decel, margin, goal):
-        """The one transcription of the rule, whether bound once or called
-        per observation: distance <= speed * speed / (2 * ideal_decel) + margin."""
+        """The one transcription of the rule: distance <= speed * speed /
+        (2 * ideal_decel) + margin."""
         oracle = OracleConfig(brake_margin=margin, env=EnvConfig(lift_goal_frac=goal),
                               vehicle=VehicleParams(ideal_decel=ideal_decel))
         brake = math.hypot(rel_x, rel_y) <= speed * speed / (2.0 * ideal_decel) + margin
         want = CONTROLS[int(brake)][int(lift <= goal)]
         obs = Observation(rel_x, rel_y, speed, lift)
         assert oracle.rule(obs) is want
-        assert scripted_policy(obs, oracle) is want
 
     def test_stateless(self):
         obs = Observation(rel_x=0.3, rel_y=0.4, speed=1.0, lift=0.7)
-        assert scripted_policy(obs, ORACLE) == scripted_policy(obs, ORACLE)
+        assert ORACLE.rule(obs) == ORACLE.rule(obs)
 
     def test_heading_sweep_succeeds(self):
         # coarse sweep here; the 1-degree sweep runs in the acceptance suite
         env = ApproachEnv()
         for deg in range(0, 360, 15):
             result, _ = run_episode(
-                env, lambda o: scripted_policy(o, ORACLE), seed=deg,
+                env, ORACLE.rule, seed=deg,
                 heading=math.radians(deg),
             )
             assert result.outcome is Outcome.SUCCESS, f"failed at {deg} deg"
@@ -114,7 +112,7 @@ class TestRewardOracle:
 
     def test_matches_on_scripted_success(self):
         env = ApproachEnv()
-        trace = collect_trace(env, lambda o: scripted_policy(o, ORACLE), 5)
+        trace = collect_trace(env, ORACLE.rule, 5)
         assert trace.outcome is Outcome.SUCCESS
         assert reward_oracle(trace, env.config) == pytest.approx(trace.total_reward(), abs=1e-9)
 
@@ -139,7 +137,7 @@ class TestRewardOracle:
         env = ApproachEnv(cfg)
         oracle = OracleConfig(env=cfg)
         result, trace = run_episode(
-            env, lambda o: scripted_policy(o, oracle), 5, collect_trace=True
+            env, oracle.rule, 5, collect_trace=True
         )
         assert result.outcome is Outcome.SUCCESS
         closed_form = (
@@ -165,7 +163,7 @@ class TestRewardOracle:
     def test_rejects_values_it_cannot_use(self, column, value, message):
         # a NaN position once summed to a finite total, and a huge offset
         # raised OverflowError
-        trace = collect_trace(ApproachEnv(), lambda o: scripted_policy(o, ORACLE), 5)
+        trace = collect_trace(ApproachEnv(), ORACLE.rule, 5)
         rows = trace.rows
         rows[2][column] = value
         bad = EpisodeTrace(columns=trace.columns, rows=rows,
@@ -185,7 +183,7 @@ class TestMaxRewardBound:
         env = ApproachEnv()
         bound = max_reward_bound(env.config)
         for seed in range(25):
-            result, _ = run_episode(env, lambda o: scripted_policy(o, ORACLE), seed)
+            result, _ = run_episode(env, ORACLE.rule, seed)
             assert result.reward < bound
             assert result.reward <= bound + 1e-9
 

@@ -20,7 +20,7 @@ from loader_rl.checkpoint import load_checkpoint
 from loader_rl.emulator import EmulatedEnv, EmulationConfig
 from loader_rl.env import ApproachEnv, EnvConfig, Observation
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode, run_episodes
-from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, scripted_policy
+from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
 from loader_rl.sim import CONTROLS
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
 from tests.test_checkpoint import GOLDEN
@@ -40,7 +40,7 @@ def hashed(obs):
 
 def make_policy(kind):
     if kind == "scripted":
-        return lambda obs: scripted_policy(obs, ORACLE)
+        return ORACLE.rule
     if kind == "latched":
         return LatchedBrakePolicy(ORACLE)
     if kind == "greedy":
@@ -202,8 +202,9 @@ def test_emulated_episodes_keep_the_per_decision_pid(policy, interval):
     want = reference(lambda: EmulatedEnv(emu), unbatched(policy), seeds, headings, interval,
                      True)
     got = run_episodes([EmulatedEnv(emu) for _ in seeds], unbatched(policy), seeds,
-                       headings=headings, collect_trace=True, config_digest="d",
-                       decision_interval=interval)
+                       headings=headings, collect_trace=True, decision_interval=interval)
+    for _, trace in got:
+        trace.config_digest = "d"
     assert_same_episodes(got, want)
 
 
