@@ -118,11 +118,11 @@ class EmulatedEnv(ApproachEnv):
     (``run_emulated_episode`` does), and any other hold length raises
     ValueError. ``step`` is this env's own hold of one step, so it needs
     ``emu.control_interval`` 1. ``run_episodes``, ``evaluate_policy`` and
-    ``train`` take this env unchanged, and ``play`` reaches the emulated
-    plant through :meth:`hold` and its ``decide``. The episode's map-frame
-    stop point, sensor buffer, PID state and command are all set by
-    ``reset``, never shared between evaluation lanes (shallow copies of one
-    env), so ``state`` can be read but not assigned.
+    ``train`` take this env unchanged: ``play`` and a lockstep lane reach
+    the emulated plant, PID and sensor included, through :meth:`hold`. The
+    episode's map-frame stop point, sensor buffer, PID state and command
+    are all set by ``reset``, never shared between evaluation lanes
+    (shallow copies of one env), so ``state`` can be read but not assigned.
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -147,14 +147,16 @@ class EmulatedEnv(ApproachEnv):
         return self.obs
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None, *,
-             decide: Optional[Callable[[Observation], Controls]] = None) -> float:
+             decide: Optional[Callable[[Observation], Controls]] = None, lane: bool = False):
         """Hold ``action`` under a throttle the PID sets once, at the start,
         sensing the position after every plant step; returns the reward
         summed over the steps taken.
 
         With ``decide``, the holds go on until the episode ends: after each
         one, ``decide`` gets the delayed ``obs`` and its action is held next,
-        PID and sensor included, and the return sums the holds' totals.
+        PID and sensor included, and the return sums the holds' totals. With
+        ``lane=True``, the lane (as in :meth:`ApproachEnv.hold`) yields the
+        delayed ``obs`` instead; each of its holds writes the episode back.
         """
         if steps != self.emu.control_interval:
             raise ValueError(f"an emulated hold is emu.control_interval="
@@ -163,7 +165,14 @@ class EmulatedEnv(ApproachEnv):
             raise RuntimeError("call reset before step")
         if self.done:
             raise RuntimeError("cannot step a finished episode; reset first")
+        holds = self._holds(action, steps, on_step, decide, lane)
+        if lane:
+            return holds
+        for total in holds:
+            pass
+        return total
 
+    def _holds(self, action, steps, on_step, decide, lane):
         def sense(env, action):
             self._sense()
             if on_step is not None:
@@ -177,9 +186,11 @@ class EmulatedEnv(ApproachEnv):
             limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
             total += super().hold(action, steps, sense, brake_model=self.emu.brake_model,
                                   throttle_accel=self.command * limit)
-            if decide is None or self.done:
-                return total
-            action = decide(self.obs)
+            if self.done or (decide is None and not lane):
+                break
+            action = decide(self.obs) if decide is not None else (yield self.obs)
+        if not lane:
+            yield total
 
     @ApproachEnv.state.setter
     def state(self, state) -> None:

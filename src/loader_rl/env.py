@@ -299,10 +299,10 @@ class ApproachEnv:
     :class:`VehicleState` are frozen dataclasses.
 
     :meth:`hold` is the one entry to the plant: :meth:`step` is a hold of
-    one step and :meth:`play` a hold with ``decide``. So a subclass whose
-    plant differs overrides ``hold`` alone, and its ``hold`` takes
-    ``decide`` and plays the episode to its end, deciding on the
-    subclass's own ``obs``.
+    one step, :meth:`play` a hold with ``decide`` and a lockstep lane a
+    hold with ``lane=True``. So a subclass whose plant differs overrides
+    ``hold`` alone, and its ``hold`` takes both, deciding on and yielding
+    the subclass's own ``obs``.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
@@ -414,12 +414,12 @@ class ApproachEnv:
 
         Gives the bits of ``while not env.done: env.hold(decide(env.obs),
         interval, on_step)``, with the same ``on_step`` calls, in one call
-        of this env's :meth:`hold` with ``decide``. The plant's kernel keeps
-        the episode in its locals between decisions, and ``decide`` gets the
-        :class:`Observation` built from them, so it must not read the env.
-        The steps taken stand when ``decide`` or a check raises. A finished
-        episode is left as it is; before the first reset this raises as
-        :meth:`hold` does.
+        of this env's :meth:`hold` with ``decide``, called inline. The plant's
+        kernel keeps the episode in its locals between decisions, and
+        ``decide`` gets the :class:`Observation` built from them, so it must
+        not read the env. The steps taken stand when ``decide`` or a check
+        raises. A finished episode is left as it is; before the first reset
+        this raises as :meth:`hold` does.
         """
         if self.done is None:
             raise RuntimeError("call reset before step")
@@ -439,7 +439,8 @@ class ApproachEnv:
         brake_model: BrakeModel = BrakeModel.IDEAL,
         throttle_accel: float | None = None,
         decide: Optional[Callable[[Observation], Controls]] = None,
-    ) -> float:
+        lane: bool = False,
+    ):
         """Zero-order hold: apply ``action`` for up to ``steps`` plant steps.
 
         The one place the plant advances, for training, greedy evaluation
@@ -452,19 +453,32 @@ class ApproachEnv:
         ``max(a, b)`` there is spelt ``b if b > a else a`` and each
         ``min(a, b)`` ``b if b < a else a``, the rule by which the builtins
         pick, so ``-0.0`` and NaN come out as there too. The episode
-        attributes are written back once, at the end of the hold, or after
+        attributes are written back once, when the kernel leaves, or after
         every plant step when ``on_step`` is given: ``on_step(env, action)``
         then runs after each step. It may read the env but must not change
         its episode. A running step keeps its reward terms in locals, and
         the ``reward_terms`` tuple is built only at write-back. A hold builds
         no record; the records are built when read.
 
-        With ``decide``, the hold goes on until the episode ends: after each
+        The kernel is a generator. A plain hold runs its loop once. With
+        ``decide``, the hold goes on until the episode ends: after each
         ``steps`` plant steps it calls ``decide`` on the :class:`Observation`
-        of its locals and holds the returned action for the next ``steps``.
-        That is :meth:`play`; a plain hold runs its loop once. A subclass's
-        ``hold`` takes ``decide`` with the same meaning.
+        of its locals and holds the returned action; that is :meth:`play`.
+        With ``lane=True`` instead, the hold returns the kernel unstarted, a
+        lockstep lane: it yields that :class:`Observation` and holds the
+        action sent to it, until it returns at the episode's end. While it
+        is suspended the env's attributes are stale; closing it writes them
+        back. A subclass's ``hold`` takes ``decide`` and ``lane`` alike.
         """
+        kernel = self._kernel(action, steps, on_step, brake_model, throttle_accel, decide, lane)
+        if lane:
+            return kernel
+        for total in kernel:
+            pass
+        return total
+
+    def _kernel(self, action, steps, on_step, brake_model, throttle_accel, decide, lane):
+        # a plain hold and play yield only their total, after the write-back
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
         if self.done is None:
@@ -558,9 +572,10 @@ class ApproachEnv:
                     if ending is not None:
                         break
                 # one decision per pass; a plain hold makes none
-                if ending is not None or decide is None:
+                if ending is not None or (decide is None and not lane):
                     break
-                action = decide(observation((abs(tx - x), abs(ty - y), speed, lift)))
+                obs = observation((abs(tx - x), abs(ty - y), speed, lift))
+                action = decide(obs) if decide is not None else (yield obs)
                 brake, lift_up = action.brake, action.lift_up
         finally:
             # also when a check raises mid-hold: the steps taken stand
@@ -571,4 +586,5 @@ class ApproachEnv:
                 self.reward_terms = ending or (progress, lift_term, time_term, 0.0, reward,
                                                False, Outcome.RUNNING)
                 self.episode_reward = episode_reward
-        return total
+        if not lane:
+            yield total

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -95,10 +96,10 @@ def run_episodes(
     decision is held for ``decision_interval`` plant steps, the
     training-time control rate. A policy with a ``batch`` method decides
     all running episodes in one call per round while more than one runs,
-    so ``batch`` must return what deciding them one by one returns. The
-    last running episode, and every episode of a policy without
-    ``batch``, plays to its end in one
-    :meth:`~loader_rl.env.ApproachEnv.play` call.
+    so ``batch`` must return what deciding them one by one returns; each
+    episode is then one suspended hold of its env (a lane), and the last
+    running one goes on with its decisions made one by one. Otherwise each
+    episode plays to its end in one :meth:`~loader_rl.env.ApproachEnv.play` call.
     A policy with a ``reset`` method gets a reset copy per episode. The
     envs are distinct objects and the episodes independent, so each gives
     what it gives when run alone. The trace carries the env's extra
@@ -125,17 +126,46 @@ def run_episodes(
             on_step = trace.add_env_step
         traces.append(trace)
         lanes.append((env, lane_decide, on_step))
-    while batch is not None and len(lanes) > 1:
-        actions = batch([lane[0].obs for lane in lanes])
-        for (env, _, on_step), action in zip(lanes, actions):
-            env.hold(action, decision_interval, on_step)
-        lanes = [lane for lane in lanes if not lane[0].done]
-    for env, lane_decide, on_step in lanes:
-        env.play(lane_decide, decision_interval, on_step)
+    if batch is not None and n > 1:
+        _lockstep(lanes, batch, decision_interval)
+    else:
+        for env, lane_decide, on_step in lanes:
+            env.play(lane_decide, decision_interval, on_step)
     # the final distance is the prev_distance the last step set
     return [(EpisodeResult(env.episode_reward, env.step_count, env.breakdown.outcome,
                            env.prev_distance, env.heading), trace)
             for env, trace in zip(envs, traces)]
+
+
+def _lockstep(lanes, batch, interval: int) -> None:
+    """Run each lane as its env's suspended hold (``lane=True``), with one
+    ``batch`` call per round while more than one runs and the last one's
+    decisions made one by one. On any raise every suspended lane is closed,
+    which writes its episode back, so each env keeps the steps it took."""
+    kernels = []
+    try:
+        actions = batch([env.obs for env, _, _ in lanes])
+        for (env, _, on_step), action in zip(lanes, actions):
+            kernel = env.hold(action, interval, on_step, lane=True)
+            if not isinstance(kernel, Generator):
+                raise TypeError(f"{type(env).__name__}.hold(lane=True) returned {kernel!r}")
+            kernels.append(kernel)
+        running = [(kernel.send, lane[1]) for kernel, lane in zip(kernels, lanes)]
+        actions = [None] * len(running)  # a kernel starts on the action it was given
+        while running:
+            live, observations = [], []
+            for lane, action in zip(running, actions):
+                try:
+                    observations.append(lane[0](action))
+                    live.append(lane)
+                except StopIteration:  # the episode ended
+                    pass
+            running = live
+            actions = (batch(observations) if len(running) > 1
+                       else [decide(obs) for (_, decide), obs in zip(running, observations)])
+    finally:
+        for kernel in kernels:
+            kernel.close()
 
 
 def run_episode(

@@ -11,7 +11,7 @@ exponentiation to guard overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,14 +24,12 @@ from loader_rl.emulator import (
 )
 from loader_rl.env import ApproachEnv, EnvConfig, Outcome, compute_reward
 from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
-from loader_rl.nets import clip_by_global_norm
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig, max_reward_bound
-from loader_rl.policy import ExplorationMode, bernoulli_log_prob, init_policy
+from loader_rl.policy import ExplorationMode
 from loader_rl.ppo import (
     TrainConfig,
     clipped_policy_loss,
     compute_gae,
-    normalize_advantages,
     ppo_total_loss,
 )
 from loader_rl.sim import BrakeModel

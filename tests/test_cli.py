@@ -156,8 +156,9 @@ class TestTrain:
 
         class NanRewardEnv(ApproachEnv):
             def hold(self, action, steps, on_step=None, **kw):
-                super().hold(action, steps, on_step, **kw)
-                return float("nan")
+                total = super().hold(action, steps, on_step, **kw)
+                # a lockstep lane is returned as it is; it sums no reward
+                return total if kw.get("lane") else float("nan")
 
         monkeypatch.setattr(cli_mod, "ApproachEnv", NanRewardEnv)
         cfg = tmp_path / "run.cfg"

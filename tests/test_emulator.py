@@ -3,7 +3,6 @@ delayed-sensing failure reproduction."""
 
 import math
 
-import numpy as np
 import pytest
 
 from loader_rl.emulator import (

@@ -8,15 +8,19 @@ must equal the reference's bits. The greedy policies' batched decision
 (``decide.batch``) is pinned against deciding one observation at a time.
 """
 
+import gc
+import inspect
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loader_rl
 from loader_rl import evaluate
-from loader_rl.checkpoint import read_checkpoint
+from loader_rl.checkpoint import load_checkpoint, read_checkpoint
 from loader_rl.emulator import EmulatedEnv, EmulationConfig
 from loader_rl.env import ApproachEnv, Observation, Outcome
 from loader_rl.evaluate import (
@@ -31,8 +35,8 @@ from loader_rl.policy import ExplorationMode, init_policy
 from loader_rl.seeding import substream_seed
 from loader_rl.sim import CONTROLS, BrakeModel
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
-from tests.test_checkpoint import golden_checkpoint
-from tests.test_hold import bits, record_bits
+from tests.test_checkpoint import GOLDEN, golden_checkpoint
+from tests.test_hold import assert_same_records, bits, record_bits
 
 ORACLE = OracleConfig()
 
@@ -182,6 +186,50 @@ def test_seeds_past_64_bits_keep_their_own_episodes():
     # a seed below 2**64 keeps the value it had then
     assert substream_seed(2**64, "eval") != substream_seed(0, "eval")
     assert substream_seed(2**64 - 1, "eval") == 3323103694877946783
+
+
+def suspended_kernels() -> list:
+    """Generators of the package's code that are suspended, not closed."""
+    package = str(Path(loader_rl.__file__).parent)
+    return [g for g in gc.get_objects()
+            if inspect.isgenerator(g) and g.gi_code.co_filename.startswith(package)
+            and inspect.getgeneratorstate(g) == inspect.GEN_SUSPENDED]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("env_kind", ["plain", "emulated"])
+def test_a_raise_inside_lockstep_leaves_every_lane_consistent(env_kind, trace):
+    """``batch`` raises in round 3 of five lanes: each env holds exactly the
+    two holds it took, as a hold-by-hold run stopped there does, and no
+    lane is left suspended."""
+    greedy = greedy_policy_fn(load_checkpoint(GOLDEN).params)
+    rounds = []
+
+    def batch(observations):
+        rounds.append(len(observations))
+        if len(rounds) == 3:
+            raise FloatingPointError("round 3")
+        return greedy.batch(observations)
+
+    def decide(obs):
+        return greedy(obs)
+
+    decide.batch = batch
+    make_env = ApproachEnv if env_kind == "plain" else lambda: EmulatedEnv(EmulationConfig())
+    seeds = [0, 1, 2, 3, 4]
+    envs = [make_env() for _ in seeds]
+    # the traceback in ``raised`` keeps the driver's locals, any lane included, alive
+    with pytest.raises(FloatingPointError, match="round 3") as raised:
+        run_episodes(envs, decide, seeds, collect_trace=trace, decision_interval=10)
+    assert raised.value.__traceback__ is not None and suspended_kernels() == []
+    assert rounds == [5, 5, 5]
+    for env, seed in zip(envs, seeds):
+        ref = make_env()
+        ref.reset(seed)
+        for _ in range(2):
+            ref.hold(greedy(ref.obs), 10)
+        assert env.step_count == 20
+        assert_same_records(env, ref)
 
 
 def test_lanes_must_be_distinct_and_seeded():

@@ -6,7 +6,8 @@ call of the hold kernel, so it must give the same episode records, the
 same observations to ``decide``, the same ``on_step`` calls and trace
 rows, and, when ``decide`` raises, the same exception with the steps
 taken standing. Evaluation plays a scripted episode in one ``hold`` call,
-not one per decision, and a batched eval plays only its last lane.
+not one per decision, and a batched eval decides its last running lane
+alone.
 """
 
 import hashlib
@@ -232,8 +233,9 @@ def test_scripted_episodes_make_no_hold_call(monkeypatch, policy):
 
 
 def test_a_hold_without_decide_fails_play_loudly():
-    """``play`` enters the episode through the env's own ``hold``, so a
-    subclass ``hold`` that cannot decide raises instead of being bypassed."""
+    """``play`` and a lockstep lane enter the episode through the env's own
+    ``hold``, so a subclass ``hold`` that can neither decide nor suspend
+    raises instead of being bypassed."""
 
     class Plain(ApproachEnv):
         def hold(self, action, steps, on_step=None):
@@ -244,6 +246,24 @@ def test_a_hold_without_decide_fails_play_loudly():
     with pytest.raises(TypeError, match="decide"):
         env.play(make_policy("scripted"), 1)
     assert env.step_count == 0
+    envs = [Plain(), Plain()]
+    with pytest.raises(TypeError, match="lane"):
+        run_episodes(envs, GREEDY, [1, 2], decision_interval=10)
+    assert [env.step_count for env in envs] == [0, 0]
+
+
+def test_a_hold_that_does_not_return_its_lane_fails_loudly():
+    """A subclass ``hold`` that replaces what the base ``hold`` returns also
+    replaces the suspended lane; lockstep names the class instead of
+    running no step."""
+
+    class Totals(ApproachEnv):
+        def hold(self, action, steps, on_step=None, **kw):
+            super().hold(action, steps, on_step, **kw)
+            return 0.0
+
+    with pytest.raises(TypeError, match="^Totals.hold"):
+        run_episodes([Totals(), Totals()], GREEDY, [1, 2], decision_interval=10)
 
 
 # the golden policy's episodes at interval 10: seeds 2, 12, 20 and 40 leave
@@ -254,21 +274,28 @@ LANES = [([0], 1), ([2, 0], 1), ([2, 12, 20, 21, 30, 37, 0], 1), ([0, 1], 0),
 
 
 @pytest.mark.parametrize("seeds, plays", LANES)
-def test_a_batched_eval_plays_only_its_last_running_lane(monkeypatch, seeds, plays):
-    """While more than one lane runs, each round is one batched decision;
-    the last running lane plays to its end. Lanes that end in the same
-    round leave none to play."""
+def test_a_batched_eval_plays_only_its_last_running_lane(seeds, plays):
+    """While more than one lane runs, each round is one batched decision
+    over the running lanes; the last running lane then plays alone, on
+    decisions made one by one. Lanes that end in the same round leave none
+    to play."""
     n = len(seeds)
-    envs = [ApproachEnv() for _ in range(n)]
     want = reference(ApproachEnv, GREEDY, seeds, [None] * n, 10, False)
-    played = []
-    play = ApproachEnv.play
+    calls = []
 
-    def spy(env, *args, **kwargs):
-        played.append([other.done for other in envs if other is not env])
-        return play(env, *args, **kwargs)
+    def decide(obs):
+        calls.append(("one", 1))
+        return GREEDY(obs)
 
-    monkeypatch.setattr(ApproachEnv, "play", spy)
-    got = run_episodes(envs, GREEDY, seeds, decision_interval=10)
+    def batch(observations):
+        calls.append(("batch", len(observations)))
+        return GREEDY.batch(observations)
+
+    decide.batch = batch
+    got = run_episodes([ApproachEnv() for _ in seeds], decide, seeds, decision_interval=10)
     assert_same_episodes(got, want)
-    assert played == [[True] * (n - 1)] * plays
+    decisions = sorted(-(-result.length // 10) for result, _ in want)
+    rounds = decisions[-2] if n > 1 else 0  # rounds with two lanes or more running
+    alone = [("one", 1)] * (decisions[-1] - rounds)
+    assert calls == [("batch", sum(d > r for d in decisions)) for r in range(rounds)] + alone
+    assert bool(alone) == bool(plays)

@@ -12,7 +12,6 @@ from loader_rl.nets import MLP
 from loader_rl.policy import (
     ExplorationMode,
     ObsNormalizer,
-    PolicyParams,
     ThresholdSampler,
     bernoulli_log_prob,
     finite_output,
