@@ -111,18 +111,17 @@ class EmulatedEnv(ApproachEnv):
     ``obs`` is the delayed map-frame observation the policy decides on,
     built from the sensor buffer and the episode's map-frame stop point
     whenever it is read; the trace rows record the true position beside
-    it. Each hold runs the PID once at its start and steps the plant with
-    the configured brake model and the PID's throttle. The controller runs
-    at the emulated rate: every hold is ``emu.control_interval`` plant
-    steps, so callers pass that as their ``decision_interval``
-    (``run_emulated_episode`` does), and any other hold length raises
-    ValueError. ``step`` is this env's own hold of one step, so it needs
-    ``emu.control_interval`` 1. ``run_episodes``, ``evaluate_policy`` and
-    ``train`` take this env unchanged: ``play`` and a lockstep lane reach
-    the emulated plant, PID and sensor included, through :meth:`hold`. The
-    episode's map-frame stop point, sensor buffer, PID state and command
-    are all set by ``reset``, never shared between evaluation lanes
-    (shallow copies of one env), so ``state`` can be read but not assigned.
+    it. The plant is the base kernel's, under ``emu.brake_model`` and a
+    throttle hook that runs the PID once per hold, at its start; ``hold``
+    feeds the sensor after every plant step. Every hold is
+    ``emu.control_interval`` plant steps, the emulated control rate, so
+    callers pass that as their ``decision_interval``
+    (``run_emulated_episode`` does); any other length raises ValueError,
+    so ``step`` needs ``emu.control_interval`` 1. ``run_episodes``,
+    ``evaluate_policy`` and ``train`` take this env unchanged, with one
+    kernel entry per played episode or lane. The episode's map-frame stop
+    point, sensor buffer, PID state and command are all set by ``reset``,
+    never shared between evaluation lanes (shallow copies of one env).
     """
 
     extra_columns = ("true_x", "true_y", "delayed_x", "delayed_y", "pid_command",
@@ -132,6 +131,7 @@ class EmulatedEnv(ApproachEnv):
                  vehicle_params: Optional[VehicleParams] = None):
         super().__init__(env_config, vehicle_params)
         self.emu = emu
+        self.brake_model = emu.brake_model
 
     def reset(self, seed: int, *, heading: Optional[float] = None) -> Observation:
         super().reset(seed, heading=heading)
@@ -148,60 +148,33 @@ class EmulatedEnv(ApproachEnv):
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None, *,
              decide: Optional[Callable[[Observation], Controls]] = None, lane: bool = False):
-        """Hold ``action`` under a throttle the PID sets once, at the start,
-        sensing the position after every plant step; returns the reward
-        summed over the steps taken.
-
-        With ``decide``, the holds go on until the episode ends: after each
-        one, ``decide`` gets the delayed ``obs`` and its action is held next,
-        PID and sensor included, and the return sums the holds' totals. With
-        ``lane=True``, the lane (as in :meth:`ApproachEnv.hold`) yields the
-        delayed ``obs`` instead; each of its holds writes the episode back.
-        """
+        """:meth:`ApproachEnv.hold` at the emulated control rate, sensing the
+        position after every plant step, before ``on_step``."""
         if steps != self.emu.control_interval:
             raise ValueError(f"an emulated hold is emu.control_interval="
                              f"{self.emu.control_interval} plant steps, got steps={steps}")
-        if self.done is None:
-            raise RuntimeError("call reset before step")
-        if self.done:
-            raise RuntimeError("cannot step a finished episode; reset first")
-        holds = self._holds(action, steps, on_step, decide, lane)
-        if lane:
-            return holds
-        for total in holds:
-            pass
-        return total
 
-    def _holds(self, action, steps, on_step, decide, lane):
-        def sense(env, action):
+        def sense_then_step(env, action):
             self._sense()
-            if on_step is not None:
-                on_step(env, action)
+            on_step(env, action)
 
-        total = 0.0
-        while True:
-            self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed,
-                                                   self.speed, steps * self.config.dt,
-                                                   self.emu.pid)
-            limit = self.emu.accel_limit if self.command >= 0.0 else self.params.ideal_decel
-            total += super().hold(action, steps, sense, brake_model=self.emu.brake_model,
-                                  throttle_accel=self.command * limit)
-            if self.done or (decide is None and not lane):
-                break
-            action = decide(self.obs) if decide is not None else (yield self.obs)
-        if not lane:
-            yield total
+        return super().hold(action, steps, self._sense if on_step is None else sense_then_step,
+                            decide=decide, lane=lane)
 
-    @ApproachEnv.state.setter
-    def state(self, state) -> None:
-        raise TypeError("state cannot be assigned: reset sets the sensor, PID and stop point too")
+    def _throttle(self, speed: float, steps: int) -> float:
+        """The throttle of the next hold: the PID runs once per hold, on
+        the speed at its start, over the hold's ``steps`` plant steps."""
+        self.command, self._pid = pid_throttle(self._pid, self.params.cruise_speed, speed,
+                                               steps * self.config.dt, self.emu.pid)
+        return self.command * (self.emu.accel_limit if self.command >= 0.0
+                               else self.params.ideal_decel)
 
     def trace_extra(self) -> tuple:
         return (*self._true_position, *self._buffer.read(self.elapsed), self.command,
                 self.brake_pedal)
 
-    def _sense(self) -> None:
-        """Feed the delay buffer the map-frame position of the vehicle now."""
+    def _sense(self, *_) -> None:
+        """Feed the delay buffer the map-frame position now (as ``on_step``, too)."""
         origin = self.emu.utm_origin
         self._true_position = (origin[0] + self.x, origin[1] + self.y)
         self._buffer.append(self.elapsed, self._true_position)

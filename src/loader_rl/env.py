@@ -298,14 +298,18 @@ class ApproachEnv:
     tuples, equal to the tuple of their values; :class:`EnvState` and
     :class:`VehicleState` are frozen dataclasses.
 
-    :meth:`hold` is the one entry to the plant: :meth:`step` is a hold of
-    one step, :meth:`play` a hold with ``decide`` and a lockstep lane a
-    hold with ``lane=True``. So a subclass whose plant differs overrides
-    ``hold`` alone, and its ``hold`` takes both, deciding on and yielding
-    the subclass's own ``obs``.
+    :meth:`hold` is the one entry to the plant's kernel: :meth:`step` is a
+    hold of one step, :meth:`play` a hold with ``decide`` and a lockstep
+    lane a hold with ``lane=True``. A subclass changes the plant through
+    ``brake_model`` and the hook ``_throttle(speed, steps)``, which the
+    kernel calls at the start of each hold for the functional step's
+    ``throttle_accel``; a sensor is an ``on_step`` its ``hold`` chains in.
+    ``state`` is read-only: ``reset`` alone sets up an episode.
     """
 
     extra_columns: tuple[str, ...] = ()  # trace columns beyond the base ones
+    brake_model = BrakeModel.IDEAL
+    _throttle = None  # no hook: an unbraked step snaps the speed to cruise
 
     def __init__(self, config: Optional[EnvConfig] = None, params: Optional[VehicleParams] = None):
         self.config = config or EnvConfig()
@@ -332,31 +336,13 @@ class ApproachEnv:
 
     @property
     def state(self) -> Optional[EnvState]:
-        """The episode as an :class:`EnvState`, None before reset.
-
-        Assigning one writes every episode attribute from it, which is
-        how tests set up an episode; the latest reward and the return stay
-        as they were.
-        """
+        """The episode as an :class:`EnvState`, None before reset; read-only."""
         if self.done is None:
             return None
         vehicle = VehicleState(self.x, self.y, self.heading, self.speed, self.lift, self.elapsed,
                                self.brake_pedal)
         return EnvState(vehicle, self.target_x, self.target_y, self.step_count,
                         self.prev_distance, self.done)
-
-    @state.setter
-    def state(self, state: EnvState) -> None:
-        v = state.vehicle
-        self.x, self.y, self.heading, self.speed = v.x, v.y, v.heading, v.speed
-        self.lift, self.elapsed, self.brake_pedal = v.lift, v.elapsed, v.brake_pedal
-        self.target_x, self.target_y = state.target_x, state.target_y
-        self.step_count, self.prev_distance, self.done = (
-            state.step_count, state.prev_distance, state.done)
-        # an infinite heading is reported by the state check, not by math.sin
-        finite = math.isfinite(v.heading)
-        self.sin_heading = math.sin(v.heading) if finite else math.nan
-        self.cos_heading = math.cos(v.heading) if finite else math.nan
 
     @property
     def obs(self) -> Optional[Observation]:
@@ -414,11 +400,11 @@ class ApproachEnv:
 
         Gives the bits of ``while not env.done: env.hold(decide(env.obs),
         interval, on_step)``, with the same ``on_step`` calls, in one call
-        of this env's :meth:`hold` with ``decide``, called inline. The plant's
-        kernel keeps the episode in its locals between decisions, and
-        ``decide`` gets the :class:`Observation` built from them, so it must
-        not read the env. The steps taken stand when ``decide`` or a check
-        raises. A finished episode is left as it is; before the first reset
+        of this env's :meth:`hold` with ``decide``, called inline. Without
+        ``on_step`` the plant's kernel keeps the episode in its locals
+        between decisions, and ``decide`` gets the :class:`Observation` built
+        from them, so it must not read the env. The steps taken stand when
+        ``decide`` or a check raises. A finished episode is left as it is; before the first reset
         this raises as :meth:`hold` does.
         """
         if self.done is None:
@@ -436,8 +422,6 @@ class ApproachEnv:
         steps: int,
         on_step: Optional[Callable] = None,
         *,
-        brake_model: BrakeModel = BrakeModel.IDEAL,
-        throttle_accel: float | None = None,
         decide: Optional[Callable[[Observation], Controls]] = None,
         lane: bool = False,
     ):
@@ -446,38 +430,38 @@ class ApproachEnv:
         The one place the plant advances, for training, greedy evaluation
         and deployment emulation alike. Stops when the episode ends and
         returns the reward summed over the steps taken. Each step is the
-        functional :func:`step` (``brake_model`` and ``throttle_accel`` as
-        there), computed over plain floats with the same operations in the
-        same order, so it gives the same bits and raises the same errors at
-        the same plant step, though it checks the state only on entry. Each
-        ``max(a, b)`` there is spelt ``b if b > a else a`` and each
-        ``min(a, b)`` ``b if b < a else a``, the rule by which the builtins
-        pick, so ``-0.0`` and NaN come out as there too. The episode
-        attributes are written back once, when the kernel leaves, or after
-        every plant step when ``on_step`` is given: ``on_step(env, action)``
-        then runs after each step. It may read the env but must not change
-        its episode. A running step keeps its reward terms in locals, and
-        the ``reward_terms`` tuple is built only at write-back. A hold builds
-        no record; the records are built when read.
+        functional :func:`step` under the env's ``brake_model`` and the
+        ``throttle_accel`` its hook gave the hold, over plain floats with
+        the same operations in the same order: the same bits, and the same
+        errors at the same plant step, though the state is checked only on
+        entry. Each ``max(a, b)`` there is spelt ``b if b > a else a`` and
+        each ``min(a, b)`` ``b if b < a else a``, as the builtins pick, so
+        ``-0.0`` and NaN come out as there too. The episode attributes are
+        written back once, when the kernel leaves, or after every plant
+        step when ``on_step`` is given; ``on_step(env, action)`` then runs
+        after each step and may read the env but not change its episode. A
+        hold builds no record, and its ``reward_terms`` tuple only at
+        write-back; the records are built when read.
 
         The kernel is a generator. A plain hold runs its loop once. With
         ``decide``, the hold goes on until the episode ends: after each
         ``steps`` plant steps it calls ``decide`` on the :class:`Observation`
-        of its locals and holds the returned action; that is :meth:`play`.
-        With ``lane=True`` instead, the hold returns the kernel unstarted, a
-        lockstep lane: it yields that :class:`Observation` and holds the
-        action sent to it, until it returns at the episode's end. While it
-        is suspended the env's attributes are stale; closing it writes them
-        back. A subclass's ``hold`` takes ``decide`` and ``lane`` alike.
+        of its locals (the env's ``obs`` when ``on_step`` is given) and
+        holds the returned action; that is :meth:`play`. With ``lane=True``
+        instead, the hold returns the kernel unstarted, a lockstep lane: it
+        yields that :class:`Observation` and holds the action sent to it,
+        until it returns at the episode's end. While it is suspended the
+        env's attributes are stale; closing it writes them back. A
+        subclass's ``hold`` takes ``decide`` and ``lane`` alike.
         """
-        kernel = self._kernel(action, steps, on_step, brake_model, throttle_accel, decide, lane)
+        kernel = self._kernel(action, steps, on_step, decide, lane)
         if lane:
             return kernel
         for total in kernel:
             pass
         return total
 
-    def _kernel(self, action, steps, on_step, brake_model, throttle_accel, decide, lane):
+    def _kernel(self, action, steps, on_step, decide, lane):
         # a plain hold and play yield only their total, after the write-back
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
@@ -485,6 +469,8 @@ class ApproachEnv:
             raise RuntimeError("call reset before step")
         if self.done:
             raise RuntimeError("cannot step a finished episode; reset first")
+        brake_model, throttle = self.brake_model, self._throttle
+        throttle_accel = None if throttle is None else throttle(self.speed, steps)
         (dt, dt_ok, cruise_speed, ideal_decel, ideal_dv, initial_pedal, pedal_decay, lift_dv,
          lift_min, lift_max, radius, max_time, vicinity, speed_threshold, goal, lift_scale,
          neg_tc) = self._plant
@@ -574,9 +560,16 @@ class ApproachEnv:
                 # one decision per pass; a plain hold makes none
                 if ending is not None or (decide is None and not lane):
                     break
-                obs = observation((abs(tx - x), abs(ty - y), speed, lift))
+                obs = (observation((abs(tx - x), abs(ty - y), speed, lift)) if on_step is None
+                       else self.obs)
                 action = decide(obs) if decide is not None else (yield obs)
                 brake, lift_up = action.brake, action.lift_up
+                if throttle is not None:
+                    throttle_accel = throttle(speed, steps)
+                    if not isfinite(throttle_accel):
+                        step_vehicle(VehicleState(x, y, heading, speed, lift, elapsed, pedal),
+                                     action, dt, self.params, brake_model, throttle_accel)
+                    throttle_dv = throttle_accel * dt
         finally:
             # also when a check raises mid-hold: the steps taken stand
             if on_step is None and step_count != start_count:

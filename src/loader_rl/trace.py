@@ -148,10 +148,10 @@ def _finite(text: str) -> float:
 
 def read_trace_csv(path_or_file) -> EpisodeTrace:
     """Inverse of :func:`write_trace_csv`; normalized traces read back
-    with every numeric column as float. A cell that is no number, a float
-    cell that is not finite, or a last row without a line end (the writer
-    ends every row, so such a row was cut off) raises ValueError naming
-    its line."""
+    with every numeric column as float. A cell or an initial distance or
+    lift that is no finite number, or a last row without a line end (the
+    writer ends every row, so such a row was cut off) raises ValueError
+    naming its line."""
     text = read_text(path_or_file)
     lines = text.splitlines()
     meta = {}
@@ -160,7 +160,11 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
     for i, line in enumerate(lines):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            try:
+                meta[key] = _finite(value) if key in ("initial_distance", "initial_lift") else value
+            except ValueError as e:
+                raise ValueError(f"line {i + 1}: {e}") from e
         else:
             header = line.split(",")
             data_start = i + 1
@@ -169,8 +173,8 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         raise ValueError("trace file has no header row")
     trace = EpisodeTrace(
         columns=header,
-        initial_distance=float(meta.get("initial_distance", "0.0")),
-        initial_lift=float(meta.get("initial_lift", "0.0")),
+        initial_distance=meta.get("initial_distance", 0.0),
+        initial_lift=meta.get("initial_lift", 0.0),
         config_digest=meta.get("config_digest", ""),
     )
     types = [_cell_type(name, "normalized" in meta) for name in header]

@@ -595,6 +595,21 @@ class TestGoldenOutputs:
                      "--trace", str(p)]) == 0
         assert digest_and_body(p) == (digest, body)
 
+    @pytest.mark.parametrize("flags, digest, body", [
+        # a decision every plant step, ideal brake, at cruise: Success at plant step 171
+        (["--delay", "0.5", "--control-interval", "1", "--brake-model", "ideal",
+          "--no-standstill"], "71cbf50c74e500ac",
+         "6f25154341fb21f9b2573e12a1520ddd20def13f0ba314047399714bbd5e31c7"),
+        # a decision every 5 plant steps, tapered brake, from a standstill: Success at 275
+        (["--delay", "0", "--control-interval", "5", "--brake-model", "tapered",
+          "--standstill"], "1bedf905bcfd6c2e",
+         "40692a82437201a648e926b83f6b03a8e4e3b9a4aa31dfdbc636aa37c88e596f"),
+    ], ids=["ideal-interval-1", "tapered-interval-5"])
+    def test_scripted_emulation_variant_trace(self, tmp_path, flags, digest, body):
+        p = tmp_path / "emu.csv"
+        assert main(["emulate", "--scripted", "--seed", "0", *flags, "--trace", str(p)]) == 0
+        assert digest_and_body(p) == (digest, body)
+
 
 class TestCheckpointGoldenOutputs:
     """The greedy checkpoint path: checkpoint read, actor forward,
@@ -648,6 +663,15 @@ class TestCheckpointGoldenOutputs:
                      "--trace", str(p)]) == 0
         assert digest_and_body(p) == (
             "74c6f3abd20484de", "f2f4d9f84c1a3e6cd67892f2940d7713746dd623a473dba2feafc6027d342fd3")
+
+    def test_emulation_trace_at_the_default_delay(self, ckpt, tmp_path):
+        # without --delay the sensor lags by the default 3 s: the trace
+        # above, a 750-step Timeout
+        p = tmp_path / "emu.csv"
+        assert main(["emulate", "--checkpoint", ckpt, "--seed", "0", "--trace", str(p)]) == 0
+        assert digest_and_body(p) == (
+            "74c6f3abd20484de", "f2f4d9f84c1a3e6cd67892f2940d7713746dd623a473dba2feafc6027d342fd3")
+        assert len(read_trace_csv(str(p)).values) == 750
 
 
 class TestEmulate:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from loader_rl import emulator as emulator_module
 from loader_rl.emulator import (
     DelayBuffer,
     EmulatedEnv,
@@ -17,7 +18,7 @@ from loader_rl.emulator import (
     run_emulated_episode,
 )
 from loader_rl.env import ApproachEnv, EnvConfig, Observation, Outcome
-from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode
+from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode, run_episodes
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
 from loader_rl.sim import BrakeModel, Controls
 from loader_rl.trace import BASE_COLUMNS
@@ -280,16 +281,26 @@ class TestEmulatedEnv:
             env.step(Controls(0, 1))
         assert env.step_count == 0
 
-    def test_state_is_read_but_not_assigned(self):
-        """``reset`` sets the sensor buffer, PID state and map-frame stop
-        point with the plant; an assigned state would leave them stale."""
-        env = EmulatedEnv(EmulationConfig(position_delay=0.0, control_interval=1))
-        env.reset(1, heading=0.0)
-        env.hold(Controls(0, 1), 1)
-        state, obs = env.state, env.obs
-        assert state.vehicle.heading == 0.0 and state.step_count == 1
-        turned = ApproachEnv()
-        turned.reset(1, heading=1.0)
-        with pytest.raises(TypeError, match="reset"):
-            env.state = turned.state
-        assert (snapshot(env.state, env.obs, None, 0.0) == snapshot(state, obs, None, 0.0))
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["play", "lanes"])
+    def test_an_episode_enters_the_kernel_once(self, monkeypatch, lanes):
+        """The PID runs once per hold and the sensor once per plant step,
+        inside one kernel entry per episode, played or as a lockstep lane."""
+        counts = {"kernel": 0, "pid": 0, "sense": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        emu = EmulationConfig(position_delay=0.5, control_interval=10)
+        envs = [EmulatedEnv(emu) for _ in range(lanes)]
+        monkeypatch.setattr(ApproachEnv, "_kernel", counted("kernel", ApproachEnv._kernel))
+        monkeypatch.setattr(emulator_module, "pid_throttle", counted("pid", pid_throttle))
+        monkeypatch.setattr(EmulatedEnv, "_sense", counted("sense", EmulatedEnv._sense))
+        run_episodes(envs, LatchedBrakePolicy(ORACLE), list(range(lanes)), decision_interval=10)
+        steps = [env.step_count for env in envs]
+        assert counts == {"kernel": lanes, "pid": sum(-(-n // 10) for n in steps),
+                          # reset senses the start position
+                          "sense": sum(steps) + lanes}
+

@@ -473,6 +473,22 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=f"^line 7: {re.escape(message)}"):
             read_trace_csv(io.StringIO("\n".join(lines)))
 
+    @pytest.mark.parametrize("key, lineno", [("initial_distance", 2), ("initial_lift", 3)])
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "expected a finite number, got 'nan'"),
+        ("1e999", "expected a finite number, got '1e999'"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_metadata_names_its_line(self, key, lineno, value, message):
+        _, trace = self._trace()
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert lines[lineno - 1].startswith(f"# {key}=")
+        lines[lineno - 1] = f"# {key}={value}\n"
+        with pytest.raises(ValueError, match=f"^line {lineno}: {re.escape(message)}$"):
+            read_trace_csv(io.StringIO("".join(lines)))
+
     def test_deterministic_bytes(self):
         _, trace = self._trace()
         a, b = io.StringIO(), io.StringIO()

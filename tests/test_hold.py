@@ -4,7 +4,9 @@ The hold advances the plant over plain floats; the functional
 ``env.step`` (over ``sim.step_vehicle`` and ``env.compute_reward``) is
 the readable reference. Folding it ``k`` times must give exactly the
 records, return and hold total that ``hold(action, k)`` gives, and the
-same errors at the same plant step. The hold spells each ``max(a, b)``
+same errors at the same plant step. The env's ``brake_model`` and its
+per-hold throttle hook stand for the reference's ``brake_model`` and
+``throttle_accel``. The hold spells each ``max(a, b)``
 of the reference as ``b if b > a else a`` and each ``min(a, b)`` as
 ``b if b < a else a``, so the property draws the clamps' bounds and
 ``-0.0``, where a comparison spelt the other way round gives other bits.
@@ -66,6 +68,28 @@ def assert_same_records(a, b) -> None:
             == snapshot(b.state, b.obs, b.breakdown, b.episode_reward))
 
 
+def set_episode(env, state) -> None:
+    """Write every episode attribute of ``env`` from ``state``, as a test's
+    way to set up an episode; the latest reward and the return stay as
+    they were. An infinite heading gives NaN sine and cosine, so the
+    hold's state check reports it, not ``math.sin``."""
+    v = state.vehicle
+    env.x, env.y, env.heading, env.speed = v.x, v.y, v.heading, v.speed
+    env.lift, env.elapsed, env.brake_pedal = v.lift, v.elapsed, v.brake_pedal
+    env.target_x, env.target_y = state.target_x, state.target_y
+    env.step_count, env.prev_distance, env.done = state.step_count, state.prev_distance, state.done
+    finite = math.isfinite(v.heading)
+    env.sin_heading = math.sin(v.heading) if finite else math.nan
+    env.cos_heading = math.cos(v.heading) if finite else math.nan
+
+
+def set_plant(env, brake_model, throttle_accel) -> None:
+    """Give ``env`` the plant of the functional step's ``brake_model`` and
+    ``throttle_accel``: a throttle hook that returns that value."""
+    env.brake_model = brake_model
+    env._throttle = None if throttle_accel is None else lambda speed, steps: throttle_accel
+
+
 def reference_hold(state, obs, breakdown, episode_reward, action, k, config, params, kwargs):
     """``hold`` as a fold of the functional step; also returns the
     snapshot after every plant step."""
@@ -113,13 +137,14 @@ def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_li
     oracle = OracleConfig(env=config, vehicle=params)
     kwargs = {"brake_model": brake_model, "throttle_accel": throttle_accel}
     env = ApproachEnv(config, params)
+    set_plant(env, brake_model, throttle_accel)
     env.reset(seed, heading=heading)
     if isinstance(start_lift, str):
         start_lift = getattr(config if start_lift == "lift_goal_frac" else params, start_lift)
     start = {"speed": start_speed, "lift": start_lift}
     start = {name: value for name, value in start.items() if value is not None}
-    env.state = dataclasses.replace(env.state,
-                                    vehicle=dataclasses.replace(env.state.vehicle, **start))
+    set_episode(env, dataclasses.replace(env.state,
+                                         vehicle=dataclasses.replace(env.state.vehicle, **start)))
     state, obs, breakdown, episode_reward = env.state, env.obs, None, 0.0
 
     # the plan repeats until the episode ends (at most 15 s of plant time)
@@ -132,14 +157,13 @@ def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_li
             def on_step(e, a):
                 assert e is env and a is action
                 seen.append(snapshot(e.state, e.obs, e.breakdown, e.episode_reward))
-        if (use_step and k == 1 and not callback and brake_model is BrakeModel.IDEAL
-                and throttle_accel is None):
-            # ApproachEnv.step is the one-step hold of the default plant
+        if use_step and k == 1 and not callback:
+            # ApproachEnv.step is the one-step hold of the env's plant
             obs_, breakdown_, done_ = env.step(action)
             assert (obs_, breakdown_, done_) == (env.obs, env.breakdown, env.state.done)
             total = breakdown_.total
         else:
-            total = env.hold(action, k, on_step, **kwargs)
+            total = env.hold(action, k, on_step)
         state, obs, breakdown, episode_reward, want_total, after_each = reference_hold(
             state, obs, breakdown, episode_reward, action, k, config, params, kwargs)
         assert bits(total) == bits(want_total)
@@ -149,20 +173,20 @@ def test_hold_equals_folded_functional_step(seed, heading, start_speed, start_li
             where = "mid-hold" if len(after_each) < k else "at hold end"
             event(f"{breakdown.outcome.value}, {where}")
             with pytest.raises(RuntimeError, match="finished episode"):
-                env.hold(action, k, on_step, **kwargs)
+                env.hold(action, k, on_step)
             break
 
 
 def _corrupt_vehicle(**fields):
     def corrupt(env):
-        env.state = dataclasses.replace(
-            env.state, vehicle=dataclasses.replace(env.state.vehicle, **fields))
+        set_episode(env, dataclasses.replace(
+            env.state, vehicle=dataclasses.replace(env.state.vehicle, **fields)))
     return corrupt
 
 
 def _corrupt_env(**fields):
     def corrupt(env):
-        env.state = dataclasses.replace(env.state, **fields)
+        set_episode(env, dataclasses.replace(env.state, **fields))
     return corrupt
 
 
@@ -195,8 +219,9 @@ def test_hold_raises_what_the_functional_step_raises(case, corrupt, kwargs, brak
     records = (env.obs, env.breakdown, env.episode_reward)
     with pytest.raises(Exception) as want:
         step(before, Controls(brake, 1), env.config, env.params, **kwargs)
+    set_plant(env, BrakeModel.IDEAL, kwargs.get("throttle_accel"))
     with pytest.raises(type(want.value)) as got:
-        env.hold(Controls(brake, 1), k, **kwargs)
+        env.hold(Controls(brake, 1), k)
     assert str(got.value) == str(want.value)
     # the failing step was the hold's first, so the episode is untouched
     assert (snapshot(env.state, env.obs, env.breakdown, env.episode_reward)
@@ -232,9 +257,10 @@ def test_the_entry_check_raises_where_the_functional_step_does(case, setup, fiel
     kwargs = {"brake_model": setup.get("brake_model", BrakeModel.IDEAL), "throttle_accel": None}
     action = Controls(brake, 1)
     env = ApproachEnv(config, params)
+    set_plant(env, kwargs["brake_model"], None)
     env.reset(5, heading=math.pi / 4)
-    env.state = dataclasses.replace(env.state,
-                                    vehicle=dataclasses.replace(env.state.vehicle, **fields))
+    set_episode(env, dataclasses.replace(env.state,
+                                         vehicle=dataclasses.replace(env.state.vehicle, **fields)))
     want = (env.state, env.obs, None, 0.0)
     want_error = None
     for _ in range(10**6 if play else 10):
@@ -248,12 +274,94 @@ def test_the_entry_check_raises_where_the_functional_step_does(case, setup, fiel
     # the overflows mid-hold raise at plant step 2; an overflowing sum raises nowhere
     assert (want_error is not None) == case.endswith("mid-hold")
     try:
-        env.hold(action, 10, **kwargs, decide=(lambda obs: action) if play else None)
+        env.hold(action, 10, decide=(lambda obs: action) if play else None)
         got_error = None
     except ValueError as e:
         got_error = str(e)
     assert got_error == want_error
     assert snapshot(env.state, env.obs, env.breakdown, env.episode_reward) == snapshot(*want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    brake_model=st.sampled_from(list(BrakeModel)),
+    throttles=st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0])),
+                       min_size=1, max_size=8),
+    # a NaN throttle is rejected by the hold it would drive, as by the functional step
+    nan_at=st.one_of(st.none(), st.integers(0, 7)),
+    k=st.integers(1, 12),
+    lane=st.booleans(),
+    callback=st.booleans(),
+)
+def test_a_throttle_hook_drives_every_hold_of_play_and_a_lane(seed, brake_model, throttles,
+                                                              nan_at, k, lane, callback):
+    """The hook runs once per hold, on the speed at the hold's start; each
+    hold is the folded functional step under the throttle it returned."""
+    if nan_at is not None and nan_at < len(throttles):
+        throttles[nan_at] = math.nan
+    config, params = EnvConfig(), VehicleParams()
+    oracle = OracleConfig(env=config, vehicle=params)
+    drawn = itertools.cycle(throttles)
+    asked = []
+
+    def throttle(speed, steps):
+        asked.append((bits(speed), steps))
+        return next(drawn)
+
+    env = ApproachEnv(config, params)
+    env.brake_model, env._throttle = brake_model, throttle
+    env.reset(seed)
+    seen = []
+    on_step = (lambda e, a: seen.append(snapshot(e.state, e.obs, e.breakdown, e.episode_reward))
+               if callback else None)
+    decided = []
+
+    def decide(obs):
+        decided.append(record_bits(obs))
+        return oracle.rule(obs)
+
+    # the reference: a fold of the functional step per hold, each hold
+    # under the next drawn throttle
+    want = (env.state, env.obs, None, 0.0)
+    want_asked, want_decided, want_seen, want_error = [], [], [], None
+    reference = itertools.cycle(throttles)
+    while True:
+        want_decided.append(record_bits(want[1]))
+        action = oracle.rule(want[1])
+        want_asked.append((bits(want[0].vehicle.speed), k))
+        kwargs = {"brake_model": brake_model, "throttle_accel": next(reference)}
+        try:
+            *want, _, after_each = reference_hold(*want, action, k, config, params, kwargs)
+        except ValueError as e:
+            want_error = str(e)
+            break
+        want_seen.extend(after_each)
+        if want[0].done:
+            break
+
+    got_error = None
+    try:
+        first = decide(env.obs)
+        if lane:
+            kernel = env.hold(first, k, on_step, lane=True)
+            try:
+                obs = next(kernel)
+                while True:
+                    obs = kernel.send(decide(obs))
+            except StopIteration:
+                pass
+            finally:
+                kernel.close()
+        else:
+            env.hold(first, k, on_step, decide=decide)
+    except ValueError as e:
+        got_error = str(e)
+    assert got_error == want_error
+    assert asked == want_asked and decided == want_decided
+    assert seen == (want_seen if callback else [])
+    assert snapshot(env.state, env.obs, env.breakdown, env.episode_reward) == snapshot(*want)
+    event("raises" if want_error else want[2].outcome.value)
 
 
 def test_callback_error_leaves_the_steps_taken():
@@ -271,16 +379,24 @@ def test_callback_error_leaves_the_steps_taken():
     assert_same_records(env, ref)
 
 
-def test_state_is_frozen_and_assigning_it_sets_the_episode():
-    env = ApproachEnv()
+@pytest.mark.parametrize("make", [
+    ApproachEnv,
+    lambda: emulator_module.EmulatedEnv(emulator_module.EmulationConfig(control_interval=1)),
+], ids=["ApproachEnv", "EmulatedEnv"])
+def test_state_is_frozen_and_read_only(make):
+    """``reset`` alone sets up an episode (on ``EmulatedEnv`` the sensor
+    buffer, PID state and map-frame stop point too), so ``state`` is read
+    but never assigned."""
+    env = make()
     env.reset(5)
-    env.hold(Controls(0, 1), 3)
+    env.hold(Controls(0, 1), 1)
+    before = snapshot(env.state, env.obs, env.breakdown, env.episode_reward)
     with pytest.raises(dataclasses.FrozenInstanceError):
         env.state.vehicle = dataclasses.replace(env.state.vehicle, speed=0.0)
     moved = dataclasses.replace(env.state, vehicle=dataclasses.replace(env.state.vehicle, x=0.5))
-    env.state = moved
-    assert env_bits(env.state) == env_bits(moved) and env.x == 0.5
-    assert env.obs.rel_x == abs(env.state.target_x - 0.5)
+    with pytest.raises(AttributeError, match="'state'"):
+        env.state = moved
+    assert snapshot(env.state, env.obs, env.breakdown, env.episode_reward) == before
 
 
 class Counted:

@@ -1,4 +1,4 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package, its tests or its demos imports a name it never uses.
 
 Each module is parsed with ``ast``. An imported name counts as used when
 it is read anywhere in the module, including annotations and the base of
@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for folder in ("src/loader_rl", "tests") for p in (ROOT / folder).glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for folder in ("src/loader_rl", "tests", "demos")
+                 for p in (ROOT / folder).glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
