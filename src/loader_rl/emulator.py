@@ -119,7 +119,7 @@ class EmulatedEnv(ApproachEnv):
     (``run_emulated_episode`` does); any other length raises ValueError,
     so ``step`` needs ``emu.control_interval`` 1. ``run_episodes``,
     ``evaluate_policy`` and ``train`` take this env unchanged, with one
-    kernel entry per played episode or lane. The episode's map-frame stop
+    kernel entry, a lane, per episode. The episode's map-frame stop
     point, sensor buffer, PID state and command are all set by ``reset``,
     never shared between evaluation lanes (shallow copies of one env).
     """
@@ -147,7 +147,7 @@ class EmulatedEnv(ApproachEnv):
         return self.obs
 
     def hold(self, action: Controls, steps: int, on_step: Optional[Callable] = None, *,
-             decide: Optional[Callable[[Observation], Controls]] = None, lane: bool = False):
+             lane: bool = False):
         """:meth:`ApproachEnv.hold` at the emulated control rate, sensing the
         position after every plant step, before ``on_step``."""
         if steps != self.emu.control_interval:
@@ -159,7 +159,7 @@ class EmulatedEnv(ApproachEnv):
             on_step(env, action)
 
         return super().hold(action, steps, self._sense if on_step is None else sense_then_step,
-                            decide=decide, lane=lane)
+                            lane=lane)
 
     def _throttle(self, speed: float, steps: int) -> float:
         """The throttle of the next hold: the PID runs once per hold, on

@@ -299,8 +299,8 @@ class ApproachEnv:
     :class:`VehicleState` are frozen dataclasses.
 
     :meth:`hold` is the one entry to the plant's kernel: :meth:`step` is a
-    hold of one step, :meth:`play` a hold with ``decide`` and a lockstep
-    lane a hold with ``lane=True``. A subclass changes the plant through
+    hold of one step, and each episode of ``run_episodes`` a lane, a hold
+    with ``lane=True``. A subclass changes the plant through
     ``brake_model`` and the hook ``_throttle(speed, steps)``, which the
     kernel calls at the start of each hold for the functional step's
     ``throttle_accel``; a sensor is an ``on_step`` its ``hold`` chains in.
@@ -394,24 +394,6 @@ class ApproachEnv:
         self.hold(action, 1)
         return self.obs, self.breakdown, self.done
 
-    def play(self, decide: Callable[[Observation], Controls], interval: int,
-             on_step: Optional[Callable] = None) -> None:
-        """Play the episode to its end, deciding every ``interval`` plant steps.
-
-        Gives the bits of ``while not env.done: env.hold(decide(env.obs),
-        interval, on_step)``, with the same ``on_step`` calls, in one call
-        of this env's :meth:`hold` with ``decide``, called inline. Without
-        ``on_step`` the plant's kernel keeps the episode in its locals
-        between decisions, and ``decide`` gets the :class:`Observation` built
-        from them, so it must not read the env. The steps taken stand when
-        ``decide`` or a check raises. A finished episode is left as it is; before the first reset
-        this raises as :meth:`hold` does.
-        """
-        if self.done is None:
-            raise RuntimeError("call reset before step")
-        if not self.done:
-            self.hold(decide(self.obs), interval, on_step, decide=decide)
-
     def trace_extra(self) -> tuple:
         """Values of :attr:`extra_columns` after the latest plant step."""
         return ()
@@ -422,7 +404,6 @@ class ApproachEnv:
         steps: int,
         on_step: Optional[Callable] = None,
         *,
-        decide: Optional[Callable[[Observation], Controls]] = None,
         lane: bool = False,
     ):
         """Zero-order hold: apply ``action`` for up to ``steps`` plant steps.
@@ -443,26 +424,25 @@ class ApproachEnv:
         hold builds no record, and its ``reward_terms`` tuple only at
         write-back; the records are built when read.
 
-        The kernel is a generator. A plain hold runs its loop once. With
-        ``decide``, the hold goes on until the episode ends: after each
-        ``steps`` plant steps it calls ``decide`` on the :class:`Observation`
-        of its locals (the env's ``obs`` when ``on_step`` is given) and
-        holds the returned action; that is :meth:`play`. With ``lane=True``
-        instead, the hold returns the kernel unstarted, a lockstep lane: it
-        yields that :class:`Observation` and holds the action sent to it,
-        until it returns at the episode's end. While it is suspended the
-        env's attributes are stale; closing it writes them back. A
-        subclass's ``hold`` takes ``decide`` and ``lane`` alike.
+        The kernel is a generator with two modes. A plain hold runs its
+        loop once. With ``lane=True`` the hold returns the kernel
+        unstarted, a lane that plays the episode to its end: after each
+        ``steps`` plant steps it yields the :class:`Observation` of its
+        locals (the env's ``obs`` when ``on_step`` is given) and holds the
+        action sent to it, until it returns at the episode's end. While it
+        is suspended the env's attributes are stale; closing it writes
+        them back. A subclass's ``hold`` takes ``lane`` and returns the
+        lane as it gets it.
         """
-        kernel = self._kernel(action, steps, on_step, decide, lane)
+        kernel = self._kernel(action, steps, on_step, lane)
         if lane:
             return kernel
         for total in kernel:
             pass
         return total
 
-    def _kernel(self, action, steps, on_step, decide, lane):
-        # a plain hold and play yield only their total, after the write-back
+    def _kernel(self, action, steps, on_step, lane):
+        # a plain hold yields only its total, after the write-back
         if steps < 1:
             raise ValueError(f"a hold needs at least one plant step, got {steps}")
         if self.done is None:
@@ -558,11 +538,10 @@ class ApproachEnv:
                     if ending is not None:
                         break
                 # one decision per pass; a plain hold makes none
-                if ending is not None or (decide is None and not lane):
+                if ending is not None or not lane:
                     break
-                obs = (observation((abs(tx - x), abs(ty - y), speed, lift)) if on_step is None
-                       else self.obs)
-                action = decide(obs) if decide is not None else (yield obs)
+                action = yield (observation((abs(tx - x), abs(ty - y), speed, lift))
+                                if on_step is None else self.obs)
                 brake, lift_up = action.brake, action.lift_up
                 if throttle is not None:
                     throttle_accel = throttle(speed, steps)

@@ -94,12 +94,12 @@ def run_episodes(
 
     Env ``i`` is reset with ``seeds[i]`` (and ``headings[i]``). Each
     decision is held for ``decision_interval`` plant steps, the
-    training-time control rate. A policy with a ``batch`` method decides
-    all running episodes in one call per round while more than one runs,
-    so ``batch`` must return what deciding them one by one returns; each
-    episode is then one suspended hold of its env (a lane), and the last
-    running one goes on with its decisions made one by one. Otherwise each
-    episode plays to its end in one :meth:`~loader_rl.env.ApproachEnv.play` call.
+    training-time control rate. Each episode is one lane, a suspended
+    hold of its env (``hold(..., lane=True)``), driven by
+    :func:`_lockstep`. A policy with a ``batch`` method decides all
+    running episodes in one call per round while more than one runs, so
+    ``batch`` must return what deciding them one by one returns; the
+    other episodes go on one after another, on decisions made one by one.
     A policy with a ``reset`` method gets a reset copy per episode. The
     envs are distinct objects and the episodes independent, so each gives
     what it gives when run alone. The trace carries the env's extra
@@ -110,7 +110,6 @@ def run_episodes(
     if len(set(map(id, envs))) != n or len(seeds) != n or len(headings) != n:
         raise ValueError(f"need {n} distinct envs and a seed and a heading for each")
     has_reset = hasattr(decide, "reset")
-    batch = getattr(decide, "batch", None)
     lanes, traces = [], []
     for i, env in enumerate(envs):
         lane_decide = decide
@@ -126,11 +125,7 @@ def run_episodes(
             on_step = trace.add_env_step
         traces.append(trace)
         lanes.append((env, lane_decide, on_step))
-    if batch is not None and n > 1:
-        _lockstep(lanes, batch, decision_interval)
-    else:
-        for env, lane_decide, on_step in lanes:
-            env.play(lane_decide, decision_interval, on_step)
+    _lockstep(lanes, getattr(decide, "batch", None) if n > 1 else None, decision_interval)
     # the final distance is the prev_distance the last step set
     return [(EpisodeResult(env.episode_reward, env.step_count, env.breakdown.outcome,
                            env.prev_distance, env.heading), trace)
@@ -138,23 +133,31 @@ def run_episodes(
 
 
 def _lockstep(lanes, batch, interval: int) -> None:
-    """Run each lane as its env's suspended hold (``lane=True``), with one
-    ``batch`` call per round while more than one runs and the last one's
-    decisions made one by one. On any raise every suspended lane is closed,
-    which writes its episode back, so each env keeps the steps it took."""
+    """Run each ``(env, decide, on_step)`` lane to its episode's end as its
+    env's suspended hold (``lane=True``). Every lane gets its first action
+    before any steps, from one ``batch`` call or, when ``batch`` is None,
+    from its own ``decide``. While ``batch`` is given and more than one
+    lane runs, each round steps every running lane and decides their next
+    actions in one ``batch`` call; the lanes left then run one after
+    another on their own ``decide``. Actions meet lanes through a strict
+    ``zip``, so a ``batch`` that returns another number of actions raises
+    ValueError. On any raise every lane is closed, which writes its
+    episode back, so each env keeps the steps it took."""
     kernels = []
     try:
-        actions = batch([env.obs for env, _, _ in lanes])
-        for (env, _, on_step), action in zip(lanes, actions):
+        observations = [env.obs for env, _, _ in lanes]
+        actions = (batch(observations) if batch is not None
+                   else [decide(obs) for (_, decide, _), obs in zip(lanes, observations)])
+        for (env, _, on_step), action in zip(lanes, actions, strict=True):
             kernel = env.hold(action, interval, on_step, lane=True)
             if not isinstance(kernel, Generator):
                 raise TypeError(f"{type(env).__name__}.hold(lane=True) returned {kernel!r}")
             kernels.append(kernel)
         running = [(kernel.send, lane[1]) for kernel, lane in zip(kernels, lanes)]
         actions = [None] * len(running)  # a kernel starts on the action it was given
-        while running:
+        while batch is not None and len(running) > 1:
             live, observations = [], []
-            for lane, action in zip(running, actions):
+            for lane, action in zip(running, actions, strict=True):
                 try:
                     observations.append(lane[0](action))
                     live.append(lane)
@@ -163,6 +166,12 @@ def _lockstep(lanes, batch, interval: int) -> None:
             running = live
             actions = (batch(observations) if len(running) > 1
                        else [decide(obs) for (_, decide), obs in zip(running, observations)])
+        for (send, decide), action in zip(running, actions):
+            try:
+                while True:
+                    action = decide(send(action))
+            except StopIteration:
+                pass
     finally:
         for kernel in kernels:
             kernel.close()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from .checkpoint import write_atomic
 from .env import Outcome
@@ -36,22 +36,15 @@ _INT_COLUMNS = {"step", "brake_action", "lift_action"}
 
 class EpisodeTrace:
     """One row per plant step, kept as a tuple of values aligned with
-    ``columns``. ``rows`` gives them as dicts, built when read; rows
-    passed as dicts to the constructor must have every column."""
+    ``columns``; ``rows`` gives them as dicts, built when read."""
 
-    def __init__(self, columns: Optional[list[str]] = None, rows: Iterable[dict] = (),
-                 initial_distance: float = 0.0, initial_lift: float = 0.0,
-                 config_digest: str = ""):
+    def __init__(self, columns: Optional[list[str]] = None, initial_distance: float = 0.0,
+                 initial_lift: float = 0.0, config_digest: str = ""):
         self.columns = list(BASE_COLUMNS) if columns is None else columns
         self.initial_distance = initial_distance
         self.initial_lift = initial_lift
         self.config_digest = config_digest
         self.values: list[tuple] = []
-        for row in rows:
-            missing = [c for c in self.columns if c not in row]
-            if missing:
-                raise ValueError(f"trace row missing columns: {missing}")
-            self.values.append(tuple(row[c] for c in self.columns))
 
     def add_step(self, values: tuple) -> None:
         """Append one row: a tuple with one value per column."""

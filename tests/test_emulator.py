@@ -22,7 +22,7 @@ from loader_rl.evaluate import evaluate_policy, greedy_policy_fn, run_episode, r
 from loader_rl.oracle import LatchedBrakePolicy, OracleConfig
 from loader_rl.sim import BrakeModel, Controls
 from loader_rl.trace import BASE_COLUMNS
-from tests.test_hold import bits, snapshot
+from tests.test_hold import bits, play_lane, snapshot
 
 ORACLE = OracleConfig()
 
@@ -242,11 +242,11 @@ class TestEmulatedEnv:
             env.hold(Controls(0, 1), 10)
         assert not hasattr(env, "command") and not hasattr(env, "_pid")
         env.reset(3)
-        env.play(scripted, 10)
+        play_lane(env, scripted, 10)
         command, pid = env.command, env._pid
-        for decide in (None, scripted):
+        for hold in (lambda: env.hold(Controls(1, 1), 10), lambda: play_lane(env, scripted, 10)):
             with pytest.raises(RuntimeError, match="^cannot step a finished episode"):
-                env.hold(Controls(1, 1), 10, decide=decide)
+                hold()
             assert bits(env.command) == bits(command) and env._pid is pid
 
     def test_step_is_the_one_step_hold(self):
@@ -284,7 +284,7 @@ class TestEmulatedEnv:
     @pytest.mark.parametrize("lanes", [1, 3], ids=["play", "lanes"])
     def test_an_episode_enters_the_kernel_once(self, monkeypatch, lanes):
         """The PID runs once per hold and the sensor once per plant step,
-        inside one kernel entry per episode, played or as a lockstep lane."""
+        inside one kernel entry per episode, alone or among lockstep lanes."""
         counts = {"kernel": 0, "pid": 0, "sense": 0}
 
         def counted(name, fn):

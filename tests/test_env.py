@@ -27,7 +27,7 @@ from loader_rl.env import (
     target_from_heading,
 )
 from loader_rl.sim import BrakeModel, Controls, VehicleParams, VehicleState
-from loader_rl.trace import EpisodeTrace, read_trace_csv, write_trace_csv
+from loader_rl.trace import read_trace_csv, write_trace_csv
 from tests.test_hold import record_bits
 
 CFG = EnvConfig()
@@ -401,11 +401,8 @@ class TestTraceCsv:
         _, trace = self._trace()
         with pytest.raises(ValueError, match="has 14 values for 15 columns"):
             trace.add_step(trace.values[-1][:-1])
-        with pytest.raises(ValueError, match=r"missing columns: \['outcome'\]"):
-            row = trace.rows[0]
-            del row["outcome"]
-            EpisodeTrace(columns=trace.columns, rows=[row])
-        assert EpisodeTrace(columns=trace.columns, rows=trace.rows).values == trace.values
+        assert [tuple(row.values()) for row in trace.rows] == trace.values
+        assert all(list(row) == trace.columns for row in trace.rows)
 
     def test_round_trip(self, tmp_path):
         from loader_rl.emulator import EmulationConfig, run_emulated_episode

@@ -11,6 +11,7 @@ must equal the reference's bits. The greedy policies' batched decision
 import gc
 import inspect
 import math
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -196,40 +197,109 @@ def suspended_kernels() -> list:
             and inspect.getgeneratorstate(g) == inspect.GEN_SUSPENDED]
 
 
+class FailingLatched(LatchedBrakePolicy):
+    """The latched policy, whose copies (one per lane) share one count of
+    calls and raise on call ``fail_on``."""
+
+    def __init__(self, fail_on):
+        super().__init__(ORACLE)
+        self.calls, self.fail_on = [], fail_on
+
+    def __call__(self, obs):
+        self.calls.append(obs)
+        if len(self.calls) == self.fail_on:
+            raise FloatingPointError(f"call {self.fail_on}")
+        return super().__call__(obs)
+
+
+def decisions_to_end(make_env, decide, seed) -> int:
+    env = make_env()
+    env.reset(seed)
+    n = 0
+    while not env.done:
+        env.hold(decide(env.obs), 10)
+        n += 1
+    return n
+
+
 @pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("env_kind", ["plain", "emulated"])
-def test_a_raise_inside_lockstep_leaves_every_lane_consistent(env_kind, trace):
+@pytest.mark.parametrize("env_kind, batched", [("plain", True), ("emulated", True),
+                                               ("plain", False), ("emulated", False)],
+                         ids=["plain", "emulated", "plain-unbatched", "emulated-unbatched"])
+def test_a_raise_inside_lockstep_leaves_every_lane_consistent(env_kind, batched, trace):
     """``batch`` raises in round 3 of five lanes: each env holds exactly the
     two holds it took, as a hold-by-hold run stopped there does, and no
-    lane is left suspended."""
+    lane is left suspended. Without ``batch``, every lane gets its first
+    decision and the lanes then run one after another: a policy that
+    raises in the third lane's fourth decision leaves the first two lanes
+    played to their end, the third at its three holds and the last two
+    reset but unstepped, as the hold-by-hold runs give."""
+    greedy = greedy_policy_fn(load_checkpoint(GOLDEN).params)
+    make_env = ApproachEnv if env_kind == "plain" else lambda: EmulatedEnv(EmulationConfig())
+    seeds = [0, 1, 2, 3, 4]
+    rounds = []
+    if batched:
+        def batch(observations):
+            rounds.append(len(observations))
+            if len(rounds) == 3:
+                raise FloatingPointError("round 3")
+            return greedy.batch(observations)
+
+        def decide(obs):
+            return greedy(obs)
+
+        decide.batch = batch
+        message, holds, fresh = "round 3", [2] * 5, lambda: greedy
+    else:
+        fresh = partial(LatchedBrakePolicy, ORACLE)
+        full = [decisions_to_end(make_env, fresh(), seed) for seed in seeds[:3]]
+        assert full[2] > 4
+        # the five first decisions, the later ones of lanes 1 and 2, two more of lane 3
+        fail_on = len(seeds) + (full[0] - 1) + (full[1] - 1) + 3
+        decide, message, holds = FailingLatched(fail_on), f"call {fail_on}", full[:2] + [3, 0, 0]
+    envs = [make_env() for _ in seeds]
+    # the traceback in ``raised`` keeps the driver's locals, any lane included, alive
+    with pytest.raises(FloatingPointError, match=message) as raised:
+        run_episodes(envs, decide, seeds, collect_trace=trace, decision_interval=10)
+    assert raised.value.__traceback__ is not None and suspended_kernels() == []
+    assert rounds == ([5, 5, 5] if batched else [])
+    for env, seed, n in zip(envs, seeds, holds):
+        ref, policy = make_env(), fresh()
+        ref.reset(seed)
+        for _ in range(n):
+            ref.hold(policy(ref.obs), 10)
+        assert env.step_count == ref.step_count and (n == 0) == (env.step_count == 0)
+        assert_same_records(env, ref)
+    assert [env.done for env in envs] == ([False] * 5 if batched
+                                          else [True, True, False, False, False])
+
+
+@pytest.mark.parametrize("round_, change", [(1, -1), (3, -1), (3, 1)],
+                         ids=["first-short", "third-short", "third-long"])
+def test_a_batch_of_the_wrong_length_raises(round_, change):
+    """Actions meet lanes through a strict ``zip``, so a ``batch`` that
+    drops or adds an action raises ValueError. Zipped loosely, a short
+    first round raised AttributeError from the lane it dropped, a short
+    later round reported that lane as a Running episode, and a long round
+    passed."""
     greedy = greedy_policy_fn(load_checkpoint(GOLDEN).params)
     rounds = []
 
     def batch(observations):
         rounds.append(len(observations))
-        if len(rounds) == 3:
-            raise FloatingPointError("round 3")
-        return greedy.batch(observations)
+        actions = greedy.batch(observations)
+        if len(rounds) == round_:
+            actions = actions[:change] if change < 0 else actions + actions[:change]
+        return actions
 
     def decide(obs):
         return greedy(obs)
 
     decide.batch = batch
-    make_env = ApproachEnv if env_kind == "plain" else lambda: EmulatedEnv(EmulationConfig())
-    seeds = [0, 1, 2, 3, 4]
-    envs = [make_env() for _ in seeds]
-    # the traceback in ``raised`` keeps the driver's locals, any lane included, alive
-    with pytest.raises(FloatingPointError, match="round 3") as raised:
-        run_episodes(envs, decide, seeds, collect_trace=trace, decision_interval=10)
-    assert raised.value.__traceback__ is not None and suspended_kernels() == []
-    assert rounds == [5, 5, 5]
-    for env, seed in zip(envs, seeds):
-        ref = make_env()
-        ref.reset(seed)
-        for _ in range(2):
-            ref.hold(greedy(ref.obs), 10)
-        assert env.step_count == 20
-        assert_same_records(env, ref)
+    envs = [ApproachEnv() for _ in range(4)]
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than"):
+        run_episodes(envs, decide, [0, 1, 2, 3], decision_interval=10)
+    assert rounds == [4] * round_ and suspended_kernels() == []
 
 
 def test_lanes_must_be_distinct_and_seeded():

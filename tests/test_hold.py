@@ -90,6 +90,21 @@ def set_plant(env, brake_model, throttle_accel) -> None:
     env._throttle = None if throttle_accel is None else lambda speed, steps: throttle_accel
 
 
+def play_lane(env, decide, k, on_step=None) -> None:
+    """Play ``env``'s episode to its end as one lane, as ``run_episodes``
+    does: ``hold(decide(env.obs), k, on_step, lane=True)``, each later
+    decision sent in, the lane closed however it ends."""
+    kernel = env.hold(decide(env.obs), k, on_step, lane=True)
+    action = None  # a lane starts on the action it was given
+    try:
+        while True:
+            action = decide(kernel.send(action))
+    except StopIteration:
+        pass
+    finally:
+        kernel.close()
+
+
 def reference_hold(state, obs, breakdown, episode_reward, action, k, config, params, kwargs):
     """``hold`` as a fold of the functional step; also returns the
     snapshot after every plant step."""
@@ -274,7 +289,10 @@ def test_the_entry_check_raises_where_the_functional_step_does(case, setup, fiel
     # the overflows mid-hold raise at plant step 2; an overflowing sum raises nowhere
     assert (want_error is not None) == case.endswith("mid-hold")
     try:
-        env.hold(action, 10, decide=(lambda obs: action) if play else None)
+        if play:
+            play_lane(env, lambda obs: action, 10)
+        else:
+            env.hold(action, 10)
         got_error = None
     except ValueError as e:
         got_error = str(e)
@@ -291,13 +309,13 @@ def test_the_entry_check_raises_where_the_functional_step_does(case, setup, fiel
     # a NaN throttle is rejected by the hold it would drive, as by the functional step
     nan_at=st.one_of(st.none(), st.integers(0, 7)),
     k=st.integers(1, 12),
-    lane=st.booleans(),
     callback=st.booleans(),
 )
 def test_a_throttle_hook_drives_every_hold_of_play_and_a_lane(seed, brake_model, throttles,
-                                                              nan_at, k, lane, callback):
-    """The hook runs once per hold, on the speed at the hold's start; each
-    hold is the folded functional step under the throttle it returned."""
+                                                              nan_at, k, callback):
+    """The hook runs once per hold of a lane that plays the episode, on the
+    speed at the hold's start; each hold is the folded functional step
+    under the throttle it returned."""
     if nan_at is not None and nan_at < len(throttles):
         throttles[nan_at] = math.nan
     config, params = EnvConfig(), VehicleParams()
@@ -342,19 +360,7 @@ def test_a_throttle_hook_drives_every_hold_of_play_and_a_lane(seed, brake_model,
 
     got_error = None
     try:
-        first = decide(env.obs)
-        if lane:
-            kernel = env.hold(first, k, on_step, lane=True)
-            try:
-                obs = next(kernel)
-                while True:
-                    obs = kernel.send(decide(obs))
-            except StopIteration:
-                pass
-            finally:
-                kernel.close()
-        else:
-            env.hold(first, k, on_step, decide=decide)
+        play_lane(env, decide, k, on_step)
     except ValueError as e:
         got_error = str(e)
     assert got_error == want_error

@@ -89,6 +89,15 @@ def collect_trace(env, decide, seed):
     return trace
 
 
+def with_values(trace, values):
+    """A copy of ``trace`` whose rows are ``values``, added one by one."""
+    out = EpisodeTrace(columns=trace.columns, initial_distance=trace.initial_distance,
+                       initial_lift=trace.initial_lift)
+    for row in values:
+        out.add_step(row)
+    return out
+
+
 class TestRewardOracle:
     def test_matches_environment_on_1000_random_episodes(self):
         # a shrunken task (tight range/time caps) keeps episodes to a few
@@ -123,10 +132,7 @@ class TestRewardOracle:
         assert trace.rows[-1]["reward_total"] == -1.0
         # the oracle reproduces the -1 from raw columns alone
         partial = reward_oracle(trace, env.config)
-        trace_no_last = EpisodeTrace(
-            columns=trace.columns, rows=trace.rows[:-1],
-            initial_distance=trace.initial_distance, initial_lift=trace.initial_lift,
-        )
+        trace_no_last = with_values(trace, trace.values[:-1])
         assert partial - reward_oracle(trace_no_last, env.config) == pytest.approx(-1.0, abs=1e-12)
 
     def test_successful_episode_closed_form(self):
@@ -151,7 +157,8 @@ class TestRewardOracle:
     def test_rejects_malformed_traces(self):
         with pytest.raises(ValueError):
             reward_oracle(EpisodeTrace(), EnvConfig())
-        bad = EpisodeTrace(columns=["step", "t"], rows=[{"step": 1, "t": 0.02}])
+        bad = EpisodeTrace(columns=["step", "t"])
+        bad.add_step((1, 0.02))
         with pytest.raises(ValueError):
             reward_oracle(bad, EnvConfig())
 
@@ -164,10 +171,9 @@ class TestRewardOracle:
         # a NaN position once summed to a finite total, and a huge offset
         # raised OverflowError
         trace = collect_trace(ApproachEnv(), ORACLE.rule, 5)
-        rows = trace.rows
-        rows[2][column] = value
-        bad = EpisodeTrace(columns=trace.columns, rows=rows,
-                           initial_distance=trace.initial_distance, initial_lift=trace.initial_lift)
+        row = list(trace.values[2])
+        row[trace.columns.index(column)] = value
+        bad = with_values(trace, trace.values[:2] + [tuple(row)] + trace.values[3:])
         with pytest.raises(ValueError, match=message):
             reward_oracle(bad, EnvConfig())
 

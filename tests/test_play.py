@@ -1,13 +1,15 @@
-"""``ApproachEnv.play`` against the decision loop it stands for, bit for bit.
+"""A played episode, one lane of the env's hold kernel, against the
+decision loop it stands for, bit for bit.
 
 The reference is ``while not env.done: env.hold(decide(env.obs), k,
-on_step)``. ``play(decide, k, on_step)`` runs the same episode inside one
-call of the hold kernel, so it must give the same episode records, the
-same observations to ``decide``, the same ``on_step`` calls and trace
-rows, and, when ``decide`` raises, the same exception with the steps
-taken standing. Evaluation plays a scripted episode in one ``hold`` call,
-not one per decision, and a batched eval decides its last running lane
-alone.
+on_step)``. A lane (``hold(..., lane=True)``), driven to its end by
+``run_episode`` or by the tests' ``play_lane``, runs the same episode
+inside one call of the hold kernel, so it must give the same episode
+records, the same observations to ``decide``, the same ``on_step`` calls
+and trace rows, and, when ``decide`` raises, the same exception with the
+steps taken standing. Evaluation plays a scripted episode in one ``hold``
+call, not one per decision, and a batched eval decides its last running
+lane alone.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from loader_rl.sim import CONTROLS
 from loader_rl.trace import BASE_COLUMNS, EpisodeTrace
 from tests.test_checkpoint import GOLDEN
 from tests.test_evaluate import PulsedBrakePolicy, assert_same_episodes, reference, trace_bits
-from tests.test_hold import built, record_bits, snapshot  # noqa: F401 (a fixture)
+from tests.test_hold import built, play_lane, record_bits, snapshot  # noqa: F401 (a fixture)
 
 ORACLE = OracleConfig()
 GREEDY = greedy_policy_fn(load_checkpoint(GOLDEN).params)
@@ -120,9 +122,17 @@ def test_play_equals_the_decision_loop(seed, heading, interval, policy, trace,
     want = raised(loop)
     env, rows = start(config, seed, heading, trace)
     decide = Recorded(make_policy(policy), fail_on)
-    assert raised(lambda: env.play(decide, interval, on_step(rows))) == want
+    assert raised(lambda: play_lane(env, decide, interval, on_step(rows))) == want
     assert decide.seen == ref_decide.seen
     assert episode_bits(env, rows) == episode_bits(ref, ref_rows)
+    # run_episode resets the env and plays the same lane; a raise loses its trace
+    env, decide, traces = ApproachEnv(config), Recorded(make_policy(policy), fail_on), []
+    assert raised(lambda: traces.append(run_episode(
+        env, decide, seed, heading=heading, collect_trace=trace,
+        decision_interval=interval)[1])) == want
+    assert decide.seen == ref_decide.seen
+    rows = traces[0] if traces else None
+    assert episode_bits(env, rows) == episode_bits(ref, None if rows is None else ref_rows)
 
 
 @pytest.mark.parametrize("policy", ["scripted", "greedy"])
@@ -142,44 +152,17 @@ def test_play_hands_decide_one_observation_per_decision(built, emulated, policy)
             return make_policy(policy)(obs)
 
         before = built()["Observation"]
-        env.play(decide, interval)
+        play_lane(env, decide, interval)
         assert env.done and len(seen) == -(-env.step_count // interval)
         assert all(type(obs) is Observation for obs in seen)
         assert len({id(obs) for obs in seen}) == len(seen)
         assert built()["Observation"] - before == len(seen)
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_play_on_a_finished_episode_does_nothing(trace):
-    env, rows = start(EnvConfig(), 2, None, trace)
-    env.play(make_policy("scripted"), 1, on_step(rows))
-    assert env.done
-    before = episode_bits(env, rows)
-    decide = Recorded(make_policy("scripted"))
-    calls = []
-    for interval in (1, 10, 0):
-        env.play(decide, interval, calls.append)
-    assert decide.seen == [] and calls == []
-    assert episode_bits(env, rows) == before
-
-
-@pytest.mark.parametrize("env", [ApproachEnv(), EmulatedEnv(EmulationConfig())],
-                         ids=["plain", "emulated"])
-def test_play_before_reset_raises_as_hold_does(env):
-    decide = Recorded(make_policy("scripted"))
-    with pytest.raises(RuntimeError, match="^call reset before step$") as got:
-        env.play(decide, 1)
-    with pytest.raises(RuntimeError) as want:
-        ApproachEnv().hold(CONTROLS[0][0], 1)
-    assert str(got.value) == str(want.value)
-    assert decide.seen == [] and env.done is None
-
-
 def test_play_with_no_plant_step_raises_as_hold_does():
     env = ApproachEnv()
-    env.reset(1)
     with pytest.raises(ValueError, match="at least one plant step, got 0"):
-        env.play(make_policy("scripted"), 0)
+        run_episode(env, make_policy("scripted"), 1, decision_interval=0)
     assert env.step_count == 0
 
 
@@ -196,7 +179,7 @@ def unbatched(policy):
 def test_emulated_episodes_keep_the_per_decision_pid(policy, interval):
     """An emulated episode decides on the delayed observation and runs
     the PID once per hold; through ``run_episodes`` with a policy without
-    ``batch`` it must equal the hold loop, which a plain-plant ``play``
+    ``batch`` it must equal the hold loop, which a lane of the plain plant
     would not."""
     emu = EmulationConfig(control_interval=interval)
     seeds, headings = [0, 5, 9], [None, 1.0, None]
@@ -212,7 +195,7 @@ def test_emulated_episodes_keep_the_per_decision_pid(policy, interval):
 @pytest.mark.parametrize("policy", ["scripted", "latched"])
 def test_scripted_episodes_make_no_hold_call(monkeypatch, policy):
     """No hold call per decision: a scripted episode enters ``hold`` once,
-    through ``play``; a per-decision loop would enter it once per plant step."""
+    as one lane; a per-decision loop would enter it once per plant step."""
     want = evaluate_policy(ApproachEnv(), make_policy(policy), 5, 3).to_text()
     result, trace = run_episode(ApproachEnv(), make_policy(policy), 4, collect_trace=True)
     entries = []
@@ -232,19 +215,18 @@ def test_scripted_episodes_make_no_hold_call(monkeypatch, policy):
     assert len(entries) == 7
 
 
-def test_a_hold_without_decide_fails_play_loudly():
-    """``play`` and a lockstep lane enter the episode through the env's own
-    ``hold``, so a subclass ``hold`` that can neither decide nor suspend
-    raises instead of being bypassed."""
+def test_a_hold_without_lane_fails_loudly():
+    """Every episode, alone or among lockstep lanes, enters the plant as a
+    lane of the env's own ``hold``, so a subclass ``hold`` that cannot
+    suspend raises instead of being bypassed."""
 
     class Plain(ApproachEnv):
         def hold(self, action, steps, on_step=None):
             return super().hold(action, steps, on_step)
 
     env = Plain()
-    env.reset(1)
-    with pytest.raises(TypeError, match="decide"):
-        env.play(make_policy("scripted"), 1)
+    with pytest.raises(TypeError, match="lane"):
+        run_episode(env, make_policy("scripted"), 1)
     assert env.step_count == 0
     envs = [Plain(), Plain()]
     with pytest.raises(TypeError, match="lane"):
