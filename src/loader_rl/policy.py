@@ -218,15 +218,18 @@ def finite_output(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_action(logits: np.ndarray, rng: np.random.Generator) -> tuple[Controls, float]:
-    """Draw the two binary commands independently from their heads; raises
+def sample_action(
+    logits: np.ndarray, rng: np.random.Generator
+) -> tuple[Controls, float, np.ndarray]:
+    """Draw the two binary commands independently from their heads.
+    Returns (binary action, log_prob, the 0/1 row it came from); raises
     FloatingPointError if a logit is not finite."""
     finite_output(logits)
     p = sigmoid(np.asarray(logits, dtype=np.float64))
     u = rng.random(N_ACTIONS)
     a = (u < p).astype(np.float64)
     log_prob = float(bernoulli_log_prob(logits, a))
-    return CONTROLS[int(a[0])][int(a[1])], log_prob
+    return CONTROLS[int(a[0])][int(a[1])], log_prob, a
 
 
 def greedy_action(logits: np.ndarray) -> Controls:

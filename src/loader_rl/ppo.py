@@ -3,9 +3,11 @@ estimation.
 
 The update is written against explicit gradients (see nets.py), keeps
 an adaptive-moment optimizer across calls, and aborts without touching
-parameters if a loss goes non-finite. Advantages are normalized per
-minibatch; the probability-ratio exponent is clamped before
-exponentiation to guard overflow.
+parameters if a loss goes non-finite. A minibatch's loss and its
+gradient come from one function, which stops before the backward pass
+on a non-finite loss. Advantages are normalized per minibatch; the
+probability-ratio exponent is clamped before exponentiation to guard
+overflow.
 """
 
 from __future__ import annotations
@@ -206,22 +208,7 @@ class UpdateStats:
     abort_reason: str = ""
 
 
-@dataclass
-class _LossPieces:
-    total: float
-    policy_loss: float
-    value_loss: float
-    entropy: float
-    ratios: np.ndarray
-    unclipped: np.ndarray
-    clipped: np.ndarray
-    logits: np.ndarray
-    values: np.ndarray
-    actor_cache: list
-    critic_cache: list
-
-
-def _minibatch_loss(
+def _minibatch(
     params: PolicyParams,
     obs: np.ndarray,
     actions: np.ndarray,
@@ -230,10 +217,13 @@ def _minibatch_loss(
     returns: np.ndarray,
     config: TrainConfig,
     tanh_corr: np.ndarray | None = None,
-) -> _LossPieces:
-    """The loss of one minibatch and what its gradient needs. ``tanh_corr``
-    is ``tanh_correction(actions)`` in continuous-threshold mode, which the
-    update computes once for its whole buffer; None computes it here."""
+    out: list[np.ndarray] | None = None,
+) -> tuple[float, float, float, float, np.ndarray]:
+    """(total, policy_loss, value_loss, entropy, ratios) of one minibatch. Given
+    ``out``, aligned with params.trainable_arrays(), a finite total's gradient is
+    written into it; a non-finite total leaves it as it was. ``tanh_corr`` is
+    ``tanh_correction(actions)`` in continuous-threshold mode, which the update
+    computes once for its whole buffer; None computes it here."""
     logits, actor_cache = params.actor.forward(obs)
     values, critic_cache = params.critic.forward(obs)
     v = values[:, 0]
@@ -250,46 +240,14 @@ def _minibatch_loss(
     err = v - returns
     value_loss = float((err * err).sum() / b)
     total = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
-    return _LossPieces(total, policy_loss, value_loss, entropy, ratios, unclipped, clipped,
-                       logits, values, actor_cache, critic_cache)
-
-
-def ppo_total_loss(
-    params: PolicyParams,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    log_probs_old: np.ndarray,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-    config: TrainConfig,
-) -> float:
-    """Scalar training loss of one minibatch (advantages as given)."""
-    return _minibatch_loss(params, obs, actions, log_probs_old, advantages, returns, config).total
-
-
-def _minibatch_grads(
-    params: PolicyParams,
-    pieces: _LossPieces,
-    actions: np.ndarray,
-    log_probs_old: np.ndarray,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-    config: TrainConfig,
-    out: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Analytic gradient of the total loss wrt every trainable array, written into and
-    returned as ``out`` (fresh arrays when None), aligned with params.trainable_arrays()."""
-    if out is None:
-        out = [np.empty(a.shape) for a in params.trainable_arrays()]
-    b = len(advantages)
-    ratios = pieces.ratios
-    logits = pieces.logits
+    if out is None or not math.isfinite(total):
+        return total, policy_loss, value_loss, entropy, ratios
 
     # d(total)/d(log_prob_new): only where the unclipped branch attains the
     # min and the ratio exponent is inside the clamp window.
     log_diff = np.log(np.maximum(ratios, 1e-300))  # == clamped (new - old)
-    active = (pieces.unclipped <= pieces.clipped) & (np.abs(log_diff) < RATIO_EXP_CLAMP)
-    g_logprob = np.where(active, -pieces.unclipped, 0.0) / b
+    active = (unclipped <= clipped) & (np.abs(log_diff) < RATIO_EXP_CLAMP)
+    g_logprob = np.where(active, -unclipped, 0.0) / b
 
     if params.log_std is None:  # Bernoulli heads
         p = sigmoid(logits)
@@ -307,12 +265,23 @@ def _minibatch_grads(
         out[-1][...] = log_std_grad  # log_std is the last trainable array
 
     n_actor = len(params.actor.params)
-    params.actor.backward(pieces.actor_cache, d_logits, out[:n_actor])
+    params.actor.backward(actor_cache, d_logits, out[:n_actor])
+    d_values = (config.vf_coef * 2.0 * err / b)[:, None]
+    params.critic.backward(critic_cache, d_values, out[n_actor:])  # log_std stays last
+    return total, policy_loss, value_loss, entropy, ratios
 
-    v = pieces.values[:, 0]
-    d_values = (config.vf_coef * 2.0 * (v - returns) / b)[:, None]
-    params.critic.backward(pieces.critic_cache, d_values, out[n_actor:])  # log_std stays last
-    return out
+
+def ppo_total_loss(
+    params: PolicyParams,
+    obs: np.ndarray,
+    actions: np.ndarray,
+    log_probs_old: np.ndarray,
+    advantages: np.ndarray,
+    returns: np.ndarray,
+    config: TrainConfig,
+) -> float:
+    """Scalar training loss of one minibatch (advantages as given)."""
+    return _minibatch(params, obs, actions, log_probs_old, advantages, returns, config)[0]
 
 
 class PPOLearner:
@@ -370,36 +339,35 @@ class PPOLearner:
             corr_e = None if tanh_corr is None else tanh_corr[perm]
             for start in range(0, n, batch_size):
                 mb = slice(start, start + batch_size)
-                acts, lp_old, ret = acts_e[mb], lp_e[mb], ret_e[mb]
                 adv = normalize_advantages(adv_e[mb])
 
-                pieces = _minibatch_loss(params, obs_e[mb], acts, lp_old, adv, ret, config,
-                                         None if corr_e is None else corr_e[mb])
-                if not math.isfinite(pieces.total):
+                total, policy_loss, value_loss, entropy, ratios = _minibatch(
+                    params, obs_e[mb], acts_e[mb], lp_e[mb], adv, ret_e[mb], config,
+                    None if corr_e is None else corr_e[mb], self.grad_parts)
+                if not math.isfinite(total):
                     self.theta[:] = snapshot[0]
                     optimizer.m, optimizer.v, optimizer.t = snapshot[1:]
                     return UpdateStats(
                         aborted=True,
                         abort_reason=(
-                            f"non-finite loss (policy={pieces.policy_loss!r}, "
-                            f"value={pieces.value_loss!r}); parameters kept"
+                            f"non-finite loss (policy={policy_loss!r}, "
+                            f"value={value_loss!r}); parameters kept"
                         ),
                         n_minibatches=n_mb,
                     )
-                _minibatch_grads(params, pieces, acts, lp_old, adv, ret, config, self.grad_parts)
                 norm = clip_by_global_norm(self.grad, self.grad_parts, config.max_grad_norm)
                 optimizer.step(self.theta, self.grad)
                 if params.log_std is not None:
                     np.maximum(params.log_std, LOG_STD_MIN, out=params.log_std)
 
-                sums["policy_loss"] += pieces.policy_loss
-                sums["value_loss"] += pieces.value_loss
-                sums["entropy"] += pieces.entropy
-                sums["ratio_mean"] += float(pieces.ratios.sum() / batch_size)
-                clipped = np.abs(pieces.ratios - 1.0) > config.clip_range
+                sums["policy_loss"] += policy_loss
+                sums["value_loss"] += value_loss
+                sums["entropy"] += entropy
+                sums["ratio_mean"] += float(ratios.sum() / batch_size)
+                clipped = np.abs(ratios - 1.0) > config.clip_range
                 sums["clip_fraction"] += int(np.count_nonzero(clipped)) / batch_size
                 sums["grad_norm"] += min(norm, config.max_grad_norm)
                 n_mb += 1
 
-        return UpdateStats(**{name: total / n_mb for name, total in sums.items()},
+        return UpdateStats(**{name: s / n_mb for name, s in sums.items()},
                            n_minibatches=n_mb)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from .checkpoint import PolicyCheckpoint, write_checkpoint
 from .env import ApproachEnv, Observation, Outcome
 from .policy import ExplorationMode, ThresholdSampler, init_policy, sample_action
@@ -115,11 +113,9 @@ def train(
                 logits = params.actor(xn)
                 value = float(params.critic(xn)[0])
                 if config.exploration_mode is ExplorationMode.BERNOULLI:
-                    action, log_prob = sample_action(logits, sampling_rng)
-                    stored = np.array([float(action.brake), float(action.lift_up)])
+                    action, log_prob, stored = sample_action(logits, sampling_rng)
                 else:
-                    action, log_prob, u = sampler.sample(logits, params.log_std, sampling_rng)
-                    stored = u
+                    action, log_prob, stored = sampler.sample(logits, params.log_std, sampling_rng)
                 # one buffer entry per decision, its reward summed over the hold
                 reward_sum = env.hold(action, config.control_interval)
                 done = env.done

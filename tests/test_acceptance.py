@@ -98,12 +98,12 @@ class TestCriterion3PpoLossConformance:
         loss_err = abs(got - want)
 
         # analytic policy gradient vs central finite differences
-        from loader_rl.ppo import _minibatch_grads, _minibatch_loss
+        from loader_rl.ppo import _minibatch
 
         config = TrainConfig(vf_coef=0.0, ent_coef=0.0)
         params, obs, actions, lp_old, adv, returns = make_batch(seed=5, n=16)
-        pieces = _minibatch_loss(params, obs, actions, lp_old, adv, returns, config)
-        grads = _minibatch_grads(params, pieces, actions, lp_old, adv, returns, config)
+        grads = [np.empty(a.shape) for a in params.trainable_arrays()]
+        _minibatch(params, obs, actions, lp_old, adv, returns, config, out=grads)
         h = 1e-5
         worst_rel = 0.0
         for gi, p in enumerate(params.actor.params):

@@ -92,14 +92,15 @@ class TestSampling:
         count = 0
         n = 4000
         for _ in range(n):
-            action, _ = sample_action(np.zeros(2), rng)
+            action, _, _ = sample_action(np.zeros(2), rng)
             count += action.brake
         assert abs(count / n - 0.5) < 0.03
 
     def test_saturated_logits_force_action(self):
         rng = np.random.default_rng(2)
-        action, log_prob = sample_action(np.array([20.0, 20.0]), rng)
+        action, log_prob, row = sample_action(np.array([20.0, 20.0]), rng)
         assert (action.brake, action.lift_up) == (1, 1)
+        assert row.tolist() == [1.0, 1.0]
         assert abs(log_prob) < 1e-6
 
     def test_log_prob_of_mixed_action_at_zero_logits(self):
@@ -113,9 +114,9 @@ class TestSampling:
         assert (a.brake, a.lift_up) == (1, 0)
 
     def test_sampling_deterministic_given_rng_state(self):
-        a, lpa = sample_action(np.array([0.3, -0.4]), np.random.default_rng(5))
-        b, lpb = sample_action(np.array([0.3, -0.4]), np.random.default_rng(5))
-        assert a == b and lpa == lpb
+        a, lpa, rowa = sample_action(np.array([0.3, -0.4]), np.random.default_rng(5))
+        b, lpb, rowb = sample_action(np.array([0.3, -0.4]), np.random.default_rng(5))
+        assert a == b and lpa == lpb and rowa.tolist() == rowb.tolist()
 
 
 class TestObsNormalizer:

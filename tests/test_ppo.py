@@ -238,7 +238,7 @@ class TestLossAgainstIndependentScalar:
 
 class TestGradientVsFiniteDifferences:
     def test_policy_gradient_matches_central_differences(self):
-        from loader_rl.ppo import _minibatch_grads, _minibatch_loss
+        from loader_rl.ppo import _minibatch
 
         config = TrainConfig(vf_coef=0.0, ent_coef=0.0)  # isolate the policy term
         params, obs, actions, lp_old, adv, returns = make_batch(seed=5, n=16)
@@ -249,8 +249,8 @@ class TestGradientVsFiniteDifferences:
         assert np.all(np.abs(ratios - (1.0 - config.clip_range)) > 1e-3)
         assert np.all(np.abs(ratios - (1.0 + config.clip_range)) > 1e-3)
 
-        pieces = _minibatch_loss(params, obs, actions, lp_old, adv, returns, config)
-        grads = _minibatch_grads(params, pieces, actions, lp_old, adv, returns, config)
+        grads = [np.empty(a.shape) for a in params.trainable_arrays()]
+        _minibatch(params, obs, actions, lp_old, adv, returns, config, out=grads)
         actor_grads = grads[: len(params.actor.params)]
 
         h = 1e-5
@@ -271,7 +271,7 @@ class TestGradientVsFiniteDifferences:
             assert num / den < 1e-4, f"array {gi}: relative error {num / den:.2e}"
 
     def test_continuous_mode_gradient_matches(self):
-        from loader_rl.ppo import _minibatch_grads, _minibatch_loss
+        from loader_rl.ppo import _minibatch
 
         config = TrainConfig(
             vf_coef=0.0, ent_coef=0.0, exploration_mode=ExplorationMode.CONTINUOUS_THRESHOLD
@@ -288,8 +288,8 @@ class TestGradientVsFiniteDifferences:
         adv = normalize_advantages(rng.normal(size=n))
         returns = rng.normal(size=n)
 
-        pieces = _minibatch_loss(params, obs, actions, lp_old, adv, returns, config)
-        grads = _minibatch_grads(params, pieces, actions, lp_old, adv, returns, config)
+        grads = [np.empty(a.shape) for a in params.trainable_arrays()]
+        _minibatch(params, obs, actions, lp_old, adv, returns, config, out=grads)
         log_std_grad = grads[-1]
 
         h = 1e-6
@@ -303,6 +303,104 @@ class TestGradientVsFiniteDifferences:
             params.log_std[k] = orig
             fd[k] = (up - dn) / (2.0 * h)
         assert np.allclose(log_std_grad, fd, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("mode", list(ExplorationMode))
+    def test_every_array_matches_with_value_and_entropy_terms(self, mode):
+        """Critic, actor and log_std gradients, with the value and entropy
+        terms on, against central differences on a seeded sample of each
+        array's entries."""
+        from loader_rl.policy import gaussian_tanh_log_prob
+        from loader_rl.ppo import _minibatch
+
+        config = TrainConfig(vf_coef=0.5, ent_coef=0.01, exploration_mode=mode)
+        rng = np.random.default_rng(21)
+        params = init_policy(4, rng, mode)
+        for p in params.actor.params:
+            p += rng.normal(scale=0.15, size=p.shape)
+        n = 16
+        obs = rng.normal(size=(n, 4))
+        out = params.actor(obs)
+        if params.log_std is None:
+            actions = (rng.random((n, 2)) < 0.5).astype(float)
+            lp_now = bernoulli_log_prob(out, actions)
+        else:
+            params.log_std[:] = rng.normal(scale=0.3, size=2)  # std != 1 shows in the actor term
+            actions = out + rng.normal(size=(n, 2))  # pre-squash samples
+            lp_now = gaussian_tanh_log_prob(actions, out, params.log_std)
+        lp_old = lp_now + rng.normal(scale=0.25, size=n)
+        adv = normalize_advantages(rng.normal(size=n))
+        returns = rng.normal(size=n)
+
+        arrays = params.trainable_arrays()
+        grads = [np.empty(a.shape) for a in arrays]
+        ratios = _minibatch(params, obs, actions, lp_old, adv, returns, config, out=grads)[4]
+        # precondition: keep every sample away from the clip kinks
+        assert np.all(np.abs(np.abs(ratios - 1.0) - config.clip_range) > 1e-3)
+
+        h = 1e-6
+        pick = np.random.default_rng(3)
+        for gi, (p, g) in enumerate(zip(arrays, grads)):
+            flat = p.reshape(-1)
+            entries = pick.choice(flat.size, size=min(flat.size, 6), replace=False)
+            fd = np.empty(len(entries))
+            for j, k in enumerate(entries):
+                orig = flat[k]
+                flat[k] = orig + h
+                up = ppo_total_loss(params, obs, actions, lp_old, adv, returns, config)
+                flat[k] = orig - h
+                dn = ppo_total_loss(params, obs, actions, lp_old, adv, returns, config)
+                flat[k] = orig
+                fd[j] = (up - dn) / (2.0 * h)
+            analytic = g.reshape(-1)[entries]
+            num = np.linalg.norm(analytic - fd)
+            den = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-12)
+            assert num / den < 1e-4, f"array {gi}: relative error {num / den:.2e}"
+
+
+class TestAbortedMinibatch:
+    """A non-finite loss stops the minibatch before its backward pass."""
+
+    def test_out_is_left_bit_for_bit(self):
+        from loader_rl.ppo import _minibatch
+
+        params, obs, actions, lp_old, adv, returns = make_batch(seed=5, n=16)
+        returns[3] = math.nan
+        rng = np.random.default_rng(1)
+        out = [rng.normal(size=a.shape) for a in params.trainable_arrays()]
+        before = [a.tobytes() for a in out]
+        total = _minibatch(params, obs, actions, lp_old, adv, returns, TrainConfig(), out=out)[0]
+        assert math.isnan(total)
+        assert [a.tobytes() for a in out] == before
+
+    def test_nonfinite_first_minibatch_runs_no_backward_or_step(self, monkeypatch):
+        from loader_rl.nets import MLP, Adam
+
+        calls = {"backward": 0, "step": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MLP, "backward", counted("backward", MLP.backward))
+        monkeypatch.setattr(Adam, "step", counted("step", Adam.step))
+        rng = np.random.default_rng(6)
+        params = init_policy(4, rng)
+        config = TrainConfig(n_steps=16, batch_size=8, n_epochs=1)
+
+        # control: a finite update counts two backward passes and one step per minibatch
+        buffer = fill_buffer(RolloutBuffer(16, 4), params, rng, np.zeros(16))
+        assert not PPOLearner(params, config).update(buffer, np.random.default_rng(0)).aborted
+        assert calls == {"backward": 4, "step": 2}
+
+        calls.update(backward=0, step=0)
+        rewards = np.zeros(16)
+        rewards[-1] = math.nan  # GAE carries the last step's NaN back to every sample
+        buffer = fill_buffer(RolloutBuffer(16, 4), params, rng, rewards)
+        stats = PPOLearner(params, config).update(buffer, np.random.default_rng(0))
+        assert stats.aborted and stats.n_minibatches == 0
+        assert calls == {"backward": 0, "step": 0}
 
 
 class TestGradientClipping:
