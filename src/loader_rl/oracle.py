@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 from .env import EnvConfig, Controls, Observation
@@ -83,14 +84,16 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
     plus the trace's initial distance/lift metadata; termination flags
     are re-derived, not read from the reward columns. Raises ValueError
     for rows that are malformed or missing, for a value it reads that is
-    not finite, and for a distance too large to compute.
+    not finite, for a distance too large to compute, and for a normalized
+    trace, whose columns are min-max scaled.
     """
-    rows = trace.rows
-    if not rows:
+    if not trace.values:
         raise ValueError("empty trace")
     needed = ("step", "t", "x", "y", "rel_x", "rel_y", "speed", "lift")
     if not set(needed).issubset(trace.columns):
         raise ValueError(f"trace lacks columns {sorted(set(needed) - set(trace.columns))}")
+    if trace.normalized:
+        raise ValueError("normalized trace: its columns are min-max scaled, not raw")
 
     goal = config.lift_goal_frac
     prev_distance = trace.initial_distance
@@ -98,29 +101,33 @@ def reward_oracle(trace: EpisodeTrace, config: EnvConfig) -> float:
     if not (math.isfinite(prev_distance) and math.isfinite(prev_lift)):
         raise ValueError(f"initial distance and lift must be finite, got "
                          f"{prev_distance!r} and {prev_lift!r}")
+    # the last column of a repeated name, as a row dict would keep
+    where = {name: j for j, name in enumerate(trace.columns)}
+    cells = itemgetter(*(where[name] for name in needed))
     total = 0.0
-    for i, row in enumerate(rows):
-        bad = {name: row[name] for name in needed if not math.isfinite(row[name])}
-        if bad:
+    for i, row in enumerate(trace.values):
+        step, _, x, y, rel_x, rel_y, speed, lift = values = cells(row)
+        if not all(map(math.isfinite, values)):
+            bad = {name: v for name, v in zip(needed, values) if not math.isfinite(v)}
             raise ValueError(f"row {i}: values must be finite, got {bad}")
         try:
-            distance = math.sqrt(row["rel_x"] ** 2 + row["rel_y"] ** 2)
-            from_start = math.sqrt(row["x"] ** 2 + row["y"] ** 2)
+            distance = math.sqrt(rel_x ** 2 + rel_y ** 2)
+            from_start = math.sqrt(x ** 2 + y ** 2)
         except OverflowError as e:
             raise ValueError(f"row {i}: distance out of range: {e}") from e
         out_of_range = from_start > config.out_of_range_radius
-        timed_out = row["step"] * config.dt >= config.max_episode_time
+        timed_out = step * config.dt >= config.max_episode_time
         if out_of_range or timed_out:
             r = -1.0
-        elif distance < config.vicinity and row["speed"] < config.speed_threshold and row["lift"] > goal:
+        elif distance < config.vicinity and speed < config.speed_threshold and lift > goal:
             r = 1.0
         else:
             r = prev_distance - distance
-            r += config.lift_reward_scale * (min(row["lift"], goal) - min(prev_lift, goal))
-            r -= config.time_penalty_tc * row["step"]
+            r += config.lift_reward_scale * (min(lift, goal) - min(prev_lift, goal))
+            r -= config.time_penalty_tc * step
         total += r
         prev_distance = distance
-        prev_lift = row["lift"]
+        prev_lift = lift
     return total
 
 

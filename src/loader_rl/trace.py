@@ -19,7 +19,10 @@ from __future__ import annotations
 import io
 import math
 import os
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .checkpoint import write_atomic
 from .env import Outcome
@@ -36,14 +39,16 @@ _INT_COLUMNS = {"step", "brake_action", "lift_action"}
 
 class EpisodeTrace:
     """One row per plant step, kept as a tuple of values aligned with
-    ``columns``; ``rows`` gives them as dicts, built when read."""
+    ``columns``; ``rows`` gives them as dicts, built when read.
+    ``normalized`` marks a trace read from a min-max scaled file."""
 
     def __init__(self, columns: Optional[list[str]] = None, initial_distance: float = 0.0,
-                 initial_lift: float = 0.0, config_digest: str = ""):
+                 initial_lift: float = 0.0, config_digest: str = "", normalized: bool = False):
         self.columns = list(BASE_COLUMNS) if columns is None else columns
         self.initial_distance = initial_distance
         self.initial_lift = initial_lift
         self.config_digest = config_digest
+        self.normalized = normalized
         self.values: list[tuple] = []
 
     def add_step(self, values: tuple) -> None:
@@ -94,7 +99,9 @@ def _cell_type(name: str, normalized: bool = False) -> type:
 def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False) -> None:
     """Write the trace, to a path atomically; ``normalized`` min-max scales
     each numeric column to [0, 1] (constant columns become 0) and writes
-    every one as float."""
+    every one as float. A trace that is already normalized writes back
+    normalized; scaling it again changes no value."""
+    normalized = normalized or trace.normalized
     columns = list(zip(*trace.values))
     if normalized:
         columns = [col if name == "outcome" else _min_max_scaled(col)
@@ -106,16 +113,30 @@ def write_trace_csv(trace: EpisodeTrace, path_or_file, normalized: bool = False)
     if normalized:
         out.write("# normalized=1\n")
     out.write(",".join(trace.columns) + "\n")
-    # one converter per column, applied column by column; str of a float
-    # is its shortest round-trip repr, so cells read back bit-exactly
-    cells = [map(str, map(_cell_type(name, normalized), col))
-             for name, col in zip(trace.columns, columns)]
+    # str of a float is its shortest round-trip repr, so cells read back
+    # bit-exactly; the float columns are formatted together, each distinct
+    # value once
+    types = [_cell_type(name, normalized) for name in trace.columns]
+    floats = iter(_float_strings([col for typ, col in zip(types, columns) if typ is float],
+                                 len(trace.values)))
+    cells = [next(floats) if typ is float else list(map(str, map(typ, col)))
+             for typ, col in zip(types, columns)]
     for line in map(",".join, zip(*cells)):
         out.write(line + "\n")
     if isinstance(path_or_file, (str, bytes, os.PathLike)):
         write_atomic(path_or_file, out.getvalue())
     else:
         path_or_file.write(out.getvalue())
+
+
+def _float_strings(columns: list, n: int) -> list[list[str]]:
+    """``str(float(v))`` of every cell of ``columns``, ``n`` cells each,
+    as one list per column. Each distinct bit pattern is formatted once;
+    keys are bits, not values, so 0.0 and -0.0 stay apart."""
+    flat = np.fromiter(map(float, chain.from_iterable(columns)), np.float64, len(columns) * n)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].reshape(len(columns), n).tolist()
 
 
 def _min_max_scaled(column: tuple) -> list:
@@ -139,12 +160,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _outcome(text: str) -> str:
+    return Outcome(text).value
+
+
+_READERS = {int: int, float: _finite, str: _outcome}
+
+
 def read_trace_csv(path_or_file) -> EpisodeTrace:
     """Inverse of :func:`write_trace_csv`; normalized traces read back
-    with every numeric column as float. A cell or an initial distance or
-    lift that is no finite number, or a last row without a line end (the
-    writer ends every row, so such a row was cut off) raises ValueError
-    naming its line."""
+    with every numeric column as float and ``normalized`` set. A cell or
+    an initial distance or lift that is no finite number, an ``outcome``
+    cell that names no :class:`Outcome`, or a last row without a line end
+    (the writer ends every row, so such a row was cut off) raises
+    ValueError naming its line."""
     text = read_text(path_or_file)
     lines = text.splitlines()
     meta = {}
@@ -169,9 +198,9 @@ def read_trace_csv(path_or_file) -> EpisodeTrace:
         initial_distance=meta.get("initial_distance", 0.0),
         initial_lift=meta.get("initial_lift", 0.0),
         config_digest=meta.get("config_digest", ""),
+        normalized="normalized" in meta,
     )
-    types = [_cell_type(name, "normalized" in meta) for name in header]
-    types = [_finite if typ is float else typ for typ in types]
+    types = [_READERS[_cell_type(name, trace.normalized)] for name in header]
     for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         if not line.strip():
             continue

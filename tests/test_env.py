@@ -9,11 +9,13 @@ import copy
 import dataclasses
 import io
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loader_rl.env import (
     ApproachEnv,
@@ -27,7 +29,7 @@ from loader_rl.env import (
     target_from_heading,
 )
 from loader_rl.sim import BrakeModel, Controls, VehicleParams, VehicleState
-from loader_rl.trace import read_trace_csv, write_trace_csv
+from loader_rl.trace import BASE_COLUMNS, EpisodeTrace, read_trace_csv, write_trace_csv
 from tests.test_hold import record_bits
 
 CFG = EnvConfig()
@@ -457,6 +459,7 @@ class TestTraceCsv:
         ("reward_total", "-inf", "expected a finite number, got '-inf'"),
         ("speed", "abc", "could not convert string to float: 'abc'"),
         ("step", "1.5", "invalid literal for int"),
+        ("outcome", "Bogus", "'Bogus' is not a valid Outcome"),
     ])
     def test_bad_cell_names_its_line(self, column, cell, message):
         _, trace = self._trace()
@@ -492,3 +495,125 @@ class TestTraceCsv:
         write_trace_csv(trace, a)
         write_trace_csv(trace, b)
         assert a.getvalue() == b.getvalue()
+
+    def test_normalized_mark_reads_back_and_writes_back(self):
+        _, trace = self._trace()
+        plain, scaled = io.StringIO(), io.StringIO()
+        write_trace_csv(trace, plain)
+        write_trace_csv(trace, scaled, normalized=True)
+        assert not trace.normalized
+        assert not read_trace_csv(io.StringIO(plain.getvalue())).normalized
+        back = read_trace_csv(io.StringIO(scaled.getvalue()))
+        assert back.normalized
+        # a normalized trace writes back normalized, and scaling it again
+        # moves no byte
+        again = io.StringIO()
+        write_trace_csv(back, again)
+        assert again.getvalue() == scaled.getvalue()
+
+
+_EXTRA_COLUMNS = ["true_x", "pid_command"]
+
+
+def reference_csv(trace, normalized):
+    """The trace file as the writer documents it: every float cell is
+    ``str(float(v))`` on its own, with no value shared between cells."""
+    lines = [f"# config_digest={trace.config_digest}",
+             f"# initial_distance={trace.initial_distance!r}",
+             f"# initial_lift={trace.initial_lift!r}"]
+    if normalized:
+        lines.append("# normalized=1")
+    lines.append(",".join(trace.columns))
+    columns = [list(col) for col in zip(*trace.values)]
+    for j, name in enumerate(trace.columns[:len(columns)]):
+        if normalized and name != "outcome":
+            lo, hi = min(columns[j]), max(columns[j])
+            columns[j] = [(v - lo) / (hi - lo) if hi - lo > 0 else 0.0 for v in columns[j]]
+    for row in zip(*columns):
+        cells = []
+        for name, v in zip(trace.columns, row):
+            if name == "outcome":
+                cells.append(str(v))
+            elif name in ("step", "brake_action", "lift_action") and not normalized:
+                cells.append(str(int(v)))
+            else:
+                cells.append(str(float(v)))
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+# a few values per trace, so that cells repeat within and across columns;
+# both zeros are always there
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072009e-308, 0.1 + 0.2, 1 / 3, 1.7976931348623157e308,
+                   123456789.12345679, 1e16, 1e-7]
+_CELL = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
+@st.composite
+def traces(draw):
+    pool = draw(st.lists(_CELL, min_size=1, max_size=8)) + [0.0, -0.0]
+    columns = list(BASE_COLUMNS) + draw(st.sampled_from([[], _EXTRA_COLUMNS]))
+    trace = EpisodeTrace(columns=columns, initial_distance=draw(st.floats()),
+                         initial_lift=draw(st.floats()), config_digest="deadbeef")
+    outcomes = st.sampled_from([o.value for o in Outcome])
+    for _ in range(draw(st.integers(0, 12))):
+        trace.add_step(tuple(
+            draw(outcomes) if name == "outcome"
+            else draw(st.one_of(st.integers(0, 10**6), st.booleans()))
+            if name in ("step", "brake_action", "lift_action")
+            else draw(st.sampled_from(pool))
+            for name in columns))
+    return trace
+
+
+class TestTraceWriterFormatsEachCell:
+    """The writer formats each distinct float once; its output must equal
+    formatting every cell on its own."""
+
+    # scaling a column that holds an infinity divides inf by inf
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(trace=traces(), normalized=st.booleans())
+    @example(trace=EpisodeTrace(), normalized=False)  # the header alone
+    @example(trace=EpisodeTrace(), normalized=True)
+    def test_output_equals_the_cell_by_cell_reference(self, trace, normalized):
+        expected = reference_csv(trace, normalized)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf, normalized=normalized)
+        assert buf.getvalue() == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            write_trace_csv(trace, path, normalized=normalized)
+            with open(path, "rb") as f:
+                assert f.read() == expected.encode()
+
+    def test_signed_zeros_keep_their_sign(self):
+        # 0.0 == -0.0 and both hash alike, so only a key by bits keeps them apart
+        trace = EpisodeTrace(columns=["x", "y"])
+        for row in [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 1.0)]:
+            trace.add_step(row)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        assert buf.getvalue().splitlines()[4:] == ["0.0,-0.0", "-0.0,0.0", "-0.0,-0.0", "0.0,1.0"]
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("column", ["x", "reward_total", "true_x"])
+    def test_none_cell_raises_type_error(self, tmp_path, column, normalized):
+        # float(None) raises; a numpy float64 array would take it as nan
+        trace = EpisodeTrace(columns=list(BASE_COLUMNS) + _EXTRA_COLUMNS)
+        row = tuple("Running" if name == "outcome" else 1 for name in trace.columns)
+        trace.add_step(row)
+        at = trace.columns.index(column)
+        trace.add_step(row[:at] + (None,) + row[at + 1:])
+        with pytest.raises(TypeError):
+            write_trace_csv(trace, io.StringIO(), normalized=normalized)
+        with pytest.raises(TypeError):
+            write_trace_csv(trace, tmp_path / "trace.csv", normalized=normalized)
+        assert not (tmp_path / "trace.csv").exists()

@@ -1,5 +1,6 @@
 """Scripted policy, independent reward recomputation, reward bound."""
 
+import io
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from loader_rl.oracle import (
     reward_oracle,
 )
 from loader_rl.sim import CONTROLS, Controls, VehicleParams
-from loader_rl.trace import EpisodeTrace
+from loader_rl.trace import EpisodeTrace, read_trace_csv, write_trace_csv
 
 ORACLE = OracleConfig()
 
@@ -161,6 +162,18 @@ class TestRewardOracle:
         bad.add_step((1, 0.02))
         with pytest.raises(ValueError):
             reward_oracle(bad, EnvConfig())
+
+    def test_refuses_a_normalized_trace(self):
+        # min-max scaled columns once summed to 14.66 for an episode whose
+        # true total is 9.55
+        env = ApproachEnv()
+        trace = collect_trace(env, ORACLE.rule, 8)
+        assert reward_oracle(trace, env.config) == pytest.approx(trace.total_reward(), abs=1e-9)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf, normalized=True)
+        scaled = read_trace_csv(io.StringIO(buf.getvalue()))
+        with pytest.raises(ValueError, match="^normalized trace"):
+            reward_oracle(scaled, env.config)
 
     @pytest.mark.parametrize("column, value, message", [
         ("x", math.nan, r"row 2: values must be finite, got \{'x': nan\}"),
